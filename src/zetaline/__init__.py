@@ -22,7 +22,6 @@ Command line: ``python -m zetaline eval --re 2``.
 from .complex_core import (
     cos_pi_z,
     cpow_principal,
-    csch_sq_half,
     gamma,
     log_gamma,
     sech_sq_pi,
@@ -36,22 +35,21 @@ from .contour import (
     entire_e_axis,
     entire_e_line,
     line_integrand,
-    residue_at,
+    pole_guard,
     residue_partial_sum,
     zeta,
+    zeta_from_e,
 )
 from .errors import (
     ContractViolation,
     DomainError,
-    IndeterminatePoint,
     NonFiniteIntegrand,
     PoleAtOne,
     PoleError,
-    RemovableSingularity,
     TruncationFailure,
     ZetalineError,
 )
-from .functional_equation import FeqReport, chi, feq_check, feq_rhs, select_form
+from .functional_equation import FeqReport, chi, feq_check, select_form
 from .mellin import (
     MellinReport,
     bose_integral,
@@ -63,13 +61,11 @@ from .oracle import (
     EulerMaclaurinParams,
     bernoulli_even,
     default_params,
-    dirichlet_partial,
     zeta_euler_maclaurin,
 )
 from .quadrature import (
-    DEFAULT_PLAN,
-    QuadraturePlan,
     QuadratureResult,
+    check_tol,
     gauss_legendre_rule,
     integrate_interval,
     integrate_line_decaying,
@@ -86,8 +82,6 @@ __all__ = [
     "ContractViolation",
     "PoleError",
     "PoleAtOne",
-    "RemovableSingularity",
-    "IndeterminatePoint",
     "NonFiniteIntegrand",
     "TruncationFailure",
     # complex helpers
@@ -95,14 +89,12 @@ __all__ = [
     "sin_pi_z",
     "cos_pi_z",
     "sech_sq_pi",
-    "csch_sq_half",
     "sinhc_half",
     "log_gamma",
     "gamma",
     # quadrature
-    "QuadraturePlan",
     "QuadratureResult",
-    "DEFAULT_PLAN",
+    "check_tol",
     "gauss_legendre_rule",
     "integrate_interval",
     "integrate_line_decaying",
@@ -114,14 +106,14 @@ __all__ = [
     "line_integrand",
     "entire_e_line",
     "entire_e_axis",
-    "residue_at",
     "residue_partial_sum",
+    "pole_guard",
+    "zeta_from_e",
     "zeta",
     # functional equation
     "FeqReport",
     "select_form",
     "chi",
-    "feq_rhs",
     "feq_check",
     # Mellin chain
     "MellinReport",
@@ -133,6 +125,5 @@ __all__ = [
     "EulerMaclaurinParams",
     "bernoulli_even",
     "zeta_euler_maclaurin",
-    "dirichlet_partial",
     "default_params",
 ]

@@ -33,7 +33,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .acceptance import run_criteria
-from .contour import ContourSpec, EvalResult, entire_e_axis, entire_e_line, zeta
+from .contour import (
+    ContourSpec,
+    EvalResult,
+    entire_e_line,
+    pole_guard,
+    residue_partial_sum,
+    zeta,
+    zeta_from_e,
+)
 from .errors import (
     DomainError,
     NonFiniteIntegrand,
@@ -44,12 +52,9 @@ from .errors import (
 from .functional_equation import feq_check
 from .mellin import mellin_check
 from .oracle import default_params, zeta_euler_maclaurin
-from .quadrature import QuadraturePlan
-from .contour import residue_partial_sum
 
 __all__ = ["ScanGrid", "main"]
 
-_POLE_RADIUS = 1e-6
 _MAX_SCAN_POINTS = 1_000_000
 _FEQ_PASS = 1e-8
 
@@ -98,10 +103,11 @@ _SCAN_HEADER = "re_s,im_s,re_E,im_E,re_zeta,im_zeta,abs_zeta,err_est"
 
 def _scan_cell(s: complex, spec: ContourSpec) -> str:
     e = entire_e_line(s, spec)
-    if abs(s - 1.0) < _POLE_RADIUS:
+    try:
+        z = zeta_from_e(s, e).value
+    except PoleAtOne:
         z_re = z_im = z_abs = ""  # undefined near the pole, not zero
     else:
-        z = e.value / (s - 1.0)
         z_re, z_im, z_abs = repr(z.real), repr(z.imag), repr(abs(z))
     return (
         f"{s.real!r},{s.imag!r},{e.value.real!r},{e.value.imag!r},"
@@ -182,30 +188,21 @@ def _build_parser() -> _Parser:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     s = complex(args.re, args.im)
-    plan = QuadraturePlan(target_tol=args.tol)
-    if args.method == "line":
-        res = zeta(s, ContourSpec(sigma=args.sigma, plan=plan))
-    elif args.method == "axis":
-        e = entire_e_axis(s, plan)
-        sm1 = s - 1.0  # Re s <= -0.05 keeps this away from 0
-        res = EvalResult(e.value / sm1, e.err_est / abs(sm1), "axis",
-                         e.truncation_height, e.n_evals, e.converged)
-    else:
-        if abs(s - 1.0) < _POLE_RADIUS:
-            raise PoleAtOne("pole at s = 1")
+    # --sigma shapes the line form only; --tol is checked whatever the method
+    spec = ContourSpec(args.sigma, args.tol) if args.method == "line" else ContourSpec(tol=args.tol)
+    if args.method == "oracle":
+        pole_guard(s)
         value, err = zeta_euler_maclaurin(s)
         res = EvalResult(value, err, "oracle", 0.0, default_params(s).N, True)
+    else:
+        res = zeta(s, spec, args.method)
     print(f"{_fmt(res.value.real)} {_fmt(res.value.imag)} {_fmt(res.err_est)} "
           f"{res.method} {res.n_evals}")
     return 0 if res.converged else 3
 
 
 def _cmd_feq(args: argparse.Namespace) -> int:
-    rep = feq_check(
-        complex(args.re, args.im),
-        ContourSpec(plan=QuadraturePlan(target_tol=args.tol)),
-        form=args.form,
-    )
+    rep = feq_check(complex(args.re, args.im), ContourSpec(tol=args.tol), form=args.form)
     print(f"{_fmt(rep.lhs.real)} {_fmt(rep.lhs.imag)} {_fmt(rep.rhs.real)} "
           f"{_fmt(rep.rhs.imag)} {_fmt(rep.abs_residual)} {_fmt(rep.rel_residual)} "
           f"{rep.form} {rep.direction}")
@@ -213,7 +210,7 @@ def _cmd_feq(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
-    rep = mellin_check(complex(args.re, args.im), QuadraturePlan(target_tol=args.tol))
+    rep = mellin_check(complex(args.re, args.im), args.tol)
     print(f"{_fmt(rep.bose.real)} {_fmt(rep.bose.imag)} "
           f"{_fmt(rep.exp_sq.real)} {_fmt(rep.exp_sq.imag)} "
           f"{_fmt(rep.sinh_form.real)} {_fmt(rep.sinh_form.imag)} "
@@ -242,7 +239,7 @@ def _cmd_residues(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
-    spec = ContourSpec(plan=QuadraturePlan(target_tol=args.tol))
+    spec = ContourSpec(tol=args.tol)
     lines = scan_csv_lines(grid, spec, jobs=args.jobs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -255,7 +252,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         if not r.passed:
             return 3
     grid = ScanGrid(-2.0, 3.0, 0.0, 5.0, 100, 100)
-    spec = ContourSpec(plan=QuadraturePlan(target_tol=1e-8))
+    spec = ContourSpec(tol=1e-8)
     same = scan_csv_lines(grid, spec, jobs=1) == scan_csv_lines(grid, spec, jobs=4)
     print(f"criterion 9 {'PASS' if same else 'FAIL'} scan determinism: "
           f"10000-point scan byte-identical with jobs 1 and jobs 4")

@@ -26,7 +26,6 @@ __all__ = [
     "sin_pi_z",
     "cos_pi_z",
     "sech_sq_pi",
-    "csch_sq_half",
     "sinhc_half",
     "log_gamma",
     "gamma",
@@ -146,28 +145,12 @@ def sech_sq_pi(y: float) -> float:
     return 4.0 * q / ((1.0 + q) * (1.0 + q))
 
 
-def csch_sq_half(t: float) -> float:
-    """1/sinh(t/2)^2 for t > 0, overflow-free for large t.
-
-    Uses 4/t^2 - 1/3 below t = 1e-4 (next term t^2/60 is ~4e-19 relative
-    there) and the scaled form 4 e^{-t} / (1 - e^{-t})^2 elsewhere, with the
-    denominator via expm1 so small t loses nothing to cancellation.
-    """
-    if not t > 0.0:
-        raise DomainError(f"csch_sq_half needs t > 0, got {t}")
-    if t < 1e-4:
-        h = 2.0 / t  # (2/t)^2 stays finite down to t ~ 1.2e-154, then inf
-        return h * h - 1.0 / 3.0
-    em = -math.expm1(-t)  # 1 - e^{-t}
-    return 4.0 * math.exp(-t) / (em * em)
-
-
 def sinhc_half(t: float) -> float:
     """sinh(t/2)/(t/2), even in t, >= 1 everywhere, exactly 1 at t = 0.
 
     The reciprocal square (t/2)^2/sinh^2(t/2) is the overflow-free way to
-    write t^2 * csch_sq_half(t): safe however small t gets, which the bare
-    csch_sq_half is not.  Valid for |t| <= 1400 (sinh overflows beyond).
+    write t^2/sinh^2(t/2): safe however small t gets, where 1/sinh^2(t/2)
+    alone overflows.  Valid for |t| <= 1400 (sinh overflows beyond).
     """
     x = 0.5 * abs(t)
     if x < 5e-5:

@@ -31,16 +31,11 @@ power and one real sech^2, with no complex division and no overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z, sinhc_half
 from .errors import ContractViolation, DomainError, PoleAtOne
-from .quadrature import (
-    DEFAULT_PLAN,
-    QuadraturePlan,
-    integrate_line_decaying,
-    integrate_mellin,
-)
+from .quadrature import check_tol, integrate_line_decaying, integrate_mellin
 
 __all__ = [
     "ContourSpec",
@@ -49,8 +44,9 @@ __all__ = [
     "line_integrand",
     "entire_e_line",
     "entire_e_axis",
-    "residue_at",
     "residue_partial_sum",
+    "pole_guard",
+    "zeta_from_e",
     "zeta",
 ]
 
@@ -63,15 +59,17 @@ _AXIS_RE_MAX = -0.05  # keeps the origin exponent -1-Re s away from the -1 bound
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical integration line Re z = sigma plus the quadrature plan used on it."""
+    """Vertical integration line Re z = sigma plus the absolute quadrature
+    tolerance used on it."""
 
     sigma: float = 0.5
-    plan: QuadraturePlan = DEFAULT_PLAN
+    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         # the line must separate z = 0 from the kernel poles at 1, 2, 3, ...
         if not 0.0 < self.sigma < 1.0:
             raise DomainError(f"sigma must lie strictly in (0, 1), got {self.sigma}")
+        check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult
     s = complex(s)
     if abs(s.imag) > _IM_BOX:
         raise ContractViolation(f"line evaluator contract box is |Im s| <= {_IM_BOX}, got {s.imag}")
-    sigma, plan = spec.sigma, spec.plan
+    sigma, tol = spec.sigma, spec.tol
     growth = max(0.0, 1.0 - s.real)
     bound_const = (
         4.0 * _PI_SQ
@@ -127,23 +125,24 @@ def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult
         lambda y: line_integrand(y, s, sigma),
         _TWO_PI,
         growth,
-        plan,
+        tol,
         bound_const=bound_const,
     )
-    # both truncated tails are below target_tol/10 by construction
-    err = (base.err_est + 0.2 * plan.target_tol) / _TWO_PI
+    # both truncated tails are below tol/10 by construction
+    err = (base.err_est + 0.2 * tol) / _TWO_PI
     return EvalResult(base.value / _TWO_PI, err, "line",
                       base.truncation_height, base.n_evals, base.converged)
 
 
-def entire_e_axis(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> EvalResult:
+def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     """E(s) for Re s <= -0.05 via the imaginary-axis form.
 
     The prefactor -pi sin(pi s/2) can be exponentially large in |Im s|, so
-    the quadrature runs at target_tol / |prefactor| (floored at 1e-14) and
-    the reported err_est is scaled back up; at the negative even integers
-    the prefactor vanishes identically and E(s) = 0 is returned exactly.
+    the quadrature runs at tol / |prefactor| (floored at 1e-14) and the
+    reported err_est is scaled back up; at the negative even integers the
+    prefactor vanishes identically and E(s) = 0 is returned exactly.
     """
+    check_tol(tol)  # before the floor below can hide a bad value
     s = complex(s)
     if s.real > _AXIS_RE_MAX:
         raise DomainError(
@@ -156,7 +155,7 @@ def entire_e_axis(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> EvalResult
     if pref == 0:
         return EvalResult(complex(0.0, 0.0), 0.0, "axis", 0.0, 0, True)
     amp = abs(pref)
-    eff = replace(plan, target_tol=max(1e-14, plan.target_tol / max(1.0, amp)))
+    eff_tol = max(1e-14, tol / max(1.0, amp))
     w = -1.0 - s
 
     def f(y: float) -> complex:
@@ -170,21 +169,14 @@ def entire_e_axis(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> EvalResult
         f,
         -1.0 - s.real,
         _TWO_PI,
-        eff,
+        eff_tol,
         growth=1.0 - s.real,
         origin_coeff=1.0 / _PI_SQ,
         bound_const=4.5,  # 1/sinh^2(pi y) <= 4.5 e^{-2 pi y} for y >= 1
     )
-    err = amp * (base.err_est + 0.2 * eff.target_tol)
+    err = amp * (base.err_est + 0.2 * eff_tol)
     return EvalResult(pref * base.value, err, "axis",
                       base.truncation_height, base.n_evals, base.converged)
-
-
-def residue_at(n: int, s: complex) -> complex:
-    """Residue (1-s) n^{-s} of the line kernel at its double pole z = n."""
-    if n < 1:
-        raise DomainError(f"kernel poles sit at the positive integers, got n = {n}")
-    return (1.0 - complex(s)) * cpow_principal(float(n), -complex(s))
 
 
 def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
@@ -205,15 +197,33 @@ def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
     return (s - 1.0) * acc, tail
 
 
-def zeta(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult:
-    """zeta(s) = E(s)/(s-1) from the line contour; guarded at the s = 1 pole."""
-    s = complex(s)
+def pole_guard(s: complex) -> None:
+    """Raise PoleAtOne inside the guard disk |s - 1| < 1e-6 around the pole of zeta."""
     if abs(s - 1.0) < _POLE_RADIUS:
         raise PoleAtOne(
             f"zeta has a simple pole at s = 1 and |s-1| = {abs(s - 1.0):.3e} is "
             f"inside the {_POLE_RADIUS} guard disk; evaluate entire_e_line instead"
         )
-    base = entire_e_line(s, spec)
+
+
+def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
+    """zeta(s) = E(s)/(s-1) from an evaluation e of E at s, err_est scaled alike."""
+    s = complex(s)
+    pole_guard(s)
     sm1 = s - 1.0
-    return EvalResult(base.value / sm1, base.err_est / abs(sm1), base.method,
-                      base.truncation_height, base.n_evals, base.converged)
+    return EvalResult(e.value / sm1, e.err_est / abs(sm1), e.method,
+                      e.truncation_height, e.n_evals, e.converged)
+
+
+def zeta(s: complex, spec: ContourSpec = DEFAULT_CONTOUR, method: str = "line") -> EvalResult:
+    """zeta(s) from E(s) by the line contour of `spec` (method "line") or by
+    the imaginary-axis form at spec.tol (method "axis", Re s <= -0.05);
+    PoleAtOne inside the guard disk around s = 1."""
+    s = complex(s)
+    if method == "line":
+        e = entire_e_line(s, spec)
+    elif method == "axis":
+        e = entire_e_axis(s, spec.tol)
+    else:
+        raise DomainError(f"method must be line or axis, got {method!r}")
+    return zeta_from_e(s, e)

@@ -13,8 +13,6 @@ __all__ = [
     "ContractViolation",
     "PoleError",
     "PoleAtOne",
-    "RemovableSingularity",
-    "IndeterminatePoint",
     "NonFiniteIntegrand",
     "TruncationFailure",
 ]
@@ -38,14 +36,6 @@ class PoleError(DomainError):
 
 class PoleAtOne(PoleError):
     """zeta(s) requested inside the guard disk around the pole at s = 1."""
-
-
-class RemovableSingularity(DomainError):
-    """Both closed forms of a quantity are singular at the requested point."""
-
-
-class IndeterminatePoint(DomainError):
-    """The requested identity reduces to 0*inf and has no finite arrangement."""
 
 
 class NonFiniteIntegrand(ZetalineError):

@@ -31,17 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .complex_core import cos_pi_z, cpow_principal, gamma, sin_pi_z
 from .contour import DEFAULT_CONTOUR, ContourSpec, zeta
-from .errors import DomainError, IndeterminatePoint, PoleError, RemovableSingularity
+from .errors import DomainError, PoleError
 
 __all__ = [
     "FeqReport",
     "select_form",
     "chi",
-    "feq_rhs",
     "feq_check",
 ]
 
@@ -95,34 +93,9 @@ def chi(s: complex, form: str = "auto") -> complex:
     if d_odd < _FORM_GUARD and s.real > 0.0:
         # zeta(1-s) = 0 (or s = 1): a genuine pole of the multiplier itself
         raise PoleError(f"chi has a pole at the positive odd integers; |s - odd| = {d_odd:.2e}")
-    if d_odd < _FORM_GUARD and _dist_even_positive(s) < _FORM_GUARD:
-        # unreachable (the sets are >= 1 apart); retained as a cheap tripwire
-        raise RemovableSingularity(f"both multiplier forms degenerate at s = {s}")
     if form == "sine":
         return 2.0 * cpow_principal(_TWO_PI, s - 1.0) * sin_pi_z(0.5 * s) * gamma(1.0 - s)
     return cpow_principal(_TWO_PI, s) / (2.0 * gamma(s) * cos_pi_z(0.5 * s))
-
-
-def feq_rhs(
-    s: complex,
-    zeta_fn: Callable[[complex], complex] | None = None,
-    form: str = "auto",
-) -> complex:
-    """Right-hand side chi(s) zeta(1-s) of the reflection identity.
-
-    zeta_fn(w) -> complex defaults to the line-contour evaluator; an
-    alternative (e.g. the Euler-Maclaurin oracle for Re(1-s) > 1) may be
-    substituted for speed or independence.
-    """
-    s = complex(s)
-    if abs(s) < _FORM_GUARD:
-        raise IndeterminatePoint(
-            "at s = 0 the rhs is chi(0) zeta(1) = 0 * inf; its limit -1/2 "
-            "is zeta(0), which callers should evaluate directly"
-        )
-    if zeta_fn is None:
-        zeta_fn = lambda w: zeta(w).value
-    return chi(s, form) * zeta_fn(1.0 - s)
 
 
 def feq_check(s: complex, spec: ContourSpec = DEFAULT_CONTOUR, form: str = "auto") -> FeqReport:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .complex_core import cpow_principal, gamma, sinhc_half
 from .errors import DomainError
 from .oracle import zeta_euler_maclaurin
-from .quadrature import DEFAULT_PLAN, QuadraturePlan, integrate_mellin
+from .quadrature import integrate_mellin
 
 __all__ = [
     "MellinReport",
@@ -58,7 +58,7 @@ def _require_domain(s: complex, name: str) -> complex:
     return s
 
 
-def bose_integral(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> complex:
+def bose_integral(s: complex, tol: float = 1e-12) -> complex:
     """Integral of t^{s-1}/(e^t - 1) over (0, inf); equals Gamma(s) zeta(s)."""
     s = _require_domain(s, "bose_integral")
     w = s - 1.0
@@ -70,11 +70,11 @@ def bose_integral(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> complex:
 
     # 1/(e^t - 1) <= e^{-t}/(1 - e^{-1}) for t >= 1
     return integrate_mellin(
-        f, s.real - 2.0, 1.0, plan, growth=s.real - 1.0, bound_const=1.6
+        f, s.real - 2.0, 1.0, tol, growth=s.real - 1.0, bound_const=1.6
     ).value
 
 
-def exp_sq_integral(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> complex:
+def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
     """(1/s) Integral of e^t t^s/(e^t - 1)^2 over (0, inf); equals Gamma(s) zeta(s)."""
     s = _require_domain(s, "exp_sq_integral")
     w = s - 2.0
@@ -88,12 +88,12 @@ def exp_sq_integral(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> complex:
 
     # e^t/(e^t - 1)^2 <= e^{-t}/(1 - e^{-1})^2 for t >= 1
     base = integrate_mellin(
-        f, s.real - 2.0, 1.0, plan, growth=s.real, bound_const=2.6
+        f, s.real - 2.0, 1.0, tol, growth=s.real, bound_const=2.6
     )
     return base.value / s
 
 
-def sinh_integral(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> complex:
+def sinh_integral(s: complex, tol: float = 1e-12) -> complex:
     """(1/4s) Integral of t^s/sinh^2(t/2) over (0, inf); equals Gamma(s) zeta(s)."""
     s = _require_domain(s, "sinh_integral")
     w = s - 2.0
@@ -104,17 +104,17 @@ def sinh_integral(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> complex:
 
     # t^s/sinh^2(t/2) ~ 4 t^{s-2} at 0 and <= 4 e^{-t}/(1 - e^{-1})^2 t^s at t >= 1
     base = integrate_mellin(
-        f, s.real - 2.0, 1.0, plan, growth=s.real, origin_coeff=4.0, bound_const=10.5
+        f, s.real - 2.0, 1.0, tol, growth=s.real, origin_coeff=4.0, bound_const=10.5
     )
     return base.value / (4.0 * s)
 
 
-def mellin_check(s: complex, plan: QuadraturePlan = DEFAULT_PLAN) -> MellinReport:
+def mellin_check(s: complex, tol: float = 1e-12) -> MellinReport:
     """Evaluate all three integrals and compare each against Gamma(s) zeta(s)."""
     s = _require_domain(s, "mellin_check")
-    bose = bose_integral(s, plan)
-    exp_sq = exp_sq_integral(s, plan)
-    sinh_form = sinh_integral(s, plan)
+    bose = bose_integral(s, tol)
+    exp_sq = exp_sq_integral(s, tol)
+    sinh_form = sinh_integral(s, tol)
     reference = gamma(s) * zeta_euler_maclaurin(s)[0]
     deviation = max(
         abs(bose - reference), abs(exp_sq - reference), abs(sinh_form - reference)

@@ -25,7 +25,6 @@ __all__ = [
     "EulerMaclaurinParams",
     "bernoulli_even",
     "zeta_euler_maclaurin",
-    "dirichlet_partial",
     "default_params",
 ]
 
@@ -127,18 +126,3 @@ def zeta_euler_maclaurin(
     # which is exactly what `scale` records
     rounding = 2.5 * _EPS * (n_cut + 2 * m_terms) * (1.0 + scale)
     return total, omitted * envelope + rounding
-
-
-def dirichlet_partial(s: complex, N: int) -> tuple[complex, float]:
-    """Plain partial sum sum_{n<=N} n^{-s} with the integral-comparison tail
-    bound N^{1-Re s}/(Re s - 1).  Requires Re s > 1."""
-    s = complex(s)
-    if not s.real > 1.0:
-        raise DomainError(f"dirichlet_partial needs Re s > 1, got {s.real}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    total = complex(0.0, 0.0)
-    for n in range(1, N + 1):
-        total += cpow_principal(n, -s)
-    tail = N ** (1.0 - s.real) / (s.real - 1.0)
-    return total, tail

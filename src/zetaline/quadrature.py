@@ -26,9 +26,8 @@ from typing import Callable
 from .errors import DomainError, NonFiniteIntegrand, TruncationFailure
 
 __all__ = [
-    "QuadraturePlan",
     "QuadratureResult",
-    "DEFAULT_PLAN",
+    "check_tol",
     "gauss_legendre_rule",
     "integrate_interval",
     "integrate_line_decaying",
@@ -43,25 +42,11 @@ _MELLIN_U_MIN = -740.0
 
 _EPS = math.ulp(1.0)
 
-
-@dataclass(frozen=True)
-class QuadraturePlan:
-    """Rule parameters: panel geometry, refinement budget, absolute tolerance."""
-
-    nodes_per_panel: int = 16
-    panel_width: float = 0.5
-    max_refinements: int = 8
-    target_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.nodes_per_panel <= 64:
-            raise DomainError(f"nodes_per_panel must be in [2, 64], got {self.nodes_per_panel}")
-        if not (math.isfinite(self.panel_width) and self.panel_width > 0.0):
-            raise DomainError(f"panel_width must be finite and positive, got {self.panel_width}")
-        if self.max_refinements < 1:
-            raise DomainError(f"max_refinements must be >= 1, got {self.max_refinements}")
-        if not self.target_tol >= 1e-14:
-            raise DomainError(f"target_tol must be >= 1e-14, got {self.target_tol}")
+# rule geometry and refinement budget: 16-node panels of width 1/2, halved
+# at most 8 times
+_NODES_PER_PANEL = 16
+_PANEL_WIDTH = 0.5
+_MAX_REFINEMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -73,7 +58,11 @@ class QuadratureResult:
     truncation_height: float | None = None
 
 
-DEFAULT_PLAN = QuadraturePlan()
+def check_tol(tol: float) -> None:
+    """Reject an absolute tolerance below 1e-14 (or NaN): double-precision
+    sums of these integrands cannot certify less."""
+    if not tol >= 1e-14:
+        raise DomainError(f"tol must be >= 1e-14, got {tol}")
 
 
 @lru_cache(maxsize=None)
@@ -119,13 +108,11 @@ def gauss_legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
-def _sum_panels(
-    f: Integrand, a: float, b: float, n_panels: int, plan: QuadraturePlan
-) -> tuple[complex, float]:
+def _sum_panels(f: Integrand, a: float, b: float, n_panels: int) -> tuple[complex, float]:
     """Composite sum over n_panels equal panels, plus the L1 norm of the
     weighted node values (~ integral of |f|), which sets the round-off floor
     of the sum: accumulated noise is a few eps times that norm."""
-    nodes, weights = gauss_legendre_rule(plan.nodes_per_panel)
+    nodes, weights = gauss_legendre_rule(_NODES_PER_PANEL)
     h = (b - a) / n_panels
     half = 0.5 * h
     total = complex(0.0, 0.0)
@@ -147,21 +134,22 @@ def _sum_panels(
     return total, l1
 
 
-def integrate_interval(f: Integrand, a: float, b: float, plan: QuadraturePlan = DEFAULT_PLAN) -> QuadratureResult:
+def integrate_interval(f: Integrand, a: float, b: float, tol: float = 1e-12) -> QuadratureResult:
     """Composite Gauss-Legendre on [a, b] with panel-halving error estimates."""
+    check_tol(tol)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b, got a={a}, b={b}")
-    n_panels = max(1, math.ceil((b - a) / plan.panel_width))
-    value, _ = _sum_panels(f, a, b, n_panels, plan)
-    n_evals = n_panels * plan.nodes_per_panel
+    n_panels = max(1, math.ceil((b - a) / _PANEL_WIDTH))
+    value, _ = _sum_panels(f, a, b, n_panels)
+    n_evals = n_panels * _NODES_PER_PANEL
     err = math.inf
-    for _ in range(plan.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         n_panels *= 2
-        refined, l1 = _sum_panels(f, a, b, n_panels, plan)
-        n_evals += n_panels * plan.nodes_per_panel
+        refined, l1 = _sum_panels(f, a, b, n_panels)
+        n_evals += n_panels * _NODES_PER_PANEL
         err_new = abs(refined - value)
         value = refined
-        if err_new <= plan.target_tol:
+        if err_new <= tol:
             return QuadratureResult(value, err_new, n_evals, True)
         if err_new >= err or err_new <= 4.0 * _EPS * l1:
             # halving stopped helping, or the difference is below the
@@ -175,7 +163,7 @@ def _truncation_height(
     decay_rate: float,
     growth_bound: float,
     bound_const: float,
-    target_tol: float,
+    tol: float,
     cap: float = 500.0,
 ) -> float:
     """Smallest height Y (on a 1/8 grid) with C(1+Y)^g e^{-aY}/a <= tol/10.
@@ -184,7 +172,7 @@ def _truncation_height(
     grid start max(1, g/a) keeps the scan past the envelope's maximum, where
     the bound is decreasing and "smallest satisfying Y" is well defined.
     """
-    log_target = math.log(0.1 * target_tol)
+    log_target = math.log(0.1 * tol)
     log_c = math.log(bound_const) - math.log(decay_rate)
     y = max(1.0, growth_bound / decay_rate)
     y = math.ceil(y * 8.0) / 8.0
@@ -193,7 +181,7 @@ def _truncation_height(
             return y
         y += 0.125
     raise TruncationFailure(
-        f"no truncation height <= {cap} meets tol {target_tol} "
+        f"no truncation height <= {cap} meets tol {tol} "
         f"(decay={decay_rate}, growth={growth_bound}, C={bound_const})"
     )
 
@@ -202,42 +190,35 @@ def integrate_line_decaying(
     f: Integrand,
     decay_rate: float,
     growth_bound: float,
-    plan: QuadraturePlan = DEFAULT_PLAN,
+    tol: float = 1e-12,
     *,
     bound_const: float = 1.0,
-    fold: bool = True,
 ) -> QuadratureResult:
     """Integral of f over the whole real line, truncated by the caller's bound
     |f(y)| <= bound_const * (1+|y|)^growth_bound * e^{-decay_rate*|y|}.
 
-    The tail beyond the chosen Y is below target_tol/10 on each side.  With
-    fold=True (default) the symmetric pair f(y) + f(-y) is integrated over
-    [0, Y]: half the panels, and mirror-symmetric inputs keep conjugation
-    symmetry bitwise because complex addition commutes.  fold=False integrates
-    f directly over [-Y, Y].
+    The tail beyond the chosen Y is below tol/10 on each side.  The symmetric
+    pair f(y) + f(-y) is integrated over [0, Y]: half the panels, and
+    mirror-symmetric inputs keep conjugation symmetry bitwise because complex
+    addition commutes.
     """
+    check_tol(tol)
     if not decay_rate > 0.0:
         raise DomainError(f"decay_rate must be positive, got {decay_rate}")
     if growth_bound < 0.0:
         raise DomainError(f"growth_bound must be >= 0, got {growth_bound}")
     if not bound_const > 0.0:
         raise DomainError(f"bound_const must be positive, got {bound_const}")
-    height = _truncation_height(decay_rate, growth_bound, bound_const, plan.target_tol)
-    if fold:
-        paired = lambda y: f(y) + f(-y)
-        base = integrate_interval(paired, 0.0, height, plan)
-        n_evals = 2 * base.n_evals
-    else:
-        base = integrate_interval(f, -height, height, plan)
-        n_evals = base.n_evals
-    return QuadratureResult(base.value, base.err_est, n_evals, base.converged, height)
+    height = _truncation_height(decay_rate, growth_bound, bound_const, tol)
+    base = integrate_interval(lambda y: f(y) + f(-y), 0.0, height, tol)
+    return QuadratureResult(base.value, base.err_est, 2 * base.n_evals, base.converged, height)
 
 
 def integrate_mellin(
     f: Integrand,
     alpha: float,
     decay_rate: float,
-    plan: QuadraturePlan = DEFAULT_PLAN,
+    tol: float = 1e-12,
     *,
     growth: float = 0.0,
     origin_coeff: float = 1.0,
@@ -248,25 +229,26 @@ def integrate_mellin(
 
     Substitutes t = e^u and integrates g(u) = f(e^u) e^u.  The origin becomes
     a pure exponential tail ~ origin_coeff * e^{(alpha+1)u}, cut where it is
-    below target_tol/10; the decay side reuses the line truncation rule and
+    below tol/10; the decay side reuses the line truncation rule and
     reports its cutoff T = e^{u_right} as the truncation height.
     """
+    check_tol(tol)
     if not alpha > -1.0:
         raise DomainError(f"integrate_mellin needs alpha > -1, got {alpha}")
     if not decay_rate > 0.0:
         raise DomainError(f"decay_rate must be positive, got {decay_rate}")
     ap1 = alpha + 1.0
-    target = 0.1 * plan.target_tol
+    target = 0.1 * tol
     u_left = min(-2.0, math.log(target * ap1 / origin_coeff) / ap1)
     if u_left < _MELLIN_U_MIN:
         # tail bound at the representable floor, origin_coeff*e^{ap1*u}/ap1
         if math.log(origin_coeff / ap1) + ap1 * _MELLIN_U_MIN > math.log(target):
             raise TruncationFailure(
-                f"origin tail with alpha={alpha} cannot reach tol {plan.target_tol} "
+                f"origin tail with alpha={alpha} cannot reach tol {tol} "
                 f"within the representable range"
             )
         u_left = _MELLIN_U_MIN
-    height = _truncation_height(decay_rate, max(0.0, growth), bound_const, plan.target_tol)
+    height = _truncation_height(decay_rate, max(0.0, growth), bound_const, tol)
     u_right = max(1.0, math.log(height))
-    base = integrate_interval(lambda u: f(math.exp(u)) * math.exp(u), u_left, u_right, plan)
+    base = integrate_interval(lambda u: f(math.exp(u)) * math.exp(u), u_left, u_right, tol)
     return QuadratureResult(base.value, base.err_est, base.n_evals, base.converged, math.exp(u_right))

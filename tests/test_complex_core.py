@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zetaline.complex_core import (
     cos_pi_z,
     cpow_principal,
-    csch_sq_half,
     gamma,
     log_gamma,
     sech_sq_pi,
@@ -136,36 +135,6 @@ def test_sech_sq_pi_no_overflow_far_out():
     assert sech_sq_pi(1e6) == 0.0
 
 
-def test_csch_sq_half_known_value():
-    # 1/sinh(1)^2
-    assert csch_sq_half(2.0) == pytest.approx(0.7240616609663106, rel=1e-14)
-
-
-@given(t=st.floats(min_value=1e-150, max_value=744.0))
-def test_csch_sq_half_positive_and_finite(t):
-    # within the range where 4/t^2 is representable and e^{-t} has not yet
-    # underflowed; outside it the true value itself leaves double range
-    v = csch_sq_half(t)
-    assert v > 0.0 and math.isfinite(v)
-
-
-def test_csch_sq_half_saturates_at_double_range():
-    assert csch_sq_half(1300.0) == 0.0     # true value ~4e-565: underflow
-    assert csch_sq_half(1e-300) == math.inf  # true value ~4e+600: overflow
-
-
-def test_csch_sq_half_small_t_matches_series():
-    for t in (1e-5, 1e-6, 1e-8):
-        assert csch_sq_half(t) * t * t == pytest.approx(4.0, rel=1e-9)
-
-
-def test_csch_sq_half_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        csch_sq_half(0.0)
-    with pytest.raises(DomainError):
-        csch_sq_half(-1.0)
-
-
 def test_sinhc_half_values():
     assert sinhc_half(0.0) == 1.0
     assert sinhc_half(2.0) == pytest.approx(math.sinh(1.0), rel=1e-15)
@@ -180,8 +149,9 @@ def test_sinhc_half_at_least_one(t):
 @given(t=st.floats(min_value=1e-3, max_value=600.0))
 @settings(max_examples=200)
 def test_sinhc_half_consistent_with_csch(t):
-    """(t/2)^2 csch_sq_half(t) == 1/sinhc_half(t)^2 within rounding."""
-    lhs = 0.25 * t * t * csch_sq_half(t)
+    """(t/2)^2 csch^2(t/2) == 1/sinhc_half(t)^2 within rounding, with
+    csch^2(t/2) in the scaled form 4 e^{-t}/(1 - e^{-t})^2."""
+    lhs = 0.25 * t * t * (4.0 * math.exp(-t) / math.expm1(-t) ** 2)
     rhs = 1.0 / sinhc_half(t) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

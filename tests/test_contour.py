@@ -10,13 +10,11 @@ from zetaline.contour import (
     entire_e_axis,
     entire_e_line,
     line_integrand,
-    residue_at,
     residue_partial_sum,
     zeta,
 )
 from zetaline.errors import ContractViolation, DomainError, PoleAtOne
 from zetaline.oracle import zeta_euler_maclaurin
-from zetaline.quadrature import QuadraturePlan
 
 # reference values carried to 20 digits and rounded here once
 ZETA_HALF = -1.4603545088095868129
@@ -82,6 +80,10 @@ def test_spec_validation():
         ContourSpec(sigma=1.0)
     with pytest.raises(DomainError):
         ContourSpec(sigma=-0.3)
+    with pytest.raises(DomainError):
+        ContourSpec(tol=0.0)
+    with pytest.raises(DomainError):
+        entire_e_axis(-2.0, tol=0.0)  # checked before the exact-zero shortcut
 
 
 def test_line_integrand_matches_reduced_form():
@@ -127,10 +129,9 @@ def test_schwarz_reflection_bitwise(x, y):
 
 
 def test_residue_values():
-    assert residue_at(1, 3.0) == -2.0
-    assert residue_at(2, 3.0) == pytest.approx(-0.25, rel=1e-15)
-    with pytest.raises(DomainError):
-        residue_at(0, 3.0)
+    """The partial sums add up minus the residues (1-s) n^{-s} at z = n."""
+    assert residue_partial_sum(3.0, 1)[0] == 2.0
+    assert residue_partial_sum(3.0, 2)[0] == pytest.approx(2.25, rel=1e-15)
 
 
 def test_residue_sum_approaches_line_value():
@@ -148,10 +149,9 @@ def test_residue_sum_tail_bound_monotone():
 
 
 def test_residue_sum_guards():
-    with pytest.raises(DomainError):
-        residue_partial_sum(1.0, 10)
-    with pytest.raises(DomainError):
-        residue_partial_sum(3.0, 0)
+    for s, n in ((1.0, 10), (1.0, 100), (3.0, 0), (2.0, 0)):
+        with pytest.raises(DomainError):
+            residue_partial_sum(s, n)
 
 
 def test_axis_agrees_with_line():
@@ -159,6 +159,17 @@ def test_axis_agrees_with_line():
         a = entire_e_axis(s)
         b = entire_e_line(s)
         assert abs(a.value - b.value) <= 1e-9
+
+
+def test_zeta_axis_method():
+    """method="axis" turns the axis form of E into zeta as the line form does."""
+    for s in (-1.5 + 0.0j, -3.0 + 2.0j):
+        r = zeta(s, method="axis")
+        assert r.method == "axis"
+        assert r.value == entire_e_axis(s).value / (s - 1.0)
+        assert abs(r.value - zeta(s).value) <= 1e-9
+    with pytest.raises(DomainError):
+        zeta(-1.5, method="oracle")
 
 
 def test_axis_exact_trivial_zeros():
@@ -210,7 +221,7 @@ def test_result_metadata():
 
 
 def test_looser_plan_converges_faster():
-    tight = entire_e_line(0.5 + 3.0j, ContourSpec(plan=QuadraturePlan(target_tol=1e-12)))
-    loose = entire_e_line(0.5 + 3.0j, ContourSpec(plan=QuadraturePlan(target_tol=1e-6)))
+    tight = entire_e_line(0.5 + 3.0j, ContourSpec(tol=1e-12))
+    loose = entire_e_line(0.5 + 3.0j, ContourSpec(tol=1e-6))
     assert loose.n_evals <= tight.n_evals
     assert abs(loose.value - tight.value) <= 1e-6

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaline.contour import residue_partial_sum
 from zetaline.errors import DomainError, PoleAtOne
 from zetaline.oracle import (
     EulerMaclaurinParams,
     bernoulli_even,
     default_params,
-    dirichlet_partial,
     zeta_euler_maclaurin,
 )
 
@@ -118,18 +118,12 @@ def test_self_consistency_across_params(x, y):
 
 @given(x=st.floats(min_value=1.3, max_value=10.0), y=st.floats(min_value=-30.0, max_value=30.0))
 @settings(max_examples=100, deadline=None)
-def test_agrees_with_dirichlet_partial(x, y):
+def test_agrees_with_residue_partial_sum(x, y):
+    """(s-1) zeta(s) from the oracle matches the residue sum within both bounds."""
     s = complex(x, y)
     em, em_err = zeta_euler_maclaurin(s)
-    ds, tail = dirichlet_partial(s, 4000)
-    assert abs(em - ds) <= em_err + tail
-
-
-def test_dirichlet_partial_guards():
-    with pytest.raises(DomainError):
-        dirichlet_partial(1.0, 100)
-    with pytest.raises(DomainError):
-        dirichlet_partial(2.0, 0)
+    rs, tail = residue_partial_sum(s, 4000)
+    assert abs((s - 1.0) * em - rs) <= abs(s - 1.0) * em_err + tail
 
 
 def test_conjugation_symmetry():
