@@ -136,12 +136,18 @@ def cos_pi_z(z: complex) -> complex:
 
 
 def sech_sq_pi(y: float) -> float:
-    """1/cosh(pi y)^2 without overflow, even in y bitwise.
+    """1/cosh(pi y)^2 without overflow, even in y bitwise, never above 1.
 
-    Scaled form 4 e^{-2 pi |y|} / (1 + e^{-2 pi |y|})^2; underflows cleanly
-    to 0.0 once e^{-2 pi |y|} does (|y| >~ 118.6).
+    Scaled form 4 q / (1 + q)^2 with q = e^{-2 pi |y|}; underflows cleanly
+    to 0.0 once q does (|y| >~ 118.6).  For q > 1/2 it returns
+    1 - tanh(pi |y|)^2 instead, because 4q/(1+q)^2 rounds above 1 when q is
+    just below 1 (e.g. y = 2.88e-14).
     """
-    q = math.exp(-_TWO_PI * abs(y))
+    ay = abs(y)
+    q = math.exp(-_TWO_PI * ay)
+    if q > 0.5:
+        t = math.tanh(math.pi * ay)
+        return 1.0 - t * t
     return 4.0 * q / ((1.0 + q) * (1.0 + q))
 
 

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaline.complex_core import (
@@ -126,6 +126,8 @@ def test_sech_sq_pi_known_value():
 
 
 @given(y=st.floats(min_value=0.0, max_value=500.0))
+@example(y=2.8812800183923904e-14)
+@example(y=6.162560324325467e-17)
 def test_sech_sq_pi_even_bitwise_and_bounded(y):
     assert sech_sq_pi(-y) == sech_sq_pi(y)
     assert 0.0 <= sech_sq_pi(y) <= 1.0
