@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaline.contour import residue_partial_sum
@@ -118,6 +118,7 @@ def test_self_consistency_across_params(x, y):
 
 @given(x=st.floats(min_value=1.3, max_value=10.0), y=st.floats(min_value=-30.0, max_value=30.0))
 @settings(max_examples=100, deadline=None)
+@example(x=4.75, y=1.5)
 def test_agrees_with_residue_partial_sum(x, y):
     """(s-1) zeta(s) from the oracle matches the residue sum within both bounds."""
     s = complex(x, y)
