@@ -11,13 +11,14 @@ Subcommands and their stdout formats (space-separated tokens, floats with
   scan      writes CSV to --out (header re_s,im_s,re_E,im_E,re_zeta,im_zeta,
             abs_zeta,err_est; shortest round-trip decimals; LF endings;
             zeta fields empty inside the |s-1| < 1e-6 pole guard); stdout
-            stays empty
+            stays empty, and one stderr line gives the count and worst
+            err_est of cells that missed --tol
   selftest  one "criterion N PASS/FAIL name: detail" line per check
 
 Exit codes: 0 pass/success; 1 usage error; 2 domain error (guards, poles,
 contract boxes, unwritable scan paths); 3 convergence or check failure
-(eval that missed its tolerance, feq residual above 1e-8, failed selftest
-criterion).  Diagnostics go to stderr; stdout carries results only.  There
+(eval, or any scan cell, that missed its tolerance, feq residual above
+1e-8, failed selftest criterion).  Diagnostics go to stderr; stdout carries results only.  There
 are no environment variables: every knob is a flag.
 
 Repeated invocations with identical flags produce byte-identical stdout,
@@ -101,7 +102,7 @@ def _fmt(x: float) -> str:
 _SCAN_HEADER = "re_s,im_s,re_E,im_E,re_zeta,im_zeta,abs_zeta,err_est"
 
 
-def _scan_cell(s: complex, spec: ContourSpec) -> str:
+def _scan_cell(s: complex, spec: ContourSpec) -> tuple[str, EvalResult]:
     e = entire_e_line(s, spec)
     try:
         z = zeta_from_e(s, e).value
@@ -109,23 +110,28 @@ def _scan_cell(s: complex, spec: ContourSpec) -> str:
         z_re = z_im = z_abs = ""  # undefined near the pole, not zero
     else:
         z_re, z_im, z_abs = repr(z.real), repr(z.imag), repr(abs(z))
-    return (
+    line = (
         f"{s.real!r},{s.imag!r},{e.value.real!r},{e.value.imag!r},"
         f"{z_re},{z_im},{z_abs},{e.err_est!r}"
     )
+    return line, e
 
 
-def scan_csv_lines(grid: ScanGrid, spec: ContourSpec, jobs: int = 1) -> list[str]:
-    """Header plus one line per grid point, deterministic for any jobs value."""
+def scan_csv_lines(
+    grid: ScanGrid, spec: ContourSpec, jobs: int = 1
+) -> tuple[list[str], list[float]]:
+    """Header plus one line per grid point, deterministic for any jobs value,
+    and the err_est of every cell whose quadrature did not converge."""
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     pts = grid.points()
     if jobs == 1:
-        body = [_scan_cell(s, spec) for s in pts]
+        cells = [_scan_cell(s, spec) for s in pts]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            body = list(pool.map(lambda s: _scan_cell(s, spec), pts))
-    return [_SCAN_HEADER, *body]
+            cells = list(pool.map(lambda s: _scan_cell(s, spec), pts))
+    missed = [e.err_est for _, e in cells if not e.converged]
+    return [_SCAN_HEADER, *(line for line, _ in cells)], missed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,9 +246,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
     spec = ContourSpec(tol=args.tol)
-    lines = scan_csv_lines(grid, spec, jobs=args.jobs)
+    lines, missed = scan_csv_lines(grid, spec, jobs=args.jobs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    if missed:
+        print(f"scan: {len(missed)} of {len(lines) - 1} cells missed --tol {args.tol!r}; "
+              f"worst err_est {_fmt(max(missed))}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -222,6 +222,23 @@ def test_scan_jobs_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scan_unconverged_cells_exit_three(tmp_path):
+    """Cells that miss --tol are still written, then counted on stderr."""
+    out = tmp_path / "tall.csv"
+    r = run_cli(
+        "scan", "--re-min", "0.5", "--re-max", "0.5", "--im-min", "20", "--im-max", "30",
+        "--steps-re", "1", "--steps-im", "2", "--out", str(out),
+    )
+    assert r.returncode == 3
+    assert r.stdout == ""
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3
+    worst = max(float(row.split(",")[7]) for row in rows[1:])
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("scan: 2 of 2 cells missed --tol 1e-12;")
+    assert float(r.stderr.split()[-1]) == worst
+
+
 def test_scan_unwritable_path_exit_two(tmp_path):
     r = run_cli(
         "scan", "--re-min", "0", "--re-max", "1", "--im-min", "0", "--im-max", "1",
