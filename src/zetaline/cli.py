@@ -12,7 +12,7 @@ Subcommands and their stdout formats (space-separated tokens, floats with
             abs_zeta,err_est; shortest round-trip decimals; LF endings;
             zeta fields empty inside the |s-1| < 1e-6 pole guard); stdout
             stays empty, and one stderr line gives the count and worst
-            err_est of cells that missed --tol
+            err_est of cells that did not converge
   selftest  one "criterion N PASS/FAIL name: detail" line per check
 
 Exit codes: 0 pass/success; 1 usage error; 2 domain error (guards, poles,
@@ -250,8 +250,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if missed:
-        print(f"scan: {len(missed)} of {len(lines) - 1} cells missed --tol {args.tol!r}; "
-              f"worst err_est {_fmt(max(missed))}", file=sys.stderr)
+        print(f"scan: {len(missed)} of {len(lines) - 1} cells did not converge at "
+              f"--tol {args.tol!r}; worst err_est {_fmt(max(missed))}", file=sys.stderr)
         return 3
     return 0
 

@@ -1,5 +1,5 @@
-"""Scalar double-precision kernels: restricted powers, sin(pi z), squared
-reciprocal hyperbolics, and log-gamma.
+"""Scalar double-precision kernels: restricted powers, sin(pi z), sech^2,
+sinh(t/2)/(t/2), and log-gamma.
 
 Everything here is branch-audited for three properties the rest of the
 package leans on:
@@ -9,7 +9,8 @@ package leans on:
 * zeros that are exact in exact arithmetic stay exact in floats
   (sin(pi n) == 0 for integer n, cos(pi/2) == 0, ...),
 * large arguments never overflow when the true value is representable
-  (scaled forms for 1/cosh^2 and 1/sinh^2).
+  (a scaled form for 1/cosh^2; sinh(t/2)/(t/2), whose reciprocal square
+  replaces 1/sinh^2(t/2)).
 
 Only `math`/`cmath` are used; no state, no configuration.
 """

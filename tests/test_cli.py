@@ -223,7 +223,7 @@ def test_scan_jobs_byte_identical(tmp_path):
 
 
 def test_scan_unconverged_cells_exit_three(tmp_path):
-    """Cells that miss --tol are still written, then counted on stderr."""
+    """Cells that do not converge are still written, then counted on stderr."""
     out = tmp_path / "tall.csv"
     r = run_cli(
         "scan", "--re-min", "0.5", "--re-max", "0.5", "--im-min", "20", "--im-max", "30",
@@ -235,7 +235,7 @@ def test_scan_unconverged_cells_exit_three(tmp_path):
     assert len(rows) == 3
     worst = max(float(row.split(",")[7]) for row in rows[1:])
     assert len(r.stderr.splitlines()) == 1
-    assert r.stderr.startswith("scan: 2 of 2 cells missed --tol 1e-12;")
+    assert r.stderr.startswith("scan: 2 of 2 cells did not converge at --tol 1e-12;")
     assert float(r.stderr.split()[-1]) == worst
 
 
