@@ -18,8 +18,8 @@ Subcommands and their stdout formats (space-separated tokens, floats with
 Exit codes: 0 pass/success; 1 usage error; 2 domain error (guards, poles,
 contract boxes, unwritable scan paths); 3 convergence or check failure
 (eval, or any scan cell, that missed its tolerance, feq residual above
-1e-8, failed selftest criterion).  Diagnostics go to stderr; stdout carries results only.  There
-are no environment variables: every knob is a flag.
+1e-8, failed selftest criterion).  Diagnostics go to stderr; stdout carries
+results only.  There are no environment variables: every knob is a flag.
 
 Repeated invocations with identical flags produce byte-identical stdout,
 and scans are byte-identical whatever --jobs is; evaluation order is fixed

@@ -42,8 +42,6 @@ _MELLIN_U_MIN = -740.0
 
 _EPS = math.ulp(1.0)
 
-# rule geometry and refinement budget: 16-node panels of width 1/2, halved
-# at most 8 times
 _NODES_PER_PANEL = 16
 _PANEL_WIDTH = 0.5
 _MAX_REFINEMENTS = 8
@@ -59,8 +57,8 @@ class QuadratureResult:
 
 
 def check_tol(tol: float) -> None:
-    """Reject an absolute tolerance below 1e-14 (or NaN): double-precision
-    sums of these integrands cannot certify less."""
+    """Raise DomainError if the absolute tolerance tol is below 1e-14 or NaN;
+    every public integrator checks its tol here."""
     if not tol >= 1e-14:
         raise DomainError(f"tol must be >= 1e-14, got {tol}")
 
