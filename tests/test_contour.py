@@ -149,9 +149,10 @@ def test_residue_sum_tail_bound_monotone():
 
 
 def test_residue_sum_guards():
-    for s, n in ((1.0, 10), (1.0, 100), (3.0, 0), (2.0, 0)):
-        with pytest.raises(DomainError):
-            residue_partial_sum(s, n)
+    with pytest.raises(DomainError):
+        residue_partial_sum(1.0, 10)
+    with pytest.raises(DomainError):
+        residue_partial_sum(3.0, 0)
 
 
 def test_axis_agrees_with_line():

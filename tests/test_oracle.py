@@ -127,6 +127,14 @@ def test_agrees_with_residue_partial_sum(x, y):
     assert abs((s - 1.0) * em - rs) <= abs(s - 1.0) * em_err + tail
 
 
+def test_dirichlet_partial_guards():
+    """The partial Dirichlet sum behind the cross-check refuses Re s <= 1 and no terms."""
+    with pytest.raises(DomainError):
+        residue_partial_sum(1.0, 100)
+    with pytest.raises(DomainError):
+        residue_partial_sum(2.0, 0)
+
+
 def test_conjugation_symmetry():
     for s in (2.0 + 5.0j, 0.3 + 11.0j, -1.5 + 2.0j):
         v1, _ = zeta_euler_maclaurin(s.conjugate())
