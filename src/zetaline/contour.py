@@ -24,14 +24,24 @@ form (the integrand's origin behavior y^{-1-Re s} is integrable exactly
 when Re s < 0).
 
 The default line is sigma = 1/2, where sin(pi(1/2+iy)) = cosh(pi y): the
-denominator is real, even, and zero-free, so the kernel costs one complex
-power and one real sech^2, with no complex division and no overflow.
+denominator is real, even, and zero-free, so the kernel is a complex power
+times a real sech^2, with no complex division and no overflow.
+
+The line integral runs on the nested trapezoid rule of
+quadrature.integrate_line_decaying, whose nodes y = k h (h = 2^-2 .. 2^-8)
+do not depend on s.  A per-process table keeps ln z and pi^2 / sin^2(pi z)
+at each node y >= 0 of each line, so a node costs one complex multiply and
+one complex exp; the node at -y is the conjugate.  The axis form runs on
+the Gauss-Legendre panels of quadrature.integrate_mellin.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z, sinhc_half
 from .errors import ContractViolation, DomainError, PoleAtOne
@@ -55,12 +65,13 @@ _PI_SQ = math.pi * math.pi
 _IM_BOX = 60.0        # keeps e^{pi|Im s|/2} in the truncation constant representable
 _POLE_RADIUS = 1e-6   # below this, 1/(s-1) amplification swamps double precision
 _AXIS_RE_MAX = -0.05  # keeps the origin exponent -1-Re s away from the -1 boundary
+_Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical integration line Re z = sigma plus the absolute quadrature
-    tolerance used on it."""
+    """Vertical integration line Re z = sigma plus the absolute tolerance
+    on E(s) evaluated along it."""
 
     sigma: float = 0.5
     tol: float = 1e-12
@@ -93,13 +104,61 @@ def line_integrand(y: float, s: complex, sigma: float = 0.5) -> complex:
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError(f"sigma must be in (0, 1), got {sigma}")
-    if abs(y) > 300.0:
-        raise DomainError(f"line kernel is specified for |y| <= 300, got y = {y}")
+    if abs(y) > _Y_MAX:
+        raise DomainError(f"line kernel is specified for |y| <= {_Y_MAX:g}, got y = {y}")
     s = complex(s)
     if sigma == 0.5:
         return _PI_SQ * cpow_principal(complex(0.5, y), 1.0 - s) * sech_sq_pi(y)
     sn = sin_pi_z(complex(sigma, y))
     return _PI_SQ * cpow_principal(complex(sigma, y), 1.0 - s) / (sn * sn)
+
+
+@lru_cache(maxsize=4)
+def _node_table(sigma: float) -> dict[float, tuple[complex, complex | float]]:
+    """The nodes y >= 0 of the line Re z = sigma computed so far in this
+    process: y -> (ln z, pi^2 / sin^2(pi z)) at z = sigma + iy.
+
+    Filled lazily by _cached_integrand.  An entry depends on (sigma, y)
+    alone, so threads that race to fill the same y store equal values and
+    no result depends on the order of filling.
+    """
+    return {}
+
+
+def _line_node(sigma: float, y: float) -> tuple[complex, complex | float]:
+    """(ln z, pi^2 / sin^2(pi z)) at z = sigma + iy, y >= 0.
+
+    ln z = ln|z| + i arg z is formed as cpow_principal forms it; on
+    sigma = 1/2 the weight is the real pi^2 sech^2(pi y).
+    """
+    if y > _Y_MAX:
+        raise DomainError(f"line kernel is specified for |y| <= {_Y_MAX:g}, got y = {y}")
+    lz = complex(math.log(math.hypot(sigma, y)), math.atan2(y, sigma))
+    if sigma == 0.5:
+        return lz, _PI_SQ * sech_sq_pi(y)
+    sn = sin_pi_z(complex(sigma, y))
+    return lz, _PI_SQ / (sn * sn)
+
+
+def _cached_integrand(s: complex, sigma: float) -> Callable[[float], complex]:
+    """line_integrand(., s, sigma) read from the node table: at -y it returns
+    conj(exp(conj(1-s) ln z) w), which equals exp((1-s) conj(ln z)) conj(w)
+    bitwise, so E(conj s) stays conj E(s) exactly."""
+    table = _node_table(sigma)
+    w = 1.0 - complex(s)
+    wc = w.conjugate()
+    exp = cmath.exp
+
+    def f(y: float) -> complex:
+        ay = abs(y)
+        node = table.get(ay)
+        if node is None:
+            node = table[ay] = _line_node(sigma, ay)
+        if y < 0.0:
+            return (exp(wc * node[0]) * node[1]).conjugate()
+        return exp(w * node[0]) * node[1]
+
+    return f
 
 
 def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult:
@@ -110,11 +169,17 @@ def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult
     C = 4 pi^2 e^{pi|Im s|/2} max(1, sigma^{1-Re s}), from
     |z^{1-s}| = |z|^{1-Re s} e^{Im s * arg z}, |arg z| < pi/2, and
     |sin pi z|^2 >= e^{2 pi |y|}/4 in the tail region |y| >= 1.
+
+    spec.tol bounds the error of E(s) itself: the integral of 2 pi E runs
+    at 2 pi tol / 1.2, so that err_est = (quadrature error + both tails)/2 pi
+    is <= tol exactly when the quadrature met its tolerance, and `converged`
+    is err_est <= tol.
     """
     s = complex(s)
     if abs(s.imag) > _IM_BOX:
         raise ContractViolation(f"line evaluator contract box is |Im s| <= {_IM_BOX}, got {s.imag}")
-    sigma, tol = spec.sigma, spec.tol
+    sigma = spec.sigma
+    quad_tol = _TWO_PI * spec.tol / 1.2
     growth = max(0.0, 1.0 - s.real)
     bound_const = (
         4.0 * _PI_SQ
@@ -122,16 +187,16 @@ def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult
         * max(1.0, sigma ** (1.0 - s.real))
     )
     base = integrate_line_decaying(
-        lambda y: line_integrand(y, s, sigma),
+        _cached_integrand(s, sigma),
         _TWO_PI,
         growth,
-        tol,
+        quad_tol,
         bound_const=bound_const,
     )
-    # both truncated tails are below tol/10 by construction
-    err = (base.err_est + 0.2 * tol) / _TWO_PI
+    # both truncated tails are below quad_tol/10 by construction
+    err = (base.err_est + 0.2 * quad_tol) / _TWO_PI
     return EvalResult(base.value / _TWO_PI, err, "line",
-                      base.truncation_height, base.n_evals, base.converged)
+                      base.truncation_height, base.n_evals, err <= spec.tol)
 
 
 def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:

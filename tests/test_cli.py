@@ -131,6 +131,16 @@ def test_lemma_format():
     assert r.stdout.split()[9] == "1"
 
 
+def test_lemma_exit_three_above_criterion_bound():
+    """lemma prints its line, then exits 3 when the deviation is not below
+    selftest criterion 5's bound (1e-9 at real s)."""
+    r = run_cli("lemma", "--re", "2", "--tol", "1e-6")
+    assert r.returncode == 3
+    tokens = r.stdout.split()
+    assert len(tokens) == 10
+    assert float(tokens[8]) > 1e-9
+
+
 def test_lemma_domain_guard():
     r = run_cli("lemma", "--re", "0.5")
     assert r.returncode == 2

@@ -1,9 +1,14 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaline import contour
 from zetaline.contour import (
     DEFAULT_CONTOUR,
     ContourSpec,
@@ -15,6 +20,8 @@ from zetaline.contour import (
 )
 from zetaline.errors import ContractViolation, DomainError, PoleAtOne
 from zetaline.oracle import zeta_euler_maclaurin
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
 # reference values carried to 20 digits and rounded here once
 ZETA_HALF = -1.4603545088095868129
@@ -226,3 +233,75 @@ def test_looser_plan_converges_faster():
     loose = entire_e_line(0.5 + 3.0j, ContourSpec(tol=1e-6))
     assert loose.n_evals <= tight.n_evals
     assert abs(loose.value - tight.value) <= 1e-6
+
+
+@given(
+    x=st.floats(min_value=-5.0, max_value=6.0),
+    y=st.floats(min_value=-30.0, max_value=30.0),
+    log_tol=st.floats(min_value=-12.0, max_value=-4.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_converged_iff_err_est_within_tol(x, y, log_tol):
+    """tol bounds E(s) itself: converged says exactly that err_est <= tol
+    (|Im s| up to 30 reaches points that miss small tolerances)."""
+    tol = 10.0**log_tol
+    r = entire_e_line(complex(x, y), ContourSpec(tol=tol))
+    assert r.converged == (r.err_est <= tol)
+
+
+def test_converged_at_height_twenty():
+    """err_est 2.8e-8 on E is within tol 1e-7, so the evaluation converged."""
+    s = 0.5 + 20.0j
+    spec = ContourSpec(tol=1e-7)
+    e = entire_e_line(s, spec)
+    assert e.converged and e.err_est <= 1e-7
+    z = zeta(s, spec)
+    assert z.converged and z.err_est == e.err_est / abs(s - 1.0)
+
+
+def _points(name: str) -> list[complex]:
+    data = json.loads((REFS / name).read_text())
+    return [complex(float(a), float(b)) for a, b in data["points"]["E"]]
+
+
+def test_node_table_matches_line_integrand():
+    """The table-fed integrand equals the reference kernel at sampled nodes."""
+    for sigma in (0.5, 0.3):
+        for s in (2.0 + 0.0j, 0.5 + 3.0j, -4.5 - 6.0j, 5.5 + 40.0j, -2.0 + 60.0j):
+            f = contour._cached_integrand(s, sigma)
+            for k in (0, 1, 3, 64, 255, 1000, 2689, 5000):
+                for y in (k / 256.0, -k / 256.0):
+                    want = line_integrand(y, s, sigma)
+                    assert abs(f(y) - want) <= 1e-15 * abs(want)
+
+
+def test_node_table_cold_threads_bitwise():
+    """Four threads filling a cold table give the bits of serial evaluation."""
+    code = (
+        "import json, sys\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from zetaline.contour import zeta\n"
+        "pts = [complex(float(a), float(b)) for a, b in json.load(open(sys.argv[1]))['points']['E'][:100]]\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "with ThreadPoolExecutor(4) as pool:\n"
+        "    res = list(pool.map(zeta, pts))\n"
+        "print(json.dumps([[r.value.real.hex(), r.value.imag.hex(), r.err_est.hex()] for r in res]))\n"
+    )
+    path = REFS / "eval-strip-seed1.json"
+    out = subprocess.run([sys.executable, "-c", code, str(path)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    threaded = json.loads(out.stdout)
+    serial = [zeta(s) for s in _points("eval-strip-seed1.json")[:100]]
+    assert threaded == [[r.value.real.hex(), r.value.imag.hex(), r.err_est.hex()] for r in serial]
+
+
+def test_node_table_size_bounded():
+    """After the 48 eval-tall points the table holds only nodes k/256 up to
+    the largest truncation height, fewer than 6,000 (about 1 MB)."""
+    contour._node_table.cache_clear()
+    heights = [entire_e_line(s).truncation_height for s in _points("eval-tall.json")]
+    table = contour._node_table(0.5)
+    assert all(y >= 0.0 and (y * 256.0).is_integer() for y in table)
+    assert len(table) <= 256.0 * max(heights) + 1.0
+    assert len(table) < 6000

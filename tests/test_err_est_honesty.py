@@ -1,0 +1,58 @@
+"""err_est is an upper bound on the true error at the benchmark's points.
+
+The references are the 34-digit values of (s-1) zeta(s) committed under
+perfbench/refs/ (plain JSON).  Errors are computed in Decimal, where a double
+converts exactly, so each is measured against the reference itself and not
+against its rounding to a double.
+"""
+
+import json
+from decimal import Decimal, localcontext
+from pathlib import Path
+
+from zetaline.cli import ScanGrid
+from zetaline.contour import ContourSpec, entire_e_line, zeta
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+
+
+def _load(name: str) -> tuple[list[complex], list[tuple[Decimal, Decimal]]]:
+    data = json.loads((REFS / name).read_text())
+    pts = [complex(float(a), float(b)) for a, b in data["points"]["E"]]
+    refs = [(Decimal(a), Decimal(b)) for a, b in data["values"]["E"]]
+    return pts, refs
+
+
+def _abs_error(value: complex, ref: tuple[Decimal, Decimal], s_minus_1: complex = 1.0) -> Decimal:
+    """|value - ref / s_minus_1| in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = ref
+        c, d = Decimal(s_minus_1.real), Decimal(s_minus_1.imag)
+        den = c * c + d * d
+        dr = Decimal(value.real) - (a * c + b * d) / den
+        di = Decimal(value.imag) - (b * c - a * d) / den
+        return (dr * dr + di * di).sqrt()
+
+
+def test_eval_strip_zeta_within_err_est():
+    """400 points, Re s in [-5, 6], |Im s| <= 6.5: zeta at tol 1e-12."""
+    pts, refs = _load("eval-strip-seed1.json")
+    assert len(pts) == 400
+    for s, ref in zip(pts, refs):
+        r = zeta(s)
+        assert r.converged, s
+        assert _abs_error(r.value, ref, s - 1.0) <= Decimal(r.err_est), s
+
+
+def test_scan_grid_e_within_err_est():
+    """The 40 x 25 scan grid, rebuilt with the CLI's own grid arithmetic:
+    E at tol 1e-8."""
+    pts, refs = _load("scan-grid-seed1.json")
+    grid = ScanGrid(pts[0].real, pts[-1].real, pts[0].imag, pts[-1].imag, 40, 25)
+    assert grid.points() == pts
+    spec = ContourSpec(tol=1e-8)
+    for s, ref in zip(pts, refs):
+        r = entire_e_line(s, spec)
+        assert r.converged, s
+        assert _abs_error(r.value, ref) <= Decimal(r.err_est), s
