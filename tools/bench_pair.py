@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         sha = export(args.parent, tmp)
         head = _git("rev-parse", "HEAD").decode().strip()
-        dirty = bool(_git("status", "--porcelain", "--untracked-files=no").strip())
+        dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench").strip())
         trees = {"parent": tmp, "change": ROOT}
         k = 0
         for pair in range(args.pairs):
@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
                           f"{json.dumps(rec['result']['metrics'].get('ops_per_s'))}", file=sys.stderr)
     doc = {
         "parent": sha,
-        "change": f"working tree at {head}" + (" with uncommitted changes" if dirty else ""),
+        "change": f"working tree at {head}" + (" with changes under src/ or perfbench/" if dirty else ""),
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {args.seconds!r}",
         "pairs": args.pairs,
         "machine": {"python": platform.python_version(), "system": platform.platform(),
