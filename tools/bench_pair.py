@@ -89,11 +89,10 @@ def main(argv: list[str] | None = None) -> int:
         head = _git("rev-parse", "HEAD").decode().strip()
         dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench").strip())
         trees = {"parent": tmp, "change": ROOT}
-        k = 0
         for pair in range(args.pairs):
-            for workload in WORKLOADS:
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                k += 1
+            for i, workload in enumerate(WORKLOADS):
+                # each workload swaps which side goes first from pair to pair
+                order = ("parent", "change") if (pair + i) % 2 == 0 else ("change", "parent")
                 for side in order:
                     rec = run_once(trees[side], workload, args.seconds)
                     runs.append({"workload": workload, "side": side, "pair": pair,
