@@ -125,6 +125,33 @@ def test_line_unreachable_tolerance_raises():
         )
 
 
+def test_line_halvings_reuse_every_node():
+    """Each halving evaluates only new nodes: no y is seen twice, the nodes
+    form one nested grid, and every evaluation is counted in n_evals."""
+    seen = []
+
+    def f(y: float) -> complex:
+        seen.append(y)
+        return complex(1.0 / math.cosh(y), math.sin(y) / math.cosh(y))
+
+    r = integrate_line_decaying(f, 1.0, 0.0, bound_const=2.0)
+    assert r.converged
+    assert r.value == pytest.approx(math.pi, rel=1e-12)
+    assert len(seen) == r.n_evals
+    assert len({(y, math.copysign(1.0, y)) for y in seen}) == len(seen)
+    # the nodes seen are exactly the finest grid k h on [0, Y], each with +-y
+    ys = sorted({abs(y) for y in seen})
+    assert ys == [k * ys[1] for k in range(len(ys))]
+    assert len(seen) == 2 * len(ys)
+
+
+def test_line_nonfinite_integrand():
+    with pytest.raises(NonFiniteIntegrand):
+        integrate_line_decaying(lambda y: complex(math.nan, 0.0), 1.0, 0.0)
+    with pytest.raises(NonFiniteIntegrand):
+        integrate_line_decaying(lambda y: complex(0.0, math.inf if y > 2.0 else 0.0), 1.0, 0.0)
+
+
 def test_mellin_gamma_integral():
     # integral of t^{s-1} e^{-t} = Gamma(s); alpha = Re s - 1
     for s, want in ((2.0, 1.0), (3.5, 3.32335097044784255)):
