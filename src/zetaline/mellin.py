@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _RE_MIN = 1.05  # origin exponent Re s - 2 must stay above -1 with margin
+PASS_REAL = 1e-9      # selftest criterion 5's bounds on max_abs_deviation
+PASS_COMPLEX = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,11 @@ class MellinReport:
     reference: complex       # Gamma(s) zeta(s), oracle path
     max_abs_deviation: float
     extended: bool = False   # True when Im s != 0 (continuation beyond real s > 1)
+
+    @property
+    def passes(self) -> bool:
+        """max_abs_deviation is below PASS_COMPLEX if extended, else PASS_REAL."""
+        return self.max_abs_deviation < (PASS_COMPLEX if self.extended else PASS_REAL)
 
 
 def _require_domain(s: complex, name: str) -> complex:

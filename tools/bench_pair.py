@@ -1,12 +1,13 @@
 """Paired benchmark runs of a parent revision and the working tree.
 
-    python3 tools/bench_pair.py --parent <rev> --pr <n> [--pairs 1] [--seconds 15]
+    python3 tools/bench_pair.py --parent <rev> --pr <n>
 
 Run from the repository root.  Exports <rev> with `git archive` into a
 temporary directory (no worktree is registered, nothing in the repository
-changes), then runs `perfbench/run.py --workload W --seed 1 --seconds S`
+changes), then runs `perfbench/run.py --workload W --seed 1 --seconds 15`
 on each of the four workloads, once on the parent and once on the working
-tree per pair, alternating which side goes first from one run to the next.
+tree per pair, ten pairs, alternating which side goes first from one run to
+the next.
 Each side runs its own perfbench/ and its own src/.
 
 Writes BENCH_<n>.json at the repository root: every run's accuracy line
@@ -32,6 +33,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("eval-strip", "eval-tall", "scan-grid", "verify")
 SEED = 1
+PAIRS = 10       # a claimed gain must win nine pairs of ten
+SECONDS = 15.0   # run.py --seconds
 
 
 def _git(*args: str) -> bytes:
@@ -47,11 +50,11 @@ def export(rev: str, dest: str) -> str:
     return sha
 
 
-def run_once(tree: str, workload: str, seconds: float) -> dict:
+def run_once(tree: str, workload: str) -> dict:
     """One run.py invocation in tree; its accuracy line and result."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", repr(seconds)]
+           "--seed", str(SEED), "--seconds", repr(SECONDS)]
     t0 = time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     wall = time.monotonic() - t0
@@ -80,8 +83,6 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--pr", required=True, help="suffix of the output file BENCH_<pr>.json")
-    p.add_argument("--pairs", type=int, default=1, help="parent/change pairs per workload")
-    p.add_argument("--seconds", type=float, default=15.0, help="run.py --seconds")
     args = p.parse_args(argv)
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -89,12 +90,12 @@ def main(argv: list[str] | None = None) -> int:
         head = _git("rev-parse", "HEAD").decode().strip()
         dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench").strip())
         trees = {"parent": tmp, "change": ROOT}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for i, workload in enumerate(WORKLOADS):
                 # each workload swaps which side goes first from pair to pair
                 order = ("parent", "change") if (pair + i) % 2 == 0 else ("change", "parent")
                 for side in order:
-                    rec = run_once(trees[side], workload, args.seconds)
+                    rec = run_once(trees[side], workload)
                     runs.append({"workload": workload, "side": side, "pair": pair,
                                  "first": side == order[0], **rec})
                     print(f"{workload} {side} pair {pair}: "
@@ -102,8 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "parent": sha,
         "change": f"working tree at {head}" + (" with changes under src/ or perfbench/" if dirty else ""),
-        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {args.seconds!r}",
-        "pairs": args.pairs,
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {SECONDS!r}",
+        "pairs": PAIRS,
         "machine": {"python": platform.python_version(), "system": platform.platform(),
                     "cpus": os.cpu_count()},
         "summary": summarize(runs),
