@@ -19,7 +19,7 @@ Exit codes: 0 pass/success; 1 usage error; 2 domain error (guards, poles,
 contract boxes, unwritable scan paths); 3 convergence or check failure
 (eval on the line, or any scan cell, whose err_est exceeds its tolerance;
 eval --method axis whose quadrature missed tol / |pi sin(pi s/2)|, floored
-at 1e-14, so its err_est may exceed tol; never eval --method oracle; feq
+at 1e-14, so the err_est of E may exceed tol; never eval --method oracle; feq
 residual above 1e-8; lemma deviation not below 1e-9 at real s or 1e-8 at
 complex s; failed selftest criterion).  Diagnostics go to stderr; stdout
 carries results only.  There are no environment variables: every knob is
