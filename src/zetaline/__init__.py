@@ -66,7 +66,6 @@ from .oracle import (
 from .quadrature import (
     QuadratureResult,
     check_tol,
-    gauss_legendre_rule,
     integrate_interval,
     integrate_line_decaying,
     integrate_mellin,
@@ -95,7 +94,6 @@ __all__ = [
     # quadrature
     "QuadratureResult",
     "check_tol",
-    "gauss_legendre_rule",
     "integrate_interval",
     "integrate_line_decaying",
     "integrate_mellin",

@@ -32,7 +32,7 @@ quadrature.integrate_line_decaying, whose nodes y = k h (h = 2^-2 .. 2^-8)
 do not depend on s.  A per-process table keeps ln z and pi^2 / sin^2(pi z)
 at each node y >= 0 of each line, so a node costs one complex multiply and
 one complex exp; the node at -y is the conjugate.  The axis form runs on
-the Gauss-Legendre panels of quadrature.integrate_mellin.
+the same trapezoid rule through quadrature.integrate_mellin.
 """
 
 from __future__ import annotations
@@ -141,7 +141,8 @@ def _line_node(sigma: float, y: float) -> tuple[complex, complex | float]:
 
 
 def _cached_integrand(s: complex, sigma: float) -> Callable[[float], complex]:
-    """line_integrand(., s, sigma) read from the node table: at -y it returns
+    """The fold g(y) = f(y) + f(-y), y >= 0, of f = line_integrand(., s, sigma),
+    read from the node table once per pair: f(-y) is formed as
     conj(exp(conj(1-s) ln z) w), which equals exp((1-s) conj(ln z)) conj(w)
     bitwise, so E(conj s) stays conj E(s) exactly."""
     table = _node_table(sigma)
@@ -149,16 +150,17 @@ def _cached_integrand(s: complex, sigma: float) -> Callable[[float], complex]:
     wc = w.conjugate()
     exp = cmath.exp
 
-    def f(y: float) -> complex:
-        ay = abs(y)
-        node = table.get(ay)
+    def g(y: float) -> complex:
+        node = table.get(y)
         if node is None:
-            node = table[ay] = _line_node(sigma, ay)
-        if y < 0.0:
-            return (exp(wc * node[0]) * node[1]).conjugate()
-        return exp(w * node[0]) * node[1]
+            node = table[y] = _line_node(sigma, y)
+        lz, weight = node
+        v = exp(w * lz) * weight
+        if y == 0.0:
+            return v + v
+        return v + (exp(wc * lz) * weight).conjugate()
 
-    return f
+    return g
 
 
 def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult:
@@ -232,7 +234,7 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
 
     base = integrate_mellin(
         f,
-        -1.0 - s.real,
+        w,
         _TWO_PI,
         eff_tol,
         growth=1.0 - s.real,

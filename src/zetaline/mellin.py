@@ -77,7 +77,7 @@ def bose_integral(s: complex, tol: float = 1e-12) -> complex:
 
     # 1/(e^t - 1) <= e^{-t}/(1 - e^{-1}) for t >= 1
     return integrate_mellin(
-        f, s.real - 2.0, 1.0, tol, growth=s.real - 1.0, bound_const=1.6
+        f, s - 2.0, 1.0, tol, growth=s.real - 1.0, bound_const=1.6
     ).value
 
 
@@ -95,7 +95,7 @@ def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
 
     # e^t/(e^t - 1)^2 <= e^{-t}/(1 - e^{-1})^2 for t >= 1
     base = integrate_mellin(
-        f, s.real - 2.0, 1.0, tol, growth=s.real, bound_const=2.6
+        f, s - 2.0, 1.0, tol, growth=s.real, bound_const=2.6
     )
     return base.value / s
 
@@ -111,7 +111,7 @@ def sinh_integral(s: complex, tol: float = 1e-12) -> complex:
 
     # t^s/sinh^2(t/2) ~ 4 t^{s-2} at 0 and <= 4 e^{-t}/(1 - e^{-1})^2 t^s at t >= 1
     base = integrate_mellin(
-        f, s.real - 2.0, 1.0, tol, growth=s.real, origin_coeff=4.0, bound_const=10.5
+        f, s - 2.0, 1.0, tol, growth=s.real, origin_coeff=4.0, bound_const=10.5
     )
     return base.value / (4.0 * s)
 

@@ -1,7 +1,7 @@
 """err_est is an upper bound on the true error at the benchmark's points.
 
 The references are the 34-digit values of (s-1) zeta(s) committed under
-perfbench/refs/ (plain JSON).  Errors are computed in Decimal, where a double
+perfbench/refs/ (plain JSON), plus one literal frozen with mpmath.  Errors are computed in Decimal, where a double
 converts exactly, so each is measured against the reference itself and not
 against its rounding to a double.
 """
@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 from zetaline.cli import ScanGrid
-from zetaline.contour import ContourSpec, entire_e_line, zeta
+from zetaline.contour import ContourSpec, entire_e_axis, entire_e_line, zeta
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
@@ -56,3 +56,30 @@ def test_scan_grid_e_within_err_est():
         r = entire_e_line(s, spec)
         assert r.converged, s
         assert _abs_error(r.value, ref) <= Decimal(r.err_est), s
+
+
+def test_axis_e_within_err_est():
+    """The axis form of E at tol 1e-12: the 24 eval-tall points with
+    Re s <= -0.6 (|Im s| from 12 to 60, where the integrand oscillates
+    fastest) and the verify workload's 48 points."""
+    tall_pts, tall_refs = _load("eval-tall.json")
+    tall = [(s, ref) for s, ref in zip(tall_pts, tall_refs) if s.real <= -0.6]
+    assert len(tall) == 24
+    verify = list(zip(*_load("verify-seed1.json")))
+    assert len(verify) == 48
+    for s, ref in tall + verify:
+        r = entire_e_axis(s)
+        assert r.converged, s
+        assert _abs_error(r.value, ref) <= Decimal(r.err_est), s
+
+
+def test_axis_err_est_near_the_domain_edge():
+    """Just inside Re s <= -0.05 the origin tail t^{-1-s} is barely
+    integrable; the error there must stay within err_est.  Reference:
+    (s-1) zeta(s) at 40 digits (mpmath), rounded to 34."""
+    s = complex(-0.09561558738438447, 5.31476695632287)
+    ref = (Decimal("-2.585246326334617336155587230751312"),
+           Decimal("3.129824990511296303602928248244004"))
+    r = entire_e_axis(s)
+    assert r.converged
+    assert _abs_error(r.value, ref) <= Decimal(r.err_est)

@@ -6,59 +6,42 @@ from hypothesis import strategies as st
 
 from zetaline.errors import DomainError, NonFiniteIntegrand, TruncationFailure
 from zetaline.quadrature import (
-    gauss_legendre_rule,
     integrate_interval,
     integrate_line_decaying,
     integrate_mellin,
 )
 
 
-def test_rule_nodes_ascending_and_symmetric():
-    for n in (2, 5, 16, 31):
-        nodes, weights = gauss_legendre_rule(n)
-        assert len(nodes) == len(weights) == n
-        assert all(a < b for a, b in zip(nodes, nodes[1:]))
-        for i in range(n // 2):
-            assert nodes[i] == -nodes[n - 1 - i]
-            assert weights[i] == weights[n - 1 - i]
-
-
-def test_rule_weights_sum_to_two():
-    for n in (1, 2, 7, 16, 40):
-        _, weights = gauss_legendre_rule(n)
-        assert math.fsum(weights) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_rule_degree_of_exactness():
-    """n points integrate x^k exactly for k <= 2n-1; the first failure is 2n."""
-    n = 5
-    nodes, weights = gauss_legendre_rule(n)
-    for k in range(2 * n):
-        got = math.fsum(w * x**k for x, w in zip(nodes, weights))
-        want = 0.0 if k % 2 else 2.0 / (k + 1)
-        assert got == pytest.approx(want, abs=5e-15)
-    got = math.fsum(w * x ** (2 * n) for x, w in zip(nodes, weights))
-    assert abs(got - 2.0 / (2 * n + 1)) > 1e-8
-
-
 def test_interval_known_integrals():
-    r = integrate_interval(math.exp, 0.0, 1.0)
+    # integral over R of sech(x) = pi; of e^{-x^2} = sqrt(pi)
+    r = integrate_interval(lambda x: 1.0 / math.cosh(x), -40.0, 40.0)
     assert r.converged
-    assert r.value.real == pytest.approx(math.e - 1.0, rel=1e-14)
-    r = integrate_interval(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0)
-    assert r.value.real == pytest.approx(math.pi / 4.0, rel=1e-14)
+    assert r.value.real == pytest.approx(math.pi, rel=1e-14)
+    r = integrate_interval(lambda x: math.exp(-x * x), -10.0, 10.0)
+    assert r.converged
+    assert r.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
 def test_interval_complex_integrand():
-    # integral of e^{ix} over [0, pi] = 2i
-    r = integrate_interval(lambda x: complex(math.cos(x), math.sin(x)), 0.0, math.pi)
-    assert r.value == pytest.approx(2j, abs=1e-13)
+    # integral over R of e^{-x^2 + ix} = sqrt(pi) e^{-1/4}
+    r = integrate_interval(lambda x: math.exp(-x * x) * complex(math.cos(x), math.sin(x)),
+                           -10.0, 10.0)
+    assert r.converged
+    assert r.value == pytest.approx(math.sqrt(math.pi) * math.exp(-0.25), abs=1e-13)
 
 
 def test_interval_rejects_bad_bounds():
     for a, b in ((1.0, 0.0), (0.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(DomainError):
             integrate_interval(math.exp, a, b)
+
+
+def test_interval_rejects_bad_step():
+    """The first step must be a power of two no larger than 1/4, so every
+    node a + k h is exact and shared by the finer levels."""
+    for step in (0.5, 0.3, 0.0, -0.25, math.nan):
+        with pytest.raises(DomainError):
+            integrate_interval(math.exp, 0.0, 1.0, step=step)
 
 
 def test_interval_nonfinite_integrand():
@@ -75,28 +58,33 @@ def test_interval_nonfinite_integrand():
 )
 @settings(max_examples=50, deadline=None)
 def test_interval_linearity(a, c1, c2):
-    b = a + 2.0
-    f1 = math.sin
-    f2 = math.cos
-    combined = integrate_interval(lambda x: c1 * f1(x) + c2 * f2(x), a, b)
-    separate = c1 * integrate_interval(f1, a, b).value + c2 * integrate_interval(f2, a, b).value
+    def f1(x: float) -> float:
+        return 1.0 / math.cosh(x - a)
+
+    def f2(x: float) -> complex:
+        return math.exp(-x * x) * complex(math.cos(x), math.sin(x))
+
+    lo, hi = a - 40.0, a + 40.0
+    combined = integrate_interval(lambda x: c1 * f1(x) + c2 * f2(x), lo, hi)
+    separate = c1 * integrate_interval(f1, lo, hi).value + c2 * integrate_interval(f2, lo, hi).value
     assert combined.value == pytest.approx(separate, abs=1e-12)
 
 
 def test_interval_conjugation_bitwise():
     def f(x: float) -> complex:
-        return complex(math.exp(-x * x), math.sin(x) * x)
+        return math.exp(-x * x) * complex(1.0, math.sin(x) * x)
 
-    r1 = integrate_interval(lambda x: f(x).conjugate(), -2.0, 2.0)
-    r2 = integrate_interval(f, -2.0, 2.0)
+    r1 = integrate_interval(lambda x: f(x).conjugate(), -10.0, 10.0)
+    r2 = integrate_interval(f, -10.0, 10.0)
     assert r1.value == r2.value.conjugate()
 
 
 def test_line_gaussian():
-    # integral over R of e^{-y^2} = sqrt(pi); bound |f| <= 1 * e^{-|y|} fails
-    # for small |y| but e^{-y^2} <= e * e^{-|y|} everywhere
+    # integral over R of e^{-y^2} = sqrt(pi), from the fold 2 e^{-y^2};
+    # the bound |f| <= 1 * e^{-|y|} fails for small |y| but
+    # e^{-y^2} <= e * e^{-|y|} everywhere
     r = integrate_line_decaying(
-        lambda y: complex(math.exp(-y * y)),
+        lambda y: complex(2.0 * math.exp(-y * y)),
         decay_rate=1.0,
         growth_bound=0.0,
         bound_const=math.e,
@@ -109,7 +97,7 @@ def test_line_gaussian():
 def test_line_truncation_error_within_estimate():
     # sech integral: integral over R of 1/cosh(y) = pi
     r = integrate_line_decaying(
-        lambda y: complex(1.0 / math.cosh(y)), 1.0, 0.0, bound_const=2.0
+        lambda y: complex(2.0 / math.cosh(y)), 1.0, 0.0, bound_const=2.0
     )
     assert abs(r.value.real - math.pi) <= max(r.err_est * 10.0, 1e-12)
 
@@ -127,22 +115,23 @@ def test_line_unreachable_tolerance_raises():
 
 def test_line_halvings_reuse_every_node():
     """Each halving evaluates only new nodes: no y is seen twice, the nodes
-    form one nested grid, and every evaluation is counted in n_evals."""
+    form one nested grid on [0, Y], and n_evals counts two values of the
+    unfolded integrand per node."""
     seen = []
 
-    def f(y: float) -> complex:
+    def g(y: float) -> complex:
         seen.append(y)
-        return complex(1.0 / math.cosh(y), math.sin(y) / math.cosh(y))
+        return complex(2.0 / math.cosh(y), 0.0)
 
-    r = integrate_line_decaying(f, 1.0, 0.0, bound_const=2.0)
+    r = integrate_line_decaying(g, 1.0, 0.0, bound_const=2.0)
     assert r.converged
     assert r.value == pytest.approx(math.pi, rel=1e-12)
-    assert len(seen) == r.n_evals
-    assert len({(y, math.copysign(1.0, y)) for y in seen}) == len(seen)
-    # the nodes seen are exactly the finest grid k h on [0, Y], each with +-y
-    ys = sorted({abs(y) for y in seen})
+    assert 2 * len(seen) == r.n_evals
+    assert len(set(seen)) == len(seen)
+    # the nodes seen are exactly the finest grid k h on [0, Y]
+    ys = sorted(seen)
     assert ys == [k * ys[1] for k in range(len(ys))]
-    assert len(seen) == 2 * len(ys)
+    assert ys[-1] <= r.truncation_height < ys[-1] + ys[1]
 
 
 def test_line_nonfinite_integrand():
