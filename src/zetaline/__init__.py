@@ -1,10 +1,13 @@
-"""Riemann zeta via a contour integral on a vertical line in the critical strip.
+"""Riemann zeta via a contour integral on a vertical line.
 
 The central object is the entire function E(s) = (s - 1) zeta(s), computed as
 
-    E(s) = (1 / 2 pi) Integral over Re z = sigma of pi^2 z^{1-s} / sin^2(pi z)
+    E(s) = (1 / 2 pi) Integral over Re z = N + 1/2 of pi^2 z^{1-s} / sin^2(pi z)
+           + (s - 1) sum_{n <= N} n^{-s}
 
-with 0 < sigma < 1.  Everything else is built around that representation:
+with N = floor(|Im s| / 2 pi): the line Re z = 1/2 of the paper, moved past
+the residues (1-s) n^{-s} of the first N poles so that the integral does
+not cancel.  Everything else is built around that representation:
 an imaginary-axis variant for Re s <= -0.05, residue partial sums that
 recover the Dirichlet series, the functional equation zeta(s) =
 chi(s) zeta(1-s) in two multiplier forms, a chain of Mellin integrals

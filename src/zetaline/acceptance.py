@@ -39,10 +39,10 @@ FEQ_GRID = tuple(
     for re in (-5.0, -3.0, -1.5, -0.5, 0.5, 2.0, 3.0, 4.0, 6.0)
 )
 
-# critical-strip comparison points for the oracle cross-check; |Im s| is kept
-# <= 15 because on the sigma = 1/2 line the integrand's peak grows like
-# e^{Im s * arg z - 2 pi y}, costing ~e^{10.3} in cancellation at Im s = 15
-# and pushing past the 1e-10 budget well before Im s = 30
+# critical-strip comparison points for the oracle cross-check, |Im s| <= 15;
+# Im s = 7.5, 12 and 15 lie past 2 pi, so the line evaluator crosses one or
+# two residues there (N = floor(|Im s| / 2 pi)) and the check covers the
+# residue stage as well as the line Re z = 1/2
 STRIP_POINTS = tuple(
     complex(re, im)
     for re in (0.2, 0.4, 0.6, 0.8)

@@ -159,7 +159,6 @@ def _build_parser() -> _Parser:
     _add_point_flags(p)
     p.add_argument("--method", choices=("line", "axis", "oracle"), default="line")
     p.add_argument("--tol", type=float, default=1e-12, help="quadrature tolerance")
-    p.add_argument("--sigma", type=float, default=0.5, help="contour abscissa in (0,1)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("feq", help="check zeta(s) = chi(s) zeta(1-s)")
@@ -198,8 +197,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     s = complex(args.re, args.im)
-    # --sigma shapes the line form only; --tol is checked whatever the method
-    spec = ContourSpec(args.sigma, args.tol) if args.method == "line" else ContourSpec(tol=args.tol)
+    spec = ContourSpec(tol=args.tol)  # --tol is checked whatever the method
     if args.method == "oracle":
         pole_guard(s)
         value, err = zeta_euler_maclaurin(s)

@@ -1,11 +1,10 @@
 """Contour-integral evaluation of the Riemann zeta function.
 
 The entire function E(s) = (s-1) zeta(s) is represented by a single
-absolutely convergent integral over a vertical line Re z = sigma,
-0 < sigma < 1:
+absolutely convergent integral over a vertical line Re z = 1/2:
 
-    E(s) = (1/2 pi) Integral_{-inf..inf} pi^2 (sigma+iy)^{1-s}
-                                         / sin^2(pi (sigma+iy)) dy.
+    E(s) = (1/2 pi) Integral_{-inf..inf} pi^2 z^{1-s} / sin^2(pi z) dy,
+                                                        z = 1/2 + iy.
 
 For Re s > 1 the line closes to the right: 1/sin^2(pi z) has double poles
 at the positive integers, the residue of the kernel at z = n is
@@ -13,6 +12,20 @@ at the positive integers, the residue of the kernel at z = n is
 The integral itself converges for every s, which is what makes it a
 continuation device: zeta(s) = E(s)/(s-1) everywhere except the simple
 pole at s = 1.
+
+The evaluator moves the line to Re z = N + 1/2, N = floor(|Im s| / 2 pi),
+past the first N of those poles, and adds their residues back:
+
+    E(s) = (1/2 pi) Integral pi^2 z^{1-s} / sin^2(pi z) dy
+           + (s-1) sum_{n<=N} n^{-s},                z = N + 1/2 + iy.
+
+On the line Re z = 1/2 the integrand, whose exponent is
+Im s arg z - 2 pi |y|, peaks near e^{0.8|Im s|} and the integral cancels
+down to E; once N + 1/2 > |Im s| / 2 pi the exponent falls from y = 0 and
+nothing cancels.
+This is the contour form of the approximate functional equation (Borwein,
+Bradley & Crandall, J. Comput. Appl. Math. 121 (2000)).  N = 0, the line
+Re z = 1/2, serves |Im s| < 2 pi.
 
 For Re s < 0 the line can instead be pushed onto the imaginary axis, where
 the upper and lower half-axes combine into the real integral
@@ -23,16 +36,18 @@ implemented separately as an independent consistency check on the line
 form (the integrand's origin behavior y^{-1-Re s} is integrable exactly
 when Re s < 0).
 
-The default line is sigma = 1/2, where sin(pi(1/2+iy)) = cosh(pi y): the
+On every half-integer line sin(pi(N+1/2+iy)) = +-cosh(pi y): the
 denominator is real, even, and zero-free, so the kernel is a complex power
 times a real sech^2, with no complex division and no overflow.
 
 The line integral runs on the nested trapezoid rule of
 quadrature.integrate_line_decaying, whose nodes y = k h (h = 2^-2 .. 2^-8)
-do not depend on s.  A per-process table keeps ln z and pi^2 / sin^2(pi z)
-at each node y >= 0 of each line, so a node costs one complex multiply and
-one complex exp; the node at -y is the conjugate.  The axis form runs on
-the same trapezoid rule through quadrature.integrate_mellin.
+do not depend on s, cut where the log envelope of the integrand bounds each
+tail.  A per-process table per line keeps ln z and pi^2 sech^2(pi y) at each
+node y >= 0 (the weight one float shared by every line), so a node costs
+one complex multiply and one complex exp; the node at -y is the conjugate.
+The axis form runs on the same trapezoid rule through
+quadrature.integrate_mellin.
 """
 
 from __future__ import annotations
@@ -62,7 +77,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
-_IM_BOX = 60.0        # keeps e^{pi|Im s|/2} in the truncation constant representable
+_LOG_4PI_SQ = math.log(4.0 * _PI_SQ)
+_EPS = math.ulp(1.0)
+_IM_BOX = 60.0        # the box the committed references cover
 _POLE_RADIUS = 1e-6   # below this, 1/(s-1) amplification swamps double precision
 _AXIS_RE_MAX = -0.05  # keeps the origin exponent -1-Re s away from the -1 boundary
 _Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
@@ -70,16 +87,11 @@ _Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical integration line Re z = sigma plus the absolute tolerance
-    on E(s) evaluated along it."""
+    """The absolute tolerance on E(s) for the line evaluator."""
 
-    sigma: float = 0.5
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        # the line must separate z = 0 from the kernel poles at 1, 2, 3, ...
-        if not 0.0 < self.sigma < 1.0:
-            raise DomainError(f"sigma must lie strictly in (0, 1), got {self.sigma}")
         check_tol(self.tol)
 
 
@@ -96,56 +108,58 @@ class EvalResult:
 DEFAULT_CONTOUR = ContourSpec()
 
 
-def line_integrand(y: float, s: complex, sigma: float = 0.5) -> complex:
-    """Kernel pi^2 z^{1-s} / sin^2(pi z) at z = sigma + iy.
+def _check_line(n: int) -> None:
+    if not (isinstance(n, int) and n >= 0):
+        raise DomainError(f"the line Re z = n + 1/2 needs an integer n >= 0, got {n!r}")
 
-    On the default line sigma = 1/2 the denominator is cosh^2(pi y), so the
-    quotient is computed as cpow * sech_sq_pi without complex division.
+
+def line_integrand(y: float, s: complex, n: int = 0) -> complex:
+    """Kernel pi^2 z^{1-s} / sin^2(pi z) at z = n + 1/2 + iy.
+
+    On every half-integer line sin^2(pi z) = cosh^2(pi y), so the quotient
+    is computed as cpow * sech_sq_pi without complex division.
     """
-    if not 0.0 < sigma < 1.0:
-        raise DomainError(f"sigma must be in (0, 1), got {sigma}")
+    _check_line(n)
     if abs(y) > _Y_MAX:
         raise DomainError(f"line kernel is specified for |y| <= {_Y_MAX:g}, got y = {y}")
     s = complex(s)
-    if sigma == 0.5:
-        return _PI_SQ * cpow_principal(complex(0.5, y), 1.0 - s) * sech_sq_pi(y)
-    sn = sin_pi_z(complex(sigma, y))
-    return _PI_SQ * cpow_principal(complex(sigma, y), 1.0 - s) / (sn * sn)
+    return _PI_SQ * cpow_principal(complex(n + 0.5, y), 1.0 - s) * sech_sq_pi(y)
 
 
-@lru_cache(maxsize=4)
-def _node_table(sigma: float) -> dict[float, tuple[complex, complex | float]]:
-    """The nodes y >= 0 of the line Re z = sigma computed so far in this
-    process: y -> (ln z, pi^2 / sin^2(pi z)) at z = sigma + iy.
+@lru_cache(maxsize=1)
+def _node_tables() -> tuple[dict[float, float], dict[int, dict[float, tuple[complex, float]]]]:
+    """The nodes y >= 0 computed so far in this process: the weights
+    y -> pi^2 sech^2(pi y), one float per y shared by every line, and one
+    table per line N of y -> (ln z, weight) at z = N + 1/2 + iy (N = 0 .. 9
+    in the box).
 
-    Filled lazily by _cached_integrand.  An entry depends on (sigma, y)
-    alone, so threads that race to fill the same y store equal values and
-    no result depends on the order of filling.
+    Filled lazily by _cached_integrand.  An entry depends on (N, y) alone,
+    so threads that race to fill the same y store equal values and no
+    result depends on the order of filling.
     """
-    return {}
+    return {}, {}
 
 
-def _line_node(sigma: float, y: float) -> tuple[complex, complex | float]:
-    """(ln z, pi^2 / sin^2(pi z)) at z = sigma + iy, y >= 0.
-
-    ln z = ln|z| + i arg z is formed as cpow_principal forms it; on
-    sigma = 1/2 the weight is the real pi^2 sech^2(pi y).
-    """
+def _line_node(sigma: float, y: float, weights: dict[float, float]) -> tuple[complex, float]:
+    """(ln z, pi^2 sech^2(pi y)) at z = sigma + iy, y >= 0, ln z formed as
+    cpow_principal forms it and the weight taken from (or put in) weights."""
     if y > _Y_MAX:
         raise DomainError(f"line kernel is specified for |y| <= {_Y_MAX:g}, got y = {y}")
-    lz = complex(math.log(math.hypot(sigma, y)), math.atan2(y, sigma))
-    if sigma == 0.5:
-        return lz, _PI_SQ * sech_sq_pi(y)
-    sn = sin_pi_z(complex(sigma, y))
-    return lz, _PI_SQ / (sn * sn)
+    weight = weights.get(y)
+    if weight is None:
+        weight = weights[y] = _PI_SQ * sech_sq_pi(y)
+    return complex(math.log(math.hypot(sigma, y)), math.atan2(y, sigma)), weight
 
 
-def _cached_integrand(s: complex, sigma: float) -> Callable[[float], complex]:
-    """The fold g(y) = f(y) + f(-y), y >= 0, of f = line_integrand(., s, sigma),
-    read from the node table once per pair: f(-y) is formed as
-    conj(exp(conj(1-s) ln z) w), which equals exp((1-s) conj(ln z)) conj(w)
-    bitwise, so E(conj s) stays conj E(s) exactly."""
-    table = _node_table(sigma)
+def _cached_integrand(s: complex, n: int) -> Callable[[float], complex]:
+    """The fold g(y) = f(y) + f(-y), y >= 0, of f = line_integrand(., s, n),
+    read from the node tables once per pair as
+    (exp((1-s) ln z) + conj(exp(conj(1-s) ln z))) pi^2 sech^2(pi y): the
+    second term equals exp((1-s) conj(ln z)) bitwise, so E(conj s) stays
+    conj E(s) exactly."""
+    weights, lines = _node_tables()
+    table = lines.setdefault(n, {})
+    sigma = n + 0.5
     w = 1.0 - complex(s)
     wc = w.conjugate()
     exp = cmath.exp
@@ -153,52 +167,105 @@ def _cached_integrand(s: complex, sigma: float) -> Callable[[float], complex]:
     def g(y: float) -> complex:
         node = table.get(y)
         if node is None:
-            node = table[y] = _line_node(sigma, y)
+            node = table[y] = _line_node(sigma, y, weights)
         lz, weight = node
-        v = exp(w * lz) * weight
+        v = exp(w * lz)
         if y == 0.0:
-            return v + v
-        return v + (exp(wc * lz) * weight).conjugate()
+            return (v + v) * weight
+        return (v + exp(wc * lz).conjugate()) * weight
 
     return g
 
 
+def _line_log_tail(s: complex, sigma: float) -> Callable[[float], float]:
+    """Bound on the log of the integral of |f| beyond |y| = Y on the line
+    Re z = sigma, for integrate_line_decaying.
+
+    |f(y)| <= e^{L(y)} with L(y) = log(4 pi^2) + (1 - Re s) log|z|
+    + |Im s| atan(|y|/sigma) - 2 pi |y|, from |z^{1-s}| = |z|^{1-Re s}
+    e^{Im s arg z} and sech^2(pi y) <= 4 e^{-2 pi |y|}.  For y >= Y,
+    -L'(y) >= c = 2 pi - max(0, 1 - Re s) / max(Y, 2 sigma)
+    - |Im s| sigma / (sigma^2 + Y^2), so a tail is at most e^{L(Y)} / c.
+    """
+    a = 1.0 - s.real
+    a_pos, half_a = max(0.0, a), 0.5 * a
+    b, b_sigma, two_sigma = abs(s.imag), abs(s.imag) * sigma, 2.0 * sigma
+    sig2 = sigma * sigma
+    log, atan = math.log, math.atan
+
+    def log_tail(y: float) -> float:
+        r2 = sig2 + y * y
+        c = _TWO_PI - a_pos / (y if y > two_sigma else two_sigma) - b_sigma / r2
+        if c <= 0.0:
+            return math.inf
+        return _LOG_4PI_SQ + half_a * log(r2) + b * atan(y / sigma) - _TWO_PI * y - log(c)
+
+    return log_tail
+
+
+def _residue_sum(s: complex, n_terms: int) -> tuple[complex, float]:
+    """(s-1) sum_{n <= n_terms} n^{-s}, the terms added with math.fsum, and
+    a bound on its rounding error.
+
+    Each n^{-s} = exp(-s ln n) carries the error of its exponent, up to
+    eps (|Re s| + |Im s|) ln n, on top of a few ulps, so the bound is
+    eps |s-1| sum |n^{-s}| (4 + (|Re s| + |Im s|) ln n).
+    """
+    terms = [cpow_principal(float(n), -s) for n in range(1, n_terms + 1)]
+    acc = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    size = abs(s.real) + abs(s.imag)
+    spread = math.fsum(abs(z) * (4.0 + size * math.log(n)) for n, z in enumerate(terms, 1))
+    return (s - 1.0) * acc, _EPS * abs(s - 1.0) * spread
+
+
 def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult:
-    """E(s) = (s-1) zeta(s) by quadrature along the vertical line of `spec`.
+    """E(s) = (s-1) zeta(s) by quadrature along the line Re z = N + 1/2,
+    N = floor(|Im s| / 2 pi), plus the residues of the N poles it crossed.
 
-    Valid for every s with |Im s| <= 60.  The integrand obeys
-    |f(y)| <= C (1+|y|)^g e^{-2 pi |y|} with g = max(0, 1-Re s) and
-    C = 4 pi^2 e^{pi|Im s|/2} max(1, sigma^{1-Re s}), from
-    |z^{1-s}| = |z|^{1-Re s} e^{Im s * arg z}, |arg z| < pi/2, and
-    |sin pi z|^2 >= e^{2 pi |y|}/4 in the tail region |y| >= 1.
+    Valid for every s with |Im s| <= 60.  On that line the integrand's
+    exponent Im s atan(y/sigma) - 2 pi |y| falls from y = 0, so the
+    e^{0.8|Im s|} cancellation of the line Re z = 1/2 is gone; N = 0 is
+    that line.
 
-    spec.tol bounds the error of E(s) itself: the integral of 2 pi E runs
-    at 2 pi tol / 1.2, so that err_est = (quadrature error + both tails)/2 pi
-    is <= tol exactly when the quadrature met its tolerance, and `converged`
-    is err_est <= tol.
+    spec.tol bounds the error of E(s) itself: err_est covers the
+    quadrature error, both truncated tails and the rounding of the sum and
+    of the residues, and `converged` is err_est <= tol.
     """
     s = complex(s)
     if abs(s.imag) > _IM_BOX:
         raise ContractViolation(f"line evaluator contract box is |Im s| <= {_IM_BOX}, got {s.imag}")
-    sigma = spec.sigma
-    quad_tol = _TWO_PI * spec.tol / 1.2
-    growth = max(0.0, 1.0 - s.real)
-    bound_const = (
-        4.0 * _PI_SQ
-        * math.exp(0.5 * math.pi * abs(s.imag))
-        * max(1.0, sigma ** (1.0 - s.real))
-    )
-    base = integrate_line_decaying(
-        _cached_integrand(s, sigma),
-        _TWO_PI,
-        growth,
-        quad_tol,
-        bound_const=bound_const,
-    )
-    # both truncated tails are below quad_tol/10 by construction
-    err = (base.err_est + 0.2 * quad_tol) / _TWO_PI
-    return EvalResult(base.value / _TWO_PI, err, "line",
-                      base.truncation_height, base.n_evals, err <= spec.tol)
+    return _entire_e_line(s, spec.tol, int(abs(s.imag) / _TWO_PI))
+
+
+def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
+    """E(s) on the line Re z = n + 1/2, any integer n >= 0.
+
+    The residue of the kernel at z = k is (1-s) k^{-s}, so moving the line
+    from Re z = 1/2 to n + 1/2 subtracts (s-1) sum_{k<=n} k^{-s} from the
+    integral; adding it back gives E(s) on every line.
+
+    err_est adds four parts, on the scale of the integral of 2 pi E: the
+    rounding of the residues, which comes off the top of the budget
+    2 pi tol, then the quadrature's error (the quadrature runs at the rest
+    over 1.2), both tails (a tenth of that together) and the rounding of
+    the sum, 4 eps times the integral of |f|, which has the last twelfth.
+    Where the residues' rounding alone exceeds tol the point cannot
+    converge, and the quadrature stops at that rounding instead of halving
+    on.
+    """
+    check_tol(tol)
+    _check_line(n)
+    residues, rounding = _residue_sum(s, n) if n else (0j, 0.0)
+    budget = _TWO_PI * tol
+    rounding *= _TWO_PI
+    # 1e-14 is the smallest tol any integrator takes
+    quad_tol = max(1e-14, (budget - rounding) / 1.2) if rounding < budget else rounding
+    base = integrate_line_decaying(_cached_integrand(s, n), _line_log_tail(s, n + 0.5), quad_tol)
+    value = base.value / _TWO_PI
+    if n:
+        value += residues
+    err = (base.err_est + 0.1 * quad_tol + rounding + 4.0 * _EPS * base.l1) / _TWO_PI
+    return EvalResult(value, err, "line", base.truncation_height, base.n_evals, err <= tol)
 
 
 def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
@@ -260,10 +327,8 @@ def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
         raise DomainError(f"residue sum converges only for Re s > 1, got Re s = {s.real}")
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    terms = [cpow_principal(float(n), -s) for n in range(1, n_terms + 1)]
-    acc = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
     tail = abs(s - 1.0) * float(n_terms) ** (1.0 - s.real) / (s.real - 1.0)
-    return (s - 1.0) * acc, tail
+    return _residue_sum(s, n_terms)[0], tail
 
 
 def pole_guard(s: complex) -> None:

@@ -77,10 +77,14 @@ def zeta_euler_maclaurin(
 ) -> tuple[complex, float]:
     """(zeta(s), error bound).  Valid for Re s > -2M, |Im s| <= 60, s != 1.
 
-    The reported bound is the classical truncation envelope plus a small
-    round-off allowance proportional to the number of accumulated terms;
-    without the allowance the truncation part alone (often ~1e-30) would
-    understate the achievable double-precision error.
+    The reported bound is the classical truncation envelope plus a
+    round-off allowance: one part proportional to the number of accumulated
+    terms and the largest magnitude the sum passes through, and one for the
+    error of each power n^{-s} = exp(-s ln n), whose exponent carries up to
+    eps (|Re s| + |Im s|) ln n (some 270 ulps at |Im s| = 60) on top of a few
+    ulps, weighted by |n^{-s}|.  Without the allowance the truncation part
+    alone (often ~1e-30) would understate the achievable double-precision
+    error.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-9:
@@ -93,15 +97,20 @@ def zeta_euler_maclaurin(
     if not s.real > -2.0 * m_terms:
         raise DomainError(f"need Re s > -2M = {-2 * m_terms}, got {s.real}")
 
+    size = abs(s.real) + abs(s.imag)
     total = complex(0.0, 0.0)
     scale = 1.0  # largest magnitude passing through the accumulator
+    spread = 0.0  # sum of |n^{-s}| (3 + size ln n): the powers' own error / eps
     for n in range(1, n_cut):
-        total += cpow_principal(n, -s)
+        term = cpow_principal(n, -s)
+        total += term
         scale = max(scale, abs(total))
+        spread += abs(term) * (3.0 + size * math.log(n))
     n_minus_s = cpow_principal(n_cut, -s)
     total += n_minus_s * n_cut / (s - 1.0)  # N^{1-s}/(s-1)
     scale = max(scale, abs(n_minus_s) * n_cut / abs(s - 1.0))
     total += 0.5 * n_minus_s
+    from_n_cut = abs(n_minus_s) * (n_cut / abs(s - 1.0) + 0.5)  # terms built on N^{-s}
 
     table = _bernoulli_floats()
     rising = s  # s(s+1)...(s+2k-2), here k = 1
@@ -111,6 +120,7 @@ def zeta_euler_maclaurin(
         term = (table[k] / math.factorial(2 * k)) * rising * power
         total += term
         scale = max(scale, abs(term))
+        from_n_cut += abs(term)
         rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
         power *= inv_n_sq
     # first omitted term (k = M+1) with the alternating-envelope factor
@@ -125,4 +135,5 @@ def zeta_euler_maclaurin(
     # the deep-left half-plane loses digits to cancellation of huge terms,
     # which is exactly what `scale` records
     rounding = 2.5 * _EPS * (n_cut + 2 * m_terms) * (1.0 + scale)
-    return total, omitted * envelope + rounding
+    spread += from_n_cut * (3.0 + size * math.log(n_cut))
+    return total, omitted * envelope + rounding + _EPS * spread

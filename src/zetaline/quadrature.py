@@ -2,8 +2,8 @@
 
 Three integral shapes are supported, matching what the contour evaluators
 need: an integral over [a, inf) whose integrand is negligible beyond a
-finite b, a whole-line integral with exponential decay
-|f(y)| <= C (1+|y|)^g e^{-a|y|} (folded onto y >= 0), and a Mellin-type
+finite b, a whole-line integral whose tails the caller bounds in log space
+(folded onto y >= 0), and a Mellin-type
 integral on (0, inf) with algebraic behavior t^alpha at the origin and
 exponential decay at infinity (handled by the substitution t = e^u, which
 turns both features into plain exponential tails).
@@ -58,6 +58,7 @@ class QuadratureResult:
     n_evals: int
     converged: bool
     truncation_height: float | None = None
+    l1: float = 0.0  # h * sum |g| on the last level: the integral of |g| the rule saw
 
 
 def check_tol(tol: float) -> None:
@@ -103,70 +104,64 @@ def integrate_interval(
         if halving:
             err_new = abs(refined - value)
             if err_new <= tol:
-                return QuadratureResult(refined, err_new, n_evals, True)
+                return QuadratureResult(refined, err_new, n_evals, True, l1=h * l1)
             if err_new >= err or err_new <= 4.0 * _EPS * h * l1:
                 # halving stopped helping, or the difference is below the
                 # accumulation noise of the sum itself: round-off floor reached
-                return QuadratureResult(refined, err_new, n_evals, False)
+                return QuadratureResult(refined, err_new, n_evals, False, l1=h * l1)
             err = err_new
         value = refined
         h *= 0.5
-    return QuadratureResult(value, err, n_evals, False)
+    return QuadratureResult(value, err, n_evals, False, l1=2.0 * h * l1)
 
 
 def _truncation_height(
-    decay_rate: float,
-    growth_bound: float,
-    bound_const: float,
-    tol: float,
-    cap: float = 500.0,
+    log_tail: Callable[[float], float], tail: float, start: float = 1.0, cap: float = 500.0
 ) -> float:
-    """Smallest height Y (on a 1/8 grid) with C(1+Y)^g e^{-aY}/a <= tol/10.
+    """Smallest height Y >= start on the 1/8 grid through start with
+    log_tail(Y) <= log(tail), where log_tail(Y) bounds the log of the
+    integral of |f| beyond Y.
 
-    Evaluated in log space so extreme bound constants cannot overflow.  The
-    grid start max(1, g/a) keeps the scan past the envelope's maximum, where
-    the bound is decreasing and "smallest satisfying Y" is well defined.
+    log_tail may return inf where it has no bound; once it meets the target
+    it must keep meeting it further out.  Steps of 2 find the first interval
+    that does, and four bisections on the 1/8 grid place Y inside it.
+    Evaluated in log space so extreme bound constants cannot overflow.
     """
-    log_target = math.log(0.1 * tol)
-    log_c = math.log(bound_const) - math.log(decay_rate)
-    y = max(1.0, growth_bound / decay_rate)
-    y = math.ceil(y * 8.0) / 8.0
-    while y <= cap:
-        if log_c + growth_bound * math.log1p(y) - decay_rate * y <= log_target:
-            return y
-        y += 0.125
-    raise TruncationFailure(
-        f"no truncation height <= {cap} meets tol {tol} "
-        f"(decay={decay_rate}, growth={growth_bound}, C={bound_const})"
-    )
+    log_target = math.log(tail)
+    hi = start
+    while log_tail(hi) > log_target:
+        hi += 2.0
+        if hi > cap:
+            raise TruncationFailure(f"no truncation height <= {cap} puts the tail below {tail}")
+    if hi == start:
+        return hi
+    lo = hi - 2.0  # fails; hi meets the target
+    for _ in range(4):
+        mid = 0.5 * (lo + hi)
+        if log_tail(mid) <= log_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def integrate_line_decaying(
-    g: Integrand,
-    decay_rate: float,
-    growth_bound: float,
-    tol: float = 1e-12,
-    *,
-    bound_const: float = 1.0,
+    g: Integrand, log_tail: Callable[[float], float], tol: float = 1e-12
 ) -> QuadratureResult:
     """Integral over the whole real line of f, given its fold
-    g(y) = f(y) + f(-y) on y >= 0 and the caller's bound
-    |f(y)| <= bound_const * (1+|y|)^growth_bound * e^{-decay_rate*|y|}.
+    g(y) = f(y) + f(-y) on y >= 0 and the caller's bound log_tail(Y) on the
+    log of the integral of |f| over each tail |y| >= Y (Y >= 1).
 
-    The tail beyond the chosen Y is below tol/10 on each side, and
+    The truncation height Y is the first point of the 1/8 grid from 1 where
+    each tail is below tol/20, so both take a tenth of tol, and
     integrate_interval runs on g over [0, Y] from h = 1/4.  n_evals counts
     values of f, two per node.
     """
     check_tol(tol)
-    if not decay_rate > 0.0:
-        raise DomainError(f"decay_rate must be positive, got {decay_rate}")
-    if growth_bound < 0.0:
-        raise DomainError(f"growth_bound must be >= 0, got {growth_bound}")
-    if not bound_const > 0.0:
-        raise DomainError(f"bound_const must be positive, got {bound_const}")
-    height = _truncation_height(decay_rate, growth_bound, bound_const, tol)
+    height = _truncation_height(log_tail, 0.05 * tol)
     base = integrate_interval(g, 0.0, height, tol)
-    return QuadratureResult(base.value, base.err_est, 2 * base.n_evals, base.converged, height)
+    return QuadratureResult(base.value, base.err_est, 2 * base.n_evals, base.converged,
+                            height, base.l1)
 
 
 def integrate_mellin(
@@ -186,11 +181,12 @@ def integrate_mellin(
     Substitutes t = e^u and integrates g(u) = f(e^u) e^u with
     integrate_interval.  The origin becomes an exponential tail
     ~ origin_coeff * e^{(alpha+1)u}, cut where it is below tol/10; the decay
-    side reuses the line truncation rule and reports its cutoff
-    T = e^{u_right} as the truncation height.  g oscillates like
-    e^{i Im(alpha) u}, which shrinks the strip where the trapezoid rule
-    converges fast, so the first step is the largest h = 2^-k <= 1/4 with
-    h (|Im alpha| + 4) <= pi.
+    side is cut where the tail bound
+    bound_const * (1+T)^growth * e^{-decay_rate*T} / decay_rate is below
+    tol/10, and reports its cutoff T = e^{u_right} as the truncation
+    height.  g oscillates like e^{i Im(alpha) u}, which shrinks the strip
+    where the trapezoid rule converges fast, so the first step is the
+    largest h = 2^-k <= 1/4 with h (|Im alpha| + 4) <= pi.
     """
     check_tol(tol)
     alpha = complex(alpha)
@@ -209,7 +205,11 @@ def integrate_mellin(
                 f"within the representable range"
             )
         u_left = _MELLIN_U_MIN
-    height = _truncation_height(decay_rate, max(0.0, growth), bound_const, tol)
+    growth = max(0.0, growth)
+    log_c = math.log(bound_const) - math.log(decay_rate)
+    # the tail bound C (1+T)^g e^{-aT} / a decreases from T = g/a on
+    height = _truncation_height(lambda t: log_c + growth * math.log1p(t) - decay_rate * t,
+                                target, math.ceil(max(1.0, growth / decay_rate) * 8.0) / 8.0)
     u_right = max(1.0, math.log(height))
     step = _FIRST_STEP
     while step * (abs(alpha.imag) + 4.0) > math.pi:

@@ -72,12 +72,12 @@ def test_eval_contract_box():
 
 
 def test_eval_unconverged_exit():
-    # at Im s = 20 the line integrand costs ~e^16 in cancellation, so the
-    # default 1e-12 target is unreachable and the evaluation says so
-    r = run_cli("eval", "--re", "6", "--im", "20")
+    # |E(-5+57.5i)| is about 1.1e7, so an absolute 1e-12 lies below double
+    # round-off and the evaluation says so
+    r = run_cli("eval", "--re", "-5", "--im", "57.5")
     assert r.returncode == 3
     assert len(r.stdout.split()) == 5  # the best value is still printed
-    r = run_cli("eval", "--re", "6", "--im", "20", "--tol", "1e-7")
+    r = run_cli("eval", "--re", "-5", "--im", "57.5", "--tol", "1e-6")
     assert r.returncode == 0
 
 
@@ -236,7 +236,7 @@ def test_scan_unconverged_cells_exit_three(tmp_path):
     """Cells that do not converge are still written, then counted on stderr."""
     out = tmp_path / "tall.csv"
     r = run_cli(
-        "scan", "--re-min", "0.5", "--re-max", "0.5", "--im-min", "20", "--im-max", "30",
+        "scan", "--re-min", "-5", "--re-max", "-5", "--im-min", "50", "--im-max", "57.5",
         "--steps-re", "1", "--steps-im", "2", "--out", str(out),
     )
     assert r.returncode == 3

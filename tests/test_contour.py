@@ -81,12 +81,13 @@ def test_contract_box():
 
 
 def test_spec_validation():
+    # the line is Re z = n + 1/2 for an integer n >= 0, chosen from s
     with pytest.raises(DomainError):
-        ContourSpec(sigma=0.0)
+        contour._entire_e_line(2.0 + 0.0j, 1e-12, -1)
     with pytest.raises(DomainError):
-        ContourSpec(sigma=1.0)
+        contour._entire_e_line(2.0 + 0.0j, 1e-12, 0.5)
     with pytest.raises(DomainError):
-        ContourSpec(sigma=-0.3)
+        contour._entire_e_line(2.0 + 0.0j, 0.0, 0)
     with pytest.raises(DomainError):
         ContourSpec(tol=0.0)
     with pytest.raises(DomainError):
@@ -94,7 +95,7 @@ def test_spec_validation():
 
 
 def test_line_integrand_matches_reduced_form():
-    """The sigma = 1/2 shortcut equals the generic kernel evaluated there."""
+    """The half-integer-line shortcut equals the generic kernel evaluated there."""
     import cmath
 
     for y in (0.0, 0.5, -1.7, 3.2):
@@ -102,23 +103,30 @@ def test_line_integrand_matches_reduced_form():
             z = complex(0.5, y)
             want = math.pi**2 * z ** (1.0 - s) / cmath.sin(math.pi * z) ** 2
             assert line_integrand(y, s) == pytest.approx(want, rel=1e-12)
+            z = complex(3.5, y)
+            want = math.pi**2 * z ** (1.0 - s) / cmath.sin(math.pi * z) ** 2
+            assert line_integrand(y, s, 3) == pytest.approx(want, rel=1e-12)
 
 
 def test_line_integrand_guards():
     with pytest.raises(DomainError):
-        line_integrand(0.0, 2.0, sigma=1.5)
+        line_integrand(0.0, 2.0, -1)
+    with pytest.raises(DomainError):
+        line_integrand(0.0, 2.0, 1.5)
     with pytest.raises(DomainError):
         line_integrand(301.0, 2.0)
 
 
 def test_contour_independence():
-    """The integral does not depend on sigma within the strip."""
-    for s in (2.0 + 0.0j, 0.5 + 3.0j, -1.5 + 0.0j):
-        values = [
-            entire_e_line(s, ContourSpec(sigma=sig)).value for sig in (0.3, 0.5, 0.7)
-        ]
-        for v in values[1:]:
-            assert abs(v - values[0]) <= 1e-9
+    """Shifting the line past more poles changes nothing: E(s) on the lines
+    N, N+1 and N+2 (integral plus residues) agrees within the err_ests."""
+    for s in (2.0 + 0.0j, 0.5 + 3.0j, -1.5 + 0.0j, 0.5 + 14.134725141734693j, 6.0 - 20.0j):
+        n = int(abs(s.imag) / (2.0 * math.pi))
+        first, *rest = [contour._entire_e_line(s, 1e-12, k) for k in (n, n + 1, n + 2)]
+        assert first.value == entire_e_line(s).value
+        for r in (first, *rest):
+            assert r.converged, s
+            assert abs(r.value - first.value) <= r.err_est + first.err_est, s
 
 
 @given(
@@ -133,6 +141,16 @@ def test_schwarz_reflection_bitwise(x, y):
     down = entire_e_line(s.conjugate())
     assert down.value == up.value.conjugate()
     assert down.n_evals == up.n_evals
+
+
+def test_schwarz_reflection_bitwise_every_line():
+    """The residues keep E(conj s) == conj(E(s)) exactly on each line N = 0 .. 9."""
+    for n in range(10):
+        for x in (-5.0, -0.6, 0.5, 1.6, 6.0):
+            s = complex(x, 2.0 * math.pi * n + 3.0 if n < 9 else 59.5)
+            up, down = entire_e_line(s), entire_e_line(s.conjugate())
+            assert down.value == up.value.conjugate(), s
+            assert (down.err_est, down.n_evals) == (up.err_est, up.n_evals), s
 
 
 def test_residue_values():
@@ -250,11 +268,13 @@ def test_converged_iff_err_est_within_tol(x, y, log_tol):
 
 
 def test_converged_at_height_twenty():
-    """err_est 2.8e-8 on E is within tol 1e-7, so the evaluation converged."""
-    s = 0.5 + 20.0j
-    spec = ContourSpec(tol=1e-7)
+    """At -5+20i, where |E| is about 1.3e4, rounding puts 1e-12 out of reach;
+    err_est 6.6e-11 on E is within tol 1e-10, so the evaluation converged."""
+    s = -5.0 + 20.0j
+    assert not entire_e_line(s).converged
+    spec = ContourSpec(tol=1e-10)
     e = entire_e_line(s, spec)
-    assert e.converged and e.err_est <= 1e-7
+    assert e.converged and e.err_est <= 1e-10
     z = zeta(s, spec)
     assert z.converged and z.err_est == e.err_est / abs(s - 1.0)
 
@@ -267,12 +287,12 @@ def _points(name: str) -> list[complex]:
 def test_node_table_matches_line_integrand():
     """The table-fed fold g(y) equals the reference kernel's f(y) + f(-y) at
     sampled nodes, relative to |f(y)| + |f(-y)| since the sum can cancel."""
-    for sigma in (0.5, 0.3):
+    for n in (0, 3, 9):
         for s in (2.0 + 0.0j, 0.5 + 3.0j, -4.5 - 6.0j, 5.5 + 40.0j, -2.0 + 60.0j):
-            g = contour._cached_integrand(s, sigma)
+            g = contour._cached_integrand(s, n)
             for k in (0, 1, 3, 64, 255, 1000, 2689, 5000):
                 y = k / 256.0
-                plus, minus = line_integrand(y, s, sigma), line_integrand(-y, s, sigma)
+                plus, minus = line_integrand(y, s, n), line_integrand(-y, s, n)
                 assert abs(g(y) - (plus + minus)) <= 1e-15 * (abs(plus) + abs(minus))
 
 
@@ -298,11 +318,20 @@ def test_node_table_cold_threads_bitwise():
 
 
 def test_node_table_size_bounded():
-    """After the 48 eval-tall points the table holds only nodes k/256 up to
-    the largest truncation height, fewer than 6,000 (about 1 MB)."""
-    contour._node_table.cache_clear()
-    heights = [entire_e_line(s).truncation_height for s in _points("eval-tall.json")]
-    table = contour._node_table(0.5)
-    assert all(y >= 0.0 and (y * 256.0).is_integer() for y in table)
-    assert len(table) <= 256.0 * max(heights) + 1.0
-    assert len(table) < 6000
+    """After the 48 eval-tall points each line's table holds only nodes k/256
+    up to the largest truncation height on that line, the lines share one
+    weight per y, and all tables together hold fewer than 6,000 entries
+    (about 1 MB)."""
+    contour._node_tables.cache_clear()
+    heights: dict[int, float] = {}
+    for s in _points("eval-tall.json"):
+        n = int(abs(s.imag) / (2.0 * math.pi))
+        heights[n] = max(heights.get(n, 0.0), entire_e_line(s).truncation_height)
+    weights, lines = contour._node_tables()
+    assert set(lines) == set(heights)
+    for n, table in lines.items():
+        assert all(y >= 0.0 and (y * 256.0).is_integer() for y in table)
+        assert len(table) <= 256.0 * heights[n] + 1.0
+    assert set(weights) == set().union(*lines.values())
+    assert all(weight is weights[y] for table in lines.values() for y, (_, weight) in table.items())
+    assert len(weights) + sum(len(table) for table in lines.values()) < 6000

@@ -1,7 +1,7 @@
 """err_est is an upper bound on the true error at the benchmark's points.
 
 The references are the 34-digit values of (s-1) zeta(s) committed under
-perfbench/refs/ (plain JSON), plus one literal frozen with mpmath.  Errors are computed in Decimal, where a double
+perfbench/refs/ (plain JSON), plus two literals frozen with mpmath.  Errors are computed in Decimal, where a double
 converts exactly, so each is measured against the reference itself and not
 against its rounding to a double.
 """
@@ -12,6 +12,7 @@ from pathlib import Path
 
 from zetaline.cli import ScanGrid
 from zetaline.contour import ContourSpec, entire_e_axis, entire_e_line, zeta
+from zetaline.oracle import zeta_euler_maclaurin
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
@@ -83,3 +84,40 @@ def test_axis_err_est_near_the_domain_edge():
     r = entire_e_axis(s)
     assert r.converged
     assert _abs_error(r.value, ref) <= Decimal(r.err_est)
+
+
+def test_eval_tall_e_within_err_est():
+    """The 48 eval-tall points, 12 <= |Im s| <= 60, at tol 1e-12: every
+    value lies within its err_est, and all 24 with Re s >= 1.6 converge.
+    (At Re s <= -0.6 |E| reaches 1e2 to 1e7, and an absolute 1e-12 can lie
+    below double round-off; such points say converged=False.)"""
+    pts, refs = _load("eval-tall.json")
+    assert len(pts) == 48
+    for s, ref in zip(pts, refs):
+        r = entire_e_line(s)
+        assert r.converged or s.real < 1.6, s
+        assert _abs_error(r.value, ref) <= Decimal(r.err_est), s
+
+
+def test_first_zero_within_err_est():
+    """E and zeta at the first zero 0.5+14.1347i converge at tol 1e-12 and
+    lie within err_est.  Reference: (s-1) zeta(s) at 50 digits (mpmath),
+    rounded to 34."""
+    s = complex(0.5, 14.134725141734693)
+    ref = (Decimal("1.030083565857936616335383530543982e-14"),
+           Decimal("2.015611558377423463097203328387911e-15"))
+    e = entire_e_line(s)
+    assert e.converged
+    assert _abs_error(e.value, ref) <= Decimal(e.err_est)
+    z = zeta(s)
+    assert z.converged
+    assert _abs_error(z.value, ref, s - 1.0) <= Decimal(z.err_est)
+
+
+def test_oracle_bound_covers_eval_tall():
+    """zeta_euler_maclaurin's error bound holds at the 48 eval-tall points,
+    where the exponent of each n^{-s} is large (|Im s| ln n up to 270)."""
+    pts, refs = _load("eval-tall.json")
+    for s, ref in zip(pts, refs):
+        value, bound = zeta_euler_maclaurin(s)
+        assert _abs_error(value, ref, s - 1.0) <= Decimal(bound), s

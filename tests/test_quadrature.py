@@ -82,12 +82,10 @@ def test_interval_conjugation_bitwise():
 def test_line_gaussian():
     # integral over R of e^{-y^2} = sqrt(pi), from the fold 2 e^{-y^2};
     # the bound |f| <= 1 * e^{-|y|} fails for small |y| but
-    # e^{-y^2} <= e * e^{-|y|} everywhere
+    # e^{-y^2} <= e * e^{-|y|} everywhere, so a tail is at most e^{1-Y}
     r = integrate_line_decaying(
         lambda y: complex(2.0 * math.exp(-y * y)),
-        decay_rate=1.0,
-        growth_bound=0.0,
-        bound_const=math.e,
+        log_tail=lambda y: 1.0 - y,
     )
     assert r.converged
     assert r.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-13)
@@ -97,7 +95,7 @@ def test_line_gaussian():
 def test_line_truncation_error_within_estimate():
     # sech integral: integral over R of 1/cosh(y) = pi
     r = integrate_line_decaying(
-        lambda y: complex(2.0 / math.cosh(y)), 1.0, 0.0, bound_const=2.0
+        lambda y: complex(2.0 / math.cosh(y)), lambda y: math.log(2.0) - y
     )
     assert abs(r.value.real - math.pi) <= max(r.err_est * 10.0, 1e-12)
 
@@ -107,8 +105,7 @@ def test_line_unreachable_tolerance_raises():
     with pytest.raises(TruncationFailure):
         integrate_line_decaying(
             lambda y: complex(math.exp(-1e-4 * abs(y))),
-            1e-4,
-            0.0,
+            lambda y: math.log(1e4) - 1e-4 * y,
             tol=1e-12,
         )
 
@@ -123,7 +120,7 @@ def test_line_halvings_reuse_every_node():
         seen.append(y)
         return complex(2.0 / math.cosh(y), 0.0)
 
-    r = integrate_line_decaying(g, 1.0, 0.0, bound_const=2.0)
+    r = integrate_line_decaying(g, lambda y: math.log(2.0) - y)
     assert r.converged
     assert r.value == pytest.approx(math.pi, rel=1e-12)
     assert 2 * len(seen) == r.n_evals
@@ -136,9 +133,9 @@ def test_line_halvings_reuse_every_node():
 
 def test_line_nonfinite_integrand():
     with pytest.raises(NonFiniteIntegrand):
-        integrate_line_decaying(lambda y: complex(math.nan, 0.0), 1.0, 0.0)
+        integrate_line_decaying(lambda y: complex(math.nan, 0.0), lambda y: -y)
     with pytest.raises(NonFiniteIntegrand):
-        integrate_line_decaying(lambda y: complex(0.0, math.inf if y > 2.0 else 0.0), 1.0, 0.0)
+        integrate_line_decaying(lambda y: complex(0.0, math.inf if y > 2.0 else 0.0), lambda y: -y)
 
 
 def test_mellin_gamma_integral():
@@ -175,6 +172,6 @@ def test_plan_validation():
         with pytest.raises(DomainError):
             integrate_interval(math.exp, 0.0, 1.0, tol)
         with pytest.raises(DomainError):
-            integrate_line_decaying(lambda y: complex(math.exp(-y * y)), 1.0, 0.0, tol)
+            integrate_line_decaying(lambda y: complex(math.exp(-y * y)), lambda y: -y, tol)
         with pytest.raises(DomainError):
             integrate_mellin(lambda t: complex(math.exp(-t)), 0.0, 1.0, tol)
