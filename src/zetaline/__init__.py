@@ -32,8 +32,6 @@ from .complex_core import (
     sinhc_half,
 )
 from .contour import (
-    DEFAULT_CONTOUR,
-    ContourSpec,
     EvalResult,
     entire_e_axis,
     entire_e_line,
@@ -62,7 +60,6 @@ from .mellin import (
 )
 from .oracle import (
     EulerMaclaurinParams,
-    bernoulli_even,
     default_params,
     zeta_euler_maclaurin,
 )
@@ -101,9 +98,7 @@ __all__ = [
     "integrate_line_decaying",
     "integrate_mellin",
     # contour
-    "ContourSpec",
     "EvalResult",
-    "DEFAULT_CONTOUR",
     "line_integrand",
     "entire_e_line",
     "entire_e_axis",
@@ -124,7 +119,6 @@ __all__ = [
     "mellin_check",
     # Euler-Maclaurin oracle
     "EulerMaclaurinParams",
-    "bernoulli_even",
     "zeta_euler_maclaurin",
     "default_params",
 ]

@@ -15,15 +15,15 @@ Subcommands and their stdout formats (space-separated tokens, floats with
             err_est of cells that did not converge
   selftest  one "criterion N PASS/FAIL name: detail" line per check
 
-Exit codes: 0 pass/success; 1 usage error; 2 domain error (guards, poles,
-contract boxes, unwritable scan paths); 3 convergence or check failure
-(eval on the line, or any scan cell, whose err_est exceeds its tolerance;
-eval --method axis whose quadrature missed tol / |pi sin(pi s/2)|, floored
-at 1e-14, so the err_est of E may exceed tol; never eval --method oracle; feq
-residual above 1e-8; lemma deviation not below 1e-9 at real s or 1e-8 at
-complex s; failed selftest criterion).  Diagnostics go to stderr; stdout
-carries results only.  There are no environment variables: every knob is
-a flag.
+Exit codes: 0 pass/success; 1 usage error; 2 domain error (non-finite s or
+grid bounds, guards, poles, contract boxes, unwritable scan paths); 3
+convergence or check failure (eval on the line, or any scan cell, whose
+err_est exceeds its tolerance; eval --method axis whose quadrature missed
+tol / |pi sin(pi s/2)|, floored at 1e-14, so the err_est of E may exceed
+tol; never eval --method oracle; feq residual above 1e-8; lemma deviation
+not below 1e-9 at real s or 1e-8 at complex s; failed selftest criterion).
+Diagnostics go to stderr; stdout carries results only.  There are no
+environment variables: every knob is a flag.
 
 Repeated invocations with identical flags produce byte-identical stdout,
 and scans are byte-identical whatever --jobs is; evaluation order is fixed
@@ -33,13 +33,14 @@ row-major (im outer, re inner) regardless of completion order.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .acceptance import run_criteria
 from .contour import (
-    ContourSpec,
     EvalResult,
     entire_e_line,
     pole_guard,
@@ -57,6 +58,7 @@ from .errors import (
 from .functional_equation import feq_check
 from .mellin import mellin_check
 from .oracle import default_params, zeta_euler_maclaurin
+from .quadrature import check_tol
 
 __all__ = ["ScanGrid", "main"]
 
@@ -76,6 +78,9 @@ class ScanGrid:
     steps_im: int
 
     def __post_init__(self) -> None:
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise DomainError(f"grid bounds must be finite, got {bounds}")
         if not (self.re_min <= self.re_max and self.im_min <= self.im_max):
             raise DomainError("grid needs re_min <= re_max and im_min <= im_max")
         if self.steps_re < 1 or self.steps_im < 1:
@@ -106,8 +111,8 @@ def _fmt(x: float) -> str:
 _SCAN_HEADER = "re_s,im_s,re_E,im_E,re_zeta,im_zeta,abs_zeta,err_est"
 
 
-def _scan_cell(s: complex, spec: ContourSpec) -> tuple[str, EvalResult]:
-    e = entire_e_line(s, spec)
+def _scan_cell(s: complex, tol: float) -> tuple[str, EvalResult]:
+    e = entire_e_line(s, tol)
     try:
         z = zeta_from_e(s, e).value
     except PoleAtOne:
@@ -122,18 +127,20 @@ def _scan_cell(s: complex, spec: ContourSpec) -> tuple[str, EvalResult]:
 
 
 def scan_csv_lines(
-    grid: ScanGrid, spec: ContourSpec, jobs: int = 1
+    grid: ScanGrid, tol: float = 1e-12, jobs: int = 1
 ) -> tuple[list[str], list[float]]:
-    """Header plus one line per grid point, deterministic for any jobs value,
-    and the err_est of every cell whose quadrature did not converge."""
+    """Header plus one line per grid point, E(s) at tolerance tol,
+    deterministic for any jobs value, and the err_est of every cell that
+    did not converge."""
+    check_tol(tol)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     pts = grid.points()
     if jobs == 1:
-        cells = [_scan_cell(s, spec) for s in pts]
+        cells = [_scan_cell(s, tol) for s in pts]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(lambda s: _scan_cell(s, spec), pts))
+            cells = list(pool.map(lambda s: _scan_cell(s, tol), pts))
     missed = [e.err_est for _, e in cells if not e.converged]
     return [_SCAN_HEADER, *(line for line, _ in cells)], missed
 
@@ -158,7 +165,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate zeta(s)")
     _add_point_flags(p)
     p.add_argument("--method", choices=("line", "axis", "oracle"), default="line")
-    p.add_argument("--tol", type=float, default=1e-12, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="absolute tolerance on E(s) = (s-1) zeta(s) (default 1e-12)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("feq", help="check zeta(s) = chi(s) zeta(1-s)")
@@ -195,22 +203,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _point(args: argparse.Namespace) -> complex:
+    """s from --re and --im; DomainError unless it is finite."""
     s = complex(args.re, args.im)
-    spec = ContourSpec(tol=args.tol)  # --tol is checked whatever the method
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
+    return s
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    s = _point(args)
+    check_tol(args.tol)  # whatever the method
     if args.method == "oracle":
         pole_guard(s)
         value, err = zeta_euler_maclaurin(s)
         res = EvalResult(value, err, "oracle", 0.0, default_params(s).N, True)
     else:
-        res = zeta(s, spec, args.method)
+        res = zeta(s, args.tol, args.method)
     print(f"{_fmt(res.value.real)} {_fmt(res.value.imag)} {_fmt(res.err_est)} "
           f"{res.method} {res.n_evals}")
     return 0 if res.converged else 3
 
 
 def _cmd_feq(args: argparse.Namespace) -> int:
-    rep = feq_check(complex(args.re, args.im), ContourSpec(tol=args.tol), form=args.form)
+    rep = feq_check(_point(args), args.tol, args.form)
     print(f"{_fmt(rep.lhs.real)} {_fmt(rep.lhs.imag)} {_fmt(rep.rhs.real)} "
           f"{_fmt(rep.rhs.imag)} {_fmt(rep.abs_residual)} {_fmt(rep.rel_residual)} "
           f"{rep.form} {rep.direction}")
@@ -218,7 +234,7 @@ def _cmd_feq(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
-    rep = mellin_check(complex(args.re, args.im), args.tol)
+    rep = mellin_check(_point(args), args.tol)
     print(f"{_fmt(rep.bose.real)} {_fmt(rep.bose.imag)} "
           f"{_fmt(rep.exp_sq.real)} {_fmt(rep.exp_sq.imag)} "
           f"{_fmt(rep.sinh_form.real)} {_fmt(rep.sinh_form.imag)} "
@@ -230,7 +246,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
 def _cmd_residues(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
-    s = complex(args.re, args.im)
+    s = _point(args)
     sizes = []
     n = 1
     while n <= args.n_max:
@@ -247,8 +263,7 @@ def _cmd_residues(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
-    spec = ContourSpec(tol=args.tol)
-    lines, missed = scan_csv_lines(grid, spec, jobs=args.jobs)
+    lines, missed = scan_csv_lines(grid, args.tol, args.jobs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if missed:
@@ -264,8 +279,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         if not r.passed:
             return 3
     grid = ScanGrid(-2.0, 3.0, 0.0, 5.0, 100, 100)
-    spec = ContourSpec(tol=1e-8)
-    same = scan_csv_lines(grid, spec, jobs=1) == scan_csv_lines(grid, spec, jobs=4)
+    same = scan_csv_lines(grid, 1e-8, jobs=1) == scan_csv_lines(grid, 1e-8, jobs=4)
     print(f"criterion 9 {'PASS' if same else 'FAIL'} scan determinism: "
           f"10000-point scan byte-identical with jobs 1 and jobs 4")
     return 0 if same else 3
@@ -278,16 +292,10 @@ def main(argv: list[str] | None = None) -> int:
     except PoleAtOne:
         print("pole at s=1; evaluate E instead", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TruncationFailure, NonFiniteIntegrand) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ZetalineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ZetalineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

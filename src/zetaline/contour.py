@@ -63,9 +63,7 @@ from .errors import ContractViolation, DomainError, PoleAtOne
 from .quadrature import check_tol, integrate_line_decaying, integrate_mellin
 
 __all__ = [
-    "ContourSpec",
     "EvalResult",
-    "DEFAULT_CONTOUR",
     "line_integrand",
     "entire_e_line",
     "entire_e_axis",
@@ -86,26 +84,13 @@ _Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
 
 
 @dataclass(frozen=True)
-class ContourSpec:
-    """The absolute tolerance on E(s) for the line evaluator."""
-
-    tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        check_tol(self.tol)
-
-
-@dataclass(frozen=True)
 class EvalResult:
     value: complex
     err_est: float
-    method: str  # "line" | "axis" | "residue_sum" | "oracle"
+    method: str  # "line" | "axis" | "oracle"
     truncation_height: float
     n_evals: int
     converged: bool = True
-
-
-DEFAULT_CONTOUR = ContourSpec()
 
 
 def _check_line(n: int) -> None:
@@ -218,7 +203,7 @@ def _residue_sum(s: complex, n_terms: int) -> tuple[complex, float]:
     return (s - 1.0) * acc, _EPS * abs(s - 1.0) * spread
 
 
-def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult:
+def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
     """E(s) = (s-1) zeta(s) by quadrature along the line Re z = N + 1/2,
     N = floor(|Im s| / 2 pi), plus the residues of the N poles it crossed.
 
@@ -227,14 +212,16 @@ def entire_e_line(s: complex, spec: ContourSpec = DEFAULT_CONTOUR) -> EvalResult
     e^{0.8|Im s|} cancellation of the line Re z = 1/2 is gone; N = 0 is
     that line.
 
-    spec.tol bounds the error of E(s) itself: err_est covers the
-    quadrature error, both truncated tails and the rounding of the sum and
-    of the residues, and `converged` is err_est <= tol.
+    tol bounds the error of E(s) itself: err_est covers the quadrature
+    error, both truncated tails and the rounding of the sum and of the
+    residues, and `converged` is err_est <= tol.
     """
     s = complex(s)
-    if abs(s.imag) > _IM_BOX:
+    if not abs(s.imag) <= _IM_BOX:
         raise ContractViolation(f"line evaluator contract box is |Im s| <= {_IM_BOX}, got {s.imag}")
-    return _entire_e_line(s, spec.tol, int(abs(s.imag) / _TWO_PI))
+    if not math.isfinite(s.real):
+        raise DomainError(f"line evaluator needs a finite Re s, got {s.real}")
+    return _entire_e_line(s, tol, int(abs(s.imag) / _TWO_PI))
 
 
 def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
@@ -278,12 +265,12 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     """
     check_tol(tol)  # before the floor below can hide a bad value
     s = complex(s)
-    if s.real > _AXIS_RE_MAX:
+    if not -math.inf < s.real <= _AXIS_RE_MAX:
         raise DomainError(
-            f"axis form needs Re s <= {_AXIS_RE_MAX} "
+            f"axis form needs a finite Re s <= {_AXIS_RE_MAX} "
             f"(origin exponent -1-Re s must stay above -1), got Re s = {s.real}"
         )
-    if abs(s.imag) > _IM_BOX:
+    if not abs(s.imag) <= _IM_BOX:
         raise ContractViolation(f"axis evaluator contract box is |Im s| <= {_IM_BOX}, got {s.imag}")
     pref = -math.pi * sin_pi_z(0.5 * s)
     if pref == 0:
@@ -349,15 +336,15 @@ def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
                       e.truncation_height, e.n_evals, e.converged)
 
 
-def zeta(s: complex, spec: ContourSpec = DEFAULT_CONTOUR, method: str = "line") -> EvalResult:
-    """zeta(s) from E(s) by the line contour of `spec` (method "line") or by
-    the imaginary-axis form at spec.tol (method "axis", Re s <= -0.05);
+def zeta(s: complex, tol: float = 1e-12, method: str = "line") -> EvalResult:
+    """zeta(s) from E(s) at tolerance tol, by the line contour (method
+    "line") or by the imaginary-axis form (method "axis", Re s <= -0.05);
     PoleAtOne inside the guard disk around s = 1."""
     s = complex(s)
     if method == "line":
-        e = entire_e_line(s, spec)
+        e = entire_e_line(s, tol)
     elif method == "axis":
-        e = entire_e_axis(s, spec.tol)
+        e = entire_e_axis(s, tol)
     else:
         raise DomainError(f"method must be line or axis, got {method!r}")
     return zeta_from_e(s, e)

@@ -23,21 +23,21 @@ from .errors import DomainError, PoleAtOne
 
 __all__ = [
     "EulerMaclaurinParams",
-    "bernoulli_even",
     "zeta_euler_maclaurin",
     "default_params",
 ]
 
 _EPS = 2.0 ** -52
 
-# public cap is k = 15 (B_30); the table holds one more entry because the
-# error term of an M = 15 evaluation needs B_32
+# M is at most 15 (B_30); the table holds one more entry because the error
+# term of an M = 15 evaluation needs B_32
 _MAX_K = 16
 
 
 @lru_cache(maxsize=1)
 def _bernoulli_floats() -> tuple[float, ...]:
-    """(B_0, B_2, B_4, ..., B_32) via sum_{j=0}^{m} C(m+1, j) B_j = 0."""
+    """(B_0, B_2, B_4, ..., B_32) via sum_{j=0}^{m} C(m+1, j) B_j = 0,
+    each correctly rounded from the exact rational."""
     top = 2 * _MAX_K
     b: list[Fraction] = [Fraction(0)] * (top + 1)
     b[0] = Fraction(1)
@@ -47,13 +47,6 @@ def _bernoulli_floats() -> tuple[float, ...]:
             acc += math.comb(m + 1, j) * b[j]
         b[m] = -acc / (m + 1)
     return tuple(float(b[2 * k]) for k in range(_MAX_K + 1))
-
-
-def bernoulli_even(k: int) -> float:
-    """B_{2k} for 1 <= k <= 15, correctly rounded from the exact rational."""
-    if not 1 <= k <= 15:
-        raise DomainError(f"bernoulli_even supports 1 <= k <= 15, got {k}")
-    return _bernoulli_floats()[k]
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,50 @@ def test_scan_unwritable_path_exit_two(tmp_path):
     assert r.returncode == 2
 
 
+def _assert_domain_error(cmd: str, tmp_path) -> subprocess.CompletedProcess:
+    """cmd exits 2 with a one-line message, no output and no scan file."""
+    out = tmp_path / "x.csv"
+    args = cmd.split()
+    if args[0] == "scan":
+        args += ["--out", str(out)]
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert not out.exists()
+    return r
+
+
+_SCAN_2X2 = "scan --re-min 0 --re-max 1 --im-min 0 --steps-re 2 --steps-im 2"
+
+
+@pytest.mark.parametrize("cmd", [
+    "eval --re 0.5 --im nan",
+    "eval --re nan",
+    "eval --re inf",
+    "eval --re inf --method oracle",
+    "feq --re inf",
+    "lemma --re inf",
+    "residues --re 2 --im nan --n-max 2",
+    f"{_SCAN_2X2} --im-max=inf",
+])
+def test_nonfinite_s_exits_two(cmd, tmp_path):
+    _assert_domain_error(cmd, tmp_path)
+
+
+@pytest.mark.parametrize("cmd", [
+    "eval --re -2.5 --method line",
+    "eval --re -2.5 --method axis",
+    "eval --re -2.5 --method oracle",
+    "feq --re -3",
+    "lemma --re 2",
+    f"{_SCAN_2X2} --im-max 1",
+])
+def test_zero_tol_exits_two(cmd, tmp_path):
+    r = _assert_domain_error(f"{cmd} --tol 0", tmp_path)
+    assert r.stderr == "error: tol must be >= 1e-14, got 0.0\n"
+
+
 def test_scan_grid_validation():
     r = run_cli(
         "scan", "--re-min", "2", "--re-max", "1", "--im-min", "0", "--im-max", "1",
@@ -281,3 +325,6 @@ def test_scan_grid_points_order():
         ScanGrid(1.0, 0.0, 0.0, 1.0, 2, 2)
     with pytest.raises(DomainError):
         ScanGrid(0.0, 1.0, 0.0, 1.0, 0, 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ScanGrid(0.0, 1.0, bad, 1.0, 2, 2)

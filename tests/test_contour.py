@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from zetaline import contour
 from zetaline.contour import (
-    DEFAULT_CONTOUR,
-    ContourSpec,
     entire_e_axis,
     entire_e_line,
     line_integrand,
@@ -80,6 +78,17 @@ def test_contract_box():
         entire_e_axis(-1.0 - 61.0j)
 
 
+def test_nonfinite_s_is_a_domain_error():
+    """NaN fails the box checks and a non-finite Re s is refused, on both
+    forms, before any quadrature runs."""
+    for s in (complex(math.nan, 0.0), complex(0.5, math.nan), math.inf):
+        with pytest.raises(DomainError):
+            zeta(s)
+    for s in (complex(math.nan, 0.0), complex(-1.0, math.nan), -math.inf):
+        with pytest.raises(DomainError):
+            zeta(s, method="axis")
+
+
 def test_spec_validation():
     # the line is Re z = n + 1/2 for an integer n >= 0, chosen from s
     with pytest.raises(DomainError):
@@ -89,7 +98,9 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         contour._entire_e_line(2.0 + 0.0j, 0.0, 0)
     with pytest.raises(DomainError):
-        ContourSpec(tol=0.0)
+        entire_e_line(2.0 + 0.0j, tol=0.0)
+    with pytest.raises(DomainError):
+        zeta(2.0 + 0.0j, tol=0.0)
     with pytest.raises(DomainError):
         entire_e_axis(-2.0, tol=0.0)  # checked before the exact-zero shortcut
 
@@ -247,8 +258,8 @@ def test_result_metadata():
 
 
 def test_looser_plan_converges_faster():
-    tight = entire_e_line(0.5 + 3.0j, ContourSpec(tol=1e-12))
-    loose = entire_e_line(0.5 + 3.0j, ContourSpec(tol=1e-6))
+    tight = entire_e_line(0.5 + 3.0j, tol=1e-12)
+    loose = entire_e_line(0.5 + 3.0j, tol=1e-6)
     assert loose.n_evals <= tight.n_evals
     assert abs(loose.value - tight.value) <= 1e-6
 
@@ -263,7 +274,7 @@ def test_converged_iff_err_est_within_tol(x, y, log_tol):
     """tol bounds E(s) itself: converged says exactly that err_est <= tol
     (|Im s| up to 30 reaches points that miss small tolerances)."""
     tol = 10.0**log_tol
-    r = entire_e_line(complex(x, y), ContourSpec(tol=tol))
+    r = entire_e_line(complex(x, y), tol)
     assert r.converged == (r.err_est <= tol)
 
 
@@ -272,10 +283,9 @@ def test_converged_at_height_twenty():
     err_est 6.6e-11 on E is within tol 1e-10, so the evaluation converged."""
     s = -5.0 + 20.0j
     assert not entire_e_line(s).converged
-    spec = ContourSpec(tol=1e-10)
-    e = entire_e_line(s, spec)
+    e = entire_e_line(s, tol=1e-10)
     assert e.converged and e.err_est <= 1e-10
-    z = zeta(s, spec)
+    z = zeta(s, tol=1e-10)
     assert z.converged and z.err_est == e.err_est / abs(s - 1.0)
 
 

@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 from zetaline.cli import ScanGrid
-from zetaline.contour import ContourSpec, entire_e_axis, entire_e_line, zeta
+from zetaline.contour import entire_e_axis, entire_e_line, zeta
 from zetaline.oracle import zeta_euler_maclaurin
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
@@ -52,9 +52,8 @@ def test_scan_grid_e_within_err_est():
     pts, refs = _load("scan-grid-seed1.json")
     grid = ScanGrid(pts[0].real, pts[-1].real, pts[0].imag, pts[-1].imag, 40, 25)
     assert grid.points() == pts
-    spec = ContourSpec(tol=1e-8)
     for s, ref in zip(pts, refs):
-        r = entire_e_line(s, spec)
+        r = entire_e_line(s, tol=1e-8)
         assert r.converged, s
         assert _abs_error(r.value, ref) <= Decimal(r.err_est), s
 

@@ -9,38 +9,37 @@ from zetaline.contour import residue_partial_sum
 from zetaline.errors import DomainError, PoleAtOne
 from zetaline.oracle import (
     EulerMaclaurinParams,
-    bernoulli_even,
+    _bernoulli_floats,
     default_params,
     zeta_euler_maclaurin,
 )
 
 
 def test_bernoulli_small_values_exact():
-    assert bernoulli_even(1) == float(Fraction(1, 6))
-    assert bernoulli_even(2) == float(Fraction(-1, 30))
-    assert bernoulli_even(3) == float(Fraction(1, 42))
-    assert bernoulli_even(4) == float(Fraction(-1, 30))
-    assert bernoulli_even(5) == float(Fraction(5, 66))
+    b = _bernoulli_floats()
+    assert b[0] == 1.0
+    assert b[1] == float(Fraction(1, 6))
+    assert b[2] == float(Fraction(-1, 30))
+    assert b[3] == float(Fraction(1, 42))
+    assert b[4] == float(Fraction(-1, 30))
+    assert b[5] == float(Fraction(5, 66))
 
 
 def test_bernoulli_large_value():
+    b = _bernoulli_floats()
     # B_30 = 8615841276005/14322 = 601580873.90064236838...
-    assert bernoulli_even(15) == float(Fraction(8615841276005, 14322))
-
-
-def test_bernoulli_range_guard():
-    for k in (0, 16, -1):
-        with pytest.raises(DomainError):
-            bernoulli_even(k)
+    assert b[15] == float(Fraction(8615841276005, 14322))
+    # B_32 = -7709321041217/510, needed by the error term at M = 15
+    assert len(b) == 17 and b[16] == float(Fraction(-7709321041217, 510))
 
 
 def test_bernoulli_satisfy_recurrence():
     """sum_{j=0}^{m} C(m+1, j) B_j == 0 with B_odd = 0 except B_1 = -1/2."""
     b = {0: 1.0, 1: -0.5}
-    for k in range(1, 16):
-        b[2 * k] = bernoulli_even(k)
+    for k in range(1, 17):
+        b[2 * k] = _bernoulli_floats()[k]
         b[2 * k + 1] = 0.0
-    for m in (4, 10, 20, 30):
+    for m in (4, 10, 20, 30, 32):
         acc = math.fsum(math.comb(m + 1, j) * b[j] for j in range(m + 1))
         # the exact sum is 0; each float B_j carries up to 1/2 ulp, so the
         # residual is bounded by eps times the sum of term magnitudes
