@@ -33,7 +33,6 @@ row-major (im outer, re inner) regardless of completion order.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +53,7 @@ from .errors import (
     PoleAtOne,
     TruncationFailure,
     ZetalineError,
+    finite_s,
 )
 from .functional_equation import feq_check
 from .mellin import mellin_check
@@ -63,7 +63,6 @@ from .quadrature import check_tol
 __all__ = ["ScanGrid", "main"]
 
 _MAX_SCAN_POINTS = 1_000_000
-_FEQ_PASS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -205,10 +204,7 @@ def _build_parser() -> _Parser:
 
 def _point(args: argparse.Namespace) -> complex:
     """s from --re and --im; DomainError unless it is finite."""
-    s = complex(args.re, args.im)
-    if not cmath.isfinite(s):
-        raise DomainError(f"s must be finite, got {s}")
-    return s
+    return finite_s(complex(args.re, args.im))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -230,7 +226,7 @@ def _cmd_feq(args: argparse.Namespace) -> int:
     print(f"{_fmt(rep.lhs.real)} {_fmt(rep.lhs.imag)} {_fmt(rep.rhs.real)} "
           f"{_fmt(rep.rhs.imag)} {_fmt(rep.abs_residual)} {_fmt(rep.rel_residual)} "
           f"{rep.form} {rep.direction}")
-    return 0 if rep.rel_residual <= _FEQ_PASS else 3
+    return 0 if rep.passes else 3
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:

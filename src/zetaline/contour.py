@@ -59,7 +59,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z, sinhc_half
-from .errors import ContractViolation, DomainError, PoleAtOne
+from .errors import ContractViolation, DomainError, PoleAtOne, finite_s
 from .quadrature import check_tol, integrate_line_decaying, integrate_mellin
 
 __all__ = [
@@ -107,7 +107,7 @@ def line_integrand(y: float, s: complex, n: int = 0) -> complex:
     _check_line(n)
     if abs(y) > _Y_MAX:
         raise DomainError(f"line kernel is specified for |y| <= {_Y_MAX:g}, got y = {y}")
-    s = complex(s)
+    s = finite_s(s)
     return _PI_SQ * cpow_principal(complex(n + 0.5, y), 1.0 - s) * sech_sq_pi(y)
 
 
@@ -216,11 +216,9 @@ def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
     error, both truncated tails and the rounding of the sum and of the
     residues, and `converged` is err_est <= tol.
     """
-    s = complex(s)
+    s = finite_s(s)
     if not abs(s.imag) <= _IM_BOX:
         raise ContractViolation(f"line evaluator contract box is |Im s| <= {_IM_BOX}, got {s.imag}")
-    if not math.isfinite(s.real):
-        raise DomainError(f"line evaluator needs a finite Re s, got {s.real}")
     return _entire_e_line(s, tol, int(abs(s.imag) / _TWO_PI))
 
 
@@ -231,11 +229,10 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     from Re z = 1/2 to n + 1/2 subtracts (s-1) sum_{k<=n} k^{-s} from the
     integral; adding it back gives E(s) on every line.
 
-    err_est adds four parts, on the scale of the integral of 2 pi E: the
-    rounding of the residues, which comes off the top of the budget
-    2 pi tol, then the quadrature's error (the quadrature runs at the rest
-    over 1.2), both tails (a tenth of that together) and the rounding of
-    the sum, 4 eps times the integral of |f|, which has the last twelfth.
+    err_est, on the scale of the integral of 2 pi E, adds the rounding of
+    the residues, which comes off the top of the budget 2 pi tol, to the
+    quadrature's err_est; the quadrature runs at the rest over 1.2, which
+    leaves room for its tails and the rounding of its sum.
     Where the residues' rounding alone exceeds tol the point cannot
     converge, and the quadrature stops at that rounding instead of halving
     on.
@@ -251,7 +248,7 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     value = base.value / _TWO_PI
     if n:
         value += residues
-    err = (base.err_est + 0.1 * quad_tol + rounding + 4.0 * _EPS * base.l1) / _TWO_PI
+    err = (base.err_est + rounding) / _TWO_PI
     return EvalResult(value, err, "line", base.truncation_height, base.n_evals, err <= tol)
 
 
@@ -259,15 +256,16 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     """E(s) for Re s <= -0.05 via the imaginary-axis form.
 
     The prefactor -pi sin(pi s/2) can be exponentially large in |Im s|, so
-    the quadrature runs at tol / |prefactor| (floored at 1e-14) and the
-    reported err_est is scaled back up; at the negative even integers the
-    prefactor vanishes identically and E(s) = 0 is returned exactly.
+    the quadrature runs at tol / |prefactor| (floored at 1e-14) and
+    err_est is the quadrature's err_est times |prefactor|; at the negative
+    even integers the prefactor vanishes identically and E(s) = 0 is
+    returned exactly.
     """
     check_tol(tol)  # before the floor below can hide a bad value
-    s = complex(s)
-    if not -math.inf < s.real <= _AXIS_RE_MAX:
+    s = finite_s(s)
+    if not s.real <= _AXIS_RE_MAX:
         raise DomainError(
-            f"axis form needs a finite Re s <= {_AXIS_RE_MAX} "
+            f"axis form needs Re s <= {_AXIS_RE_MAX} "
             f"(origin exponent -1-Re s must stay above -1), got Re s = {s.real}"
         )
     if not abs(s.imag) <= _IM_BOX:
@@ -295,8 +293,7 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
         origin_coeff=1.0 / _PI_SQ,
         bound_const=4.5,  # 1/sinh^2(pi y) <= 4.5 e^{-2 pi y} for y >= 1
     )
-    err = amp * (base.err_est + 0.2 * eff_tol)
-    return EvalResult(pref * base.value, err, "axis",
+    return EvalResult(pref * base.value, amp * base.err_est, "axis",
                       base.truncation_height, base.n_evals, base.converged)
 
 
@@ -309,7 +306,7 @@ def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
     more than the tail bound (4.2e-13 against 3.3e-14 at s = 4.75+1.5i,
     N = 4000).
     """
-    s = complex(s)
+    s = finite_s(s)
     if not s.real > 1.0:
         raise DomainError(f"residue sum converges only for Re s > 1, got Re s = {s.real}")
     if n_terms < 1:
@@ -320,6 +317,7 @@ def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
 
 def pole_guard(s: complex) -> None:
     """Raise PoleAtOne inside the guard disk |s - 1| < 1e-6 around the pole of zeta."""
+    s = finite_s(s)
     if abs(s - 1.0) < _POLE_RADIUS:
         raise PoleAtOne(
             f"zeta has a simple pole at s = 1 and |s-1| = {abs(s - 1.0):.3e} is "

@@ -2,10 +2,13 @@
 
 Everything numerical raises out of this hierarchy so callers (and the CLI)
 can map failures onto a small set of outcomes: bad input, a genuine pole,
-or a quadrature that could not certify its tolerance.
+or a quadrature that could not certify its tolerance.  finite_s is the one
+check that every entry point taking s makes first.
 """
 
 from __future__ import annotations
+
+import cmath
 
 __all__ = [
     "ZetalineError",
@@ -44,3 +47,11 @@ class NonFiniteIntegrand(ZetalineError):
 
 class TruncationFailure(ZetalineError):
     """No admissible truncation point satisfies the tail bound."""
+
+
+def finite_s(s: complex) -> complex:
+    """complex(s), or DomainError unless both its parts are finite."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
+    return s

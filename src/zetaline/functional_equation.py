@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .complex_core import cos_pi_z, cpow_principal, gamma, sin_pi_z
 from .contour import zeta
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, finite_s
 
 __all__ = [
     "FeqReport",
@@ -46,6 +46,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _FORM_GUARD = 1e-6   # evaluation guard around each form's degenerate set
 _CHECK_GUARD = 1e-3  # feq_check guard disks at s = 0 and s = 1
+PASS_REL = 1e-8      # bound on rel_residual: the CLI's feq and selftest criterion 4
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,11 @@ class FeqReport:
     rel_residual: float  # abs_residual / (1 + |lhs|)
     form: str            # "sine" | "cosine"
     direction: str = "direct"  # "reflected" when checked as zeta(1-s) = chi(1-s) zeta(s)
+
+    @property
+    def passes(self) -> bool:
+        """rel_residual is at most PASS_REL."""
+        return self.rel_residual <= PASS_REL
 
 
 def _dist_even_positive(s: complex) -> float:
@@ -73,7 +79,7 @@ def _dist_odd(s: complex) -> float:
 
 def select_form(s: complex) -> str:
     """Multiplier form evaluable at s: the one farther from its degenerate set."""
-    s = complex(s)
+    s = finite_s(s)
     return "sine" if _dist_even_positive(s) > _dist_odd(s) else "cosine"
 
 
@@ -84,7 +90,7 @@ def chi(s: complex, form: str = "auto") -> complex:
     expression (which may be degenerate at the requested point -- forcing is
     for cross-checking the two forms against each other, not for coverage).
     """
-    s = complex(s)
+    s = finite_s(s)
     if form == "auto":
         form = select_form(s)
     elif form not in ("sine", "cosine"):
@@ -107,7 +113,7 @@ def feq_check(s: complex, tol: float = 1e-12, form: str = "auto") -> FeqReport:
     zeta(1-s) = chi(1-s) zeta(s) (multiplier regular there); the report
     carries direction="reflected" and keeps the requested s.
     """
-    s = complex(s)
+    s = finite_s(s)
     if abs(s) < _CHECK_GUARD or abs(s - 1.0) < _CHECK_GUARD:
         raise DomainError(
             f"feq_check excludes guard disks of radius {_CHECK_GUARD} around "

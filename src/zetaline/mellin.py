@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .complex_core import cpow_principal, gamma, sinhc_half
-from .errors import DomainError
+from .errors import DomainError, finite_s
 from .oracle import zeta_euler_maclaurin
 from .quadrature import integrate_mellin
 
@@ -59,7 +59,7 @@ class MellinReport:
 
 
 def _require_domain(s: complex, name: str) -> complex:
-    s = complex(s)
+    s = finite_s(s)
     if not s.real > _RE_MIN:
         raise DomainError(f"{name} needs Re s > {_RE_MIN}, got Re s = {s.real}")
     return s

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .complex_core import cpow_principal
-from .errors import DomainError, PoleAtOne
+from .errors import DomainError, PoleAtOne, finite_s
 
 __all__ = [
     "EulerMaclaurinParams",
@@ -62,7 +62,7 @@ class EulerMaclaurinParams:
 
 
 def default_params(s: complex) -> EulerMaclaurinParams:
-    return EulerMaclaurinParams(N=25 + math.ceil(abs(complex(s).imag)), M=12)
+    return EulerMaclaurinParams(N=25 + math.ceil(abs(finite_s(s).imag)), M=12)
 
 
 def zeta_euler_maclaurin(
@@ -79,7 +79,7 @@ def zeta_euler_maclaurin(
     alone (often ~1e-30) would understate the achievable double-precision
     error.
     """
-    s = complex(s)
+    s = finite_s(s)
     if abs(s - 1.0) < 1e-9:
         raise PoleAtOne(f"zeta has a pole at s = 1 (got s={s})")
     if abs(s.imag) > 60.0:

@@ -14,9 +14,10 @@ converges like e^{-2 pi d / h} for an integrand analytic in the strip
 (2014), Thm 5.1).  h starts at a power of two no larger than 1/4 and
 halves, and each halving reuses every earlier node.
 
-Error estimates come from one halving: err = |value(h) - value(h/2)|,
-repeated until the target tolerance is met, the estimate stops improving
-(round-off floor), or the refinement budget is exhausted.
+h halves until two levels differ by at most tol, by no less than the last
+two did, or by no more than the sum's rounding 4 eps h sum |g| (round-off
+floor), or the budget runs out.  err_est bounds the whole integral: that
+difference, the sum's rounding and, in the front ends, both tails they cut.
 
 Everything is pure and sequential-deterministic: nodes are summed level by
 level in ascending coordinate order, so identical inputs give
@@ -58,7 +59,6 @@ class QuadratureResult:
     n_evals: int
     converged: bool
     truncation_height: float | None = None
-    l1: float = 0.0  # h * sum |g| on the last level: the integral of |g| the rule saw
 
 
 def check_tol(tol: float) -> None:
@@ -77,7 +77,8 @@ def integrate_interval(
     The weight 1/2 at a suits an integrand negligible at a as well, or a
     whole-line integrand folded onto a.  h starts at `step`, a power of two
     no larger than 1/4, and halves at most 6 times; a halving adds only the
-    odd nodes of the finer grid.
+    odd nodes of the finer grid.  err_est is the last difference plus the
+    sum's rounding; `converged` says the difference met tol.
     """
     check_tol(tol)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -101,18 +102,17 @@ def integrate_interval(
         if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
             raise NonFiniteIntegrand(f"integrand is not finite on the nodes of step {h}")
         refined = h * acc
+        noise = 4.0 * _EPS * h * l1  # rounding of the sum
         if halving:
             err_new = abs(refined - value)
-            if err_new <= tol:
-                return QuadratureResult(refined, err_new, n_evals, True, l1=h * l1)
-            if err_new >= err or err_new <= 4.0 * _EPS * h * l1:
-                # halving stopped helping, or the difference is below the
-                # accumulation noise of the sum itself: round-off floor reached
-                return QuadratureResult(refined, err_new, n_evals, False, l1=h * l1)
+            if err_new <= tol or err_new >= err or err_new <= noise:
+                # met tol; or halving stopped helping, or the difference is
+                # below the rounding of the sum itself: round-off floor reached
+                return QuadratureResult(refined, err_new + noise, n_evals, err_new <= tol)
             err = err_new
         value = refined
         h *= 0.5
-    return QuadratureResult(value, err, n_evals, False, l1=2.0 * h * l1)
+    return QuadratureResult(value, err + noise, n_evals, False)
 
 
 def _truncation_height(
@@ -153,15 +153,15 @@ def integrate_line_decaying(
     log of the integral of |f| over each tail |y| >= Y (Y >= 1).
 
     The truncation height Y is the first point of the 1/8 grid from 1 where
-    each tail is below tol/20, so both take a tenth of tol, and
-    integrate_interval runs on g over [0, Y] from h = 1/4.  n_evals counts
-    values of f, two per node.
+    each tail is below tol/20, and integrate_interval runs on g over [0, Y]
+    from h = 1/4; err_est adds both tails, a tenth of tol, to its err_est.
+    n_evals counts values of f, two per node.
     """
     check_tol(tol)
     height = _truncation_height(log_tail, 0.05 * tol)
     base = integrate_interval(g, 0.0, height, tol)
-    return QuadratureResult(base.value, base.err_est, 2 * base.n_evals, base.converged,
-                            height, base.l1)
+    return QuadratureResult(base.value, base.err_est + 0.1 * tol, 2 * base.n_evals,
+                            base.converged, height)
 
 
 def integrate_mellin(
@@ -181,11 +181,11 @@ def integrate_mellin(
     Substitutes t = e^u and integrates g(u) = f(e^u) e^u with
     integrate_interval.  The origin becomes an exponential tail
     ~ origin_coeff * e^{(alpha+1)u}, cut where it is below tol/10; the decay
-    side is cut where the tail bound
-    bound_const * (1+T)^growth * e^{-decay_rate*T} / decay_rate is below
-    tol/10, and reports its cutoff T = e^{u_right} as the truncation
-    height.  g oscillates like e^{i Im(alpha) u}, which shrinks the strip
-    where the trapezoid rule converges fast, so the first step is the
+    side is cut where its tail bound, bound_const * (1+T)^growth *
+    e^{-decay_rate*T} / decay_rate, is below tol/10, and reports its cutoff
+    T = e^{u_right} as the truncation height; err_est adds both tails, a
+    fifth of tol.  g oscillates like e^{i Im(alpha) u}, which shrinks the
+    strip where the trapezoid rule converges fast, so the first step is the
     largest h = 2^-k <= 1/4 with h (|Im alpha| + 4) <= pi.
     """
     check_tol(tol)
@@ -216,4 +216,5 @@ def integrate_mellin(
         step *= 0.5
     base = integrate_interval(lambda u: f(math.exp(u)) * math.exp(u), u_left, u_right, tol,
                               step=step)
-    return QuadratureResult(base.value, base.err_est, base.n_evals, base.converged, math.exp(u_right))
+    return QuadratureResult(base.value, base.err_est + 0.2 * tol, base.n_evals, base.converged,
+                            math.exp(u_right))

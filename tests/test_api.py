@@ -3,6 +3,7 @@ the package exports exactly the library modules' names, and the README's
 quick start runs."""
 
 import importlib
+import math
 import os
 import pkgutil
 import re
@@ -10,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zetaline
+from zetaline.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +47,35 @@ def test_readme_quick_start_runs():
     r = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
+
+
+# every public function that takes s, called with s and defaults otherwise
+ENTRY_POINTS = {
+    "zeta": zetaline.zeta,
+    "zeta_axis": lambda s: zetaline.zeta(s, method="axis"),
+    "entire_e_line": zetaline.entire_e_line,
+    "entire_e_axis": zetaline.entire_e_axis,
+    "zeta_from_e": lambda s: zetaline.zeta_from_e(s, zetaline.EvalResult(1j, 0.0, "line", 1.0, 1)),
+    "line_integrand": lambda s: zetaline.line_integrand(0.5, s),
+    "residue_partial_sum": lambda s: zetaline.residue_partial_sum(s, 2),
+    "pole_guard": zetaline.pole_guard,
+    "select_form": zetaline.select_form,
+    "chi": zetaline.chi,
+    "feq_check": zetaline.feq_check,
+    "bose_integral": zetaline.bose_integral,
+    "exp_sq_integral": zetaline.exp_sq_integral,
+    "sinh_integral": zetaline.sinh_integral,
+    "mellin_check": zetaline.mellin_check,
+    "zeta_euler_maclaurin": zetaline.zeta_euler_maclaurin,
+    "default_params": zetaline.default_params,
+}
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan,
+                               complex(2.0, math.nan), complex(2.0, math.inf)], ids=repr)
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_nonfinite_s_is_a_domain_error(name, s):
+    """No entry point lets a non-finite s through to an OverflowError, a
+    plain ValueError or a NaN result."""
+    with pytest.raises(DomainError, match="s must be finite"):
+        ENTRY_POINTS[name](s)

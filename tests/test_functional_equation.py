@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaline.errors import DomainError, PoleError
-from zetaline.functional_equation import chi, feq_check, select_form
+from zetaline.functional_equation import PASS_REL, FeqReport, chi, feq_check, select_form
 from zetaline.oracle import zeta_euler_maclaurin
 
 CHI_HALF_5I = complex(0.80444518280051772243, 0.59402689153694180677)
@@ -124,3 +124,14 @@ def test_feq_residual_symmetric_in_conjugation():
     down = feq_check(0.3 - 7.0j)
     assert up.lhs == down.lhs.conjugate()  # contour side is bitwise symmetric
     assert up.abs_residual == pytest.approx(down.abs_residual, rel=1e-9, abs=1e-13)
+
+
+def test_feq_report_passes_at_the_bound():
+    """passes is rel_residual <= PASS_REL, the one bound the CLI and selftest use."""
+    def report(rel):
+        return FeqReport(2.0, 1.0, 1.0, rel, rel, "sine")
+
+    assert PASS_REL == 1e-8
+    assert report(PASS_REL).passes
+    assert not report(math.nextafter(PASS_REL, 1.0)).passes
+    assert not report(math.nan).passes

@@ -138,6 +138,27 @@ def test_line_nonfinite_integrand():
         integrate_line_decaying(lambda y: complex(0.0, math.inf if y > 2.0 else 0.0), lambda y: -y)
 
 
+@pytest.mark.parametrize("w", [10.25, 10.5, 11.0, 11.5, 11.75])
+def test_line_err_est_covers_cancellation(w):
+    """f(y) = 1e4 cos(w y) e^{-y^2} integrates to 1e4 sqrt(pi) e^{-w^2/4},
+    about 1e-7, from terms near 1e4: the sum's rounding, not the halving
+    difference, dominates the error, and err_est must include it."""
+    r = integrate_line_decaying(lambda y: 2e4 * math.cos(w * y) * math.exp(-y * y),
+                                lambda y: math.log(1e4) + 1.0 - y)
+    exact = 1e4 * math.sqrt(math.pi) * math.exp(-w * w / 4.0)
+    assert abs(r.value - exact) <= r.err_est
+
+
+def test_err_est_includes_cut_tails():
+    """Both front ends cut tails worth a share of tol and report it."""
+    tol = 1e-10
+    r = integrate_line_decaying(lambda y: complex(2.0 / math.cosh(y)), lambda y: math.log(2.0) - y,
+                                tol)
+    assert r.err_est >= 0.1 * tol
+    r = integrate_mellin(lambda t: complex(math.exp(-t)), 0.0, 1.0, tol)
+    assert r.err_est >= 0.2 * tol
+
+
 def test_mellin_gamma_integral():
     # integral of t^{s-1} e^{-t} = Gamma(s); alpha = Re s - 1
     for s, want in ((2.0, 1.0), (3.5, 3.32335097044784255)):
