@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, finite_s
 
 __all__ = [
     "cpow_principal",
@@ -65,7 +65,8 @@ def cpow_principal(z: complex, w: complex) -> complex:
     when Re w > 0 and undefined otherwise.
 
     Raises DomainError off the half-plane and lets OverflowError propagate
-    when exp(Re(w log z)) leaves double range.
+    when exp(Re(w log z)) leaves double range.  Unchecked per node: z = nan
+    gives nan+nanj, inf the limit for real w and ValueError for complex w.
     """
     z = complex(z)
     w = complex(w)
@@ -120,7 +121,7 @@ def sin_pi_z(z: complex) -> complex:
     OverflowError before the cap (|Im z| > ~225.9) since the true value
     itself leaves double range there.
     """
-    z = complex(z)
+    z = finite_s(z)
     if abs(z.imag) > 300.0:
         raise DomainError(f"sin_pi_z supports |Im z| <= 300, got {z.imag}")
     py = math.pi * z.imag
@@ -129,7 +130,7 @@ def sin_pi_z(z: complex) -> complex:
 
 def cos_pi_z(z: complex) -> complex:
     """cos(pi z) in the same split style; exactly zero at real half-integers."""
-    z = complex(z)
+    z = finite_s(z)
     if abs(z.imag) > 300.0:
         raise DomainError(f"cos_pi_z supports |Im z| <= 300, got {z.imag}")
     py = math.pi * z.imag
@@ -142,7 +143,7 @@ def sech_sq_pi(y: float) -> float:
     Scaled form 4 q / (1 + q)^2 with q = e^{-2 pi |y|}; underflows cleanly
     to 0.0 once q does (|y| >~ 118.6).  For q > 1/2 it returns
     1 - tanh(pi |y|)^2 instead, because 4q/(1+q)^2 rounds above 1 when q is
-    just below 1 (e.g. y = 2.88e-14).
+    just below 1 (e.g. y = 2.88e-14).  Unchecked: +-inf give 0.0, nan nan.
     """
     ay = abs(y)
     q = math.exp(-_TWO_PI * ay)
@@ -157,7 +158,8 @@ def sinhc_half(t: float) -> float:
 
     The reciprocal square (t/2)^2/sinh^2(t/2) is the overflow-free way to
     write t^2/sinh^2(t/2): safe however small t gets, where 1/sinh^2(t/2)
-    alone overflows.  Valid for |t| <= 1400 (sinh overflows beyond).
+    alone overflows.  Valid for |t| <= 1400 (sinh overflows beyond);
+    unchecked, +-inf and nan give nan (inf/inf, not the limit inf).
     """
     x = 0.5 * abs(t)
     if x < 5e-5:
@@ -172,9 +174,10 @@ def log_gamma(z: complex) -> complex:
     on the left half-plane (principal logs; the imaginary part may fold by
     2 pi there, which callers using exp() never see).
 
-    Raises PoleError within 1e-12 of the poles 0, -1, -2, ...
+    Raises PoleError within 1e-12 of the poles 0, -1, -2, ..., DomainError at
+    a non-finite z.
     """
-    z = complex(z)
+    z = finite_s(z)
     if z.real < 0.5:
         n = round(z.real)
         if n <= 0 and math.hypot(z.real - n, z.imag) <= 1e-12:
@@ -190,4 +193,4 @@ def log_gamma(z: complex) -> complex:
 
 def gamma(z: complex) -> complex:
     """Gamma(z) = exp(log_gamma(z)); OverflowError when the value leaves doubles."""
-    return cmath.exp(log_gamma(complex(z)))
+    return cmath.exp(log_gamma(z))

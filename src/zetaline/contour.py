@@ -30,11 +30,12 @@ Re z = 1/2, serves |Im s| < 2 pi.
 For Re s < 0 the line can instead be pushed onto the imaginary axis, where
 the upper and lower half-axes combine into the real integral
 
-    E(s) = -pi sin(pi s/2) Integral_0..inf y^{1-s} / sinh^2(pi y) dy,
+    E(s) = -pi sin(pi s/2) Integral_0..inf y^{1-s} / sinh^2(pi y) dy
+         = -pi sin(pi s/2) (2 pi)^{s-2} J(1 - s)          (t = 2 pi y),
 
-implemented separately as an independent consistency check on the line
-form (the integrand's origin behavior y^{-1-Re s} is integrable exactly
-when Re s < 0).
+the functional equation: J(sigma) = Integral_0..inf t^sigma / sinh^2(t/2) dt is
+4 sigma Gamma(sigma) zeta(sigma), the lemma's integral, which mellin.sinh_integral
+evaluates through the same function.  It converges at the origin when Re s < 0.
 
 On every half-integer line sin(pi(N+1/2+iy)) = +-cosh(pi y): the
 denominator is real, even, and zero-free, so the kernel is a complex power
@@ -46,8 +47,7 @@ do not depend on s, cut where the log envelope of the integrand bounds each
 tail.  A per-process table per line keeps ln z and pi^2 sech^2(pi y) at each
 node y >= 0 (the weight one float shared by every line), so a node costs
 one complex multiply and one complex exp; the node at -y is the conjugate.
-The axis form runs on the same trapezoid rule through
-quadrature.integrate_mellin.
+J runs on the same trapezoid rule through quadrature.integrate_mellin.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z, sinhc_half
-from .errors import ContractViolation, DomainError, PoleAtOne, finite_s
-from .quadrature import check_tol, integrate_line_decaying, integrate_mellin
+from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
+from .errors import DomainError, PoleAtOne, check_box, finite_s
+from .mellin import _RE_MIN, _sinh_sq_integral
+from .quadrature import check_tol, integrate_line_decaying
 
 __all__ = [
     "EvalResult",
@@ -77,9 +78,7 @@ _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
 _LOG_4PI_SQ = math.log(4.0 * _PI_SQ)
 _EPS = math.ulp(1.0)
-_IM_BOX = 60.0        # the box the committed references cover
 _POLE_RADIUS = 1e-6   # below this, 1/(s-1) amplification swamps double precision
-_AXIS_RE_MAX = -0.05  # keeps the origin exponent -1-Re s away from the -1 boundary
 _Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
 
 
@@ -217,8 +216,7 @@ def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
     residues, and `converged` is err_est <= tol.
     """
     s = finite_s(s)
-    if not abs(s.imag) <= _IM_BOX:
-        raise ContractViolation(f"line evaluator contract box is |Im s| <= {_IM_BOX}, got {s.imag}")
+    check_box(s, "line evaluator")
     return _entire_e_line(s, tol, int(abs(s.imag) / _TWO_PI))
 
 
@@ -253,48 +251,33 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
 
 
 def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
-    """E(s) for Re s <= -0.05 via the imaginary-axis form.
+    """E(s) = -pi sin(pi s/2) (2 pi)^{s-2} J(1 - s) for Re s <= -0.05, the
+    imaginary-axis form on the scale t = 2 pi y.
 
     The prefactor -pi sin(pi s/2) can be exponentially large in |Im s|, so
-    the quadrature runs at tol / |prefactor| (floored at 1e-14) and
-    err_est is the quadrature's err_est times |prefactor|; at the negative
-    even integers the prefactor vanishes identically and E(s) = 0 is
-    returned exactly.
+    the axis integral runs at tol / |prefactor| (floored at 1e-14), which J
+    meets at that tol times (2 pi)^{2 - Re s}; err_est is J's err_est times
+    |pi sin(pi s/2) (2 pi)^{s-2}|.  truncation_height is J's over 2 pi, on
+    the y scale.  At the negative even integers the prefactor vanishes
+    identically and E(s) = 0 is returned exactly.
     """
     check_tol(tol)  # before the floor below can hide a bad value
     s = finite_s(s)
-    if not s.real <= _AXIS_RE_MAX:
+    if not 1.0 - s.real >= _RE_MIN:
         raise DomainError(
-            f"axis form needs Re s <= {_AXIS_RE_MAX} "
+            f"axis form needs 1 - Re s >= {_RE_MIN} "
             f"(origin exponent -1-Re s must stay above -1), got Re s = {s.real}"
         )
-    if not abs(s.imag) <= _IM_BOX:
-        raise ContractViolation(f"axis evaluator contract box is |Im s| <= {_IM_BOX}, got {s.imag}")
+    check_box(s, "axis evaluator")
     pref = -math.pi * sin_pi_z(0.5 * s)
     if pref == 0:
         return EvalResult(complex(0.0, 0.0), 0.0, "axis", 0.0, 0, True)
     amp = abs(pref)
-    eff_tol = max(1e-14, tol / max(1.0, amp))
-    w = -1.0 - s
-
-    def f(y: float) -> complex:
-        # y^{1-s}/sinh^2(pi y) factored as y^{-1-s}/pi^2 * (pi y/sinh(pi y))^2:
-        # the second factor is bounded by 1, so nothing overflows even at the
-        # deep end of the origin tail where y^2 alone would underflow
-        sc = sinhc_half(_TWO_PI * y)
-        return cpow_principal(y, w) * (1.0 / (_PI_SQ * sc * sc))
-
-    base = integrate_mellin(
-        f,
-        w,
-        _TWO_PI,
-        eff_tol,
-        growth=1.0 - s.real,
-        origin_coeff=1.0 / _PI_SQ,
-        bound_const=4.5,  # 1/sinh^2(pi y) <= 4.5 e^{-2 pi y} for y >= 1
-    )
-    return EvalResult(pref * base.value, amp * base.err_est, "axis",
-                      base.truncation_height, base.n_evals, base.converged)
+    scale = _TWO_PI ** (s.real - 2.0)  # |(2 pi)^{s-2}|
+    j = _sinh_sq_integral(1.0 - s, max(1e-14, tol / max(1.0, amp)) / scale)
+    return EvalResult(pref * cpow_principal(_TWO_PI, s - 2.0) * j.value,
+                      amp * scale * j.err_est, "axis",
+                      j.truncation_height / _TWO_PI, j.n_evals, j.converged)
 
 
 def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:

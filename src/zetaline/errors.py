@@ -3,7 +3,7 @@
 Everything numerical raises out of this hierarchy so callers (and the CLI)
 can map failures onto a small set of outcomes: bad input, a genuine pole,
 or a quadrature that could not certify its tolerance.  finite_s is the one
-check that every entry point taking s makes first.
+check that every entry point taking s makes first; check_box owns the box.
 """
 
 from __future__ import annotations
@@ -55,3 +55,12 @@ def finite_s(s: complex) -> complex:
     if not cmath.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
     return s
+
+
+IM_BOX = 60.0  # the box |Im s| <= 60 that the committed references cover
+
+
+def check_box(s: complex, what: str) -> None:
+    """ContractViolation unless |Im s| <= IM_BOX (a NaN Im s fails too)."""
+    if not abs(s.imag) <= IM_BOX:
+        raise ContractViolation(f"{what} contract box is |Im s| <= {IM_BOX}, got {s.imag}")

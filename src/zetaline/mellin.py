@@ -12,6 +12,10 @@ Each integral is evaluated independently here and compared against
 Gamma(s) zeta(s) built from log_gamma and the Euler-Maclaurin zeta, which
 share no code with the quadrature path.
 
+The last integral, J(s) = 4s Gamma(s) zeta(s), is also the axis form of E
+at 1 - s, i.e. the functional equation (contour.entire_e_axis), and
+_sinh_sq_integral evaluates J for both.
+
 All three integrands behave like t^{Re s - 2} at the origin, so the guard
 Re s > 1.05 keeps the Mellin substitution's left tail affordable.  Above
 t = 1 the kernels are rewritten in e^{-t} so nothing overflows; below, the
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from .complex_core import cpow_principal, gamma, sinhc_half
 from .errors import DomainError, finite_s
 from .oracle import zeta_euler_maclaurin
-from .quadrature import integrate_mellin
+from .quadrature import QuadratureResult, integrate_mellin
 
 __all__ = [
     "MellinReport",
@@ -76,9 +80,7 @@ def bose_integral(s: complex, tol: float = 1e-12) -> complex:
         return cpow_principal(t, w) / math.expm1(t)
 
     # 1/(e^t - 1) <= e^{-t}/(1 - e^{-1}) for t >= 1
-    return integrate_mellin(
-        f, s - 2.0, 1.0, tol, growth=s.real - 1.0, bound_const=1.6
-    ).value
+    return integrate_mellin(f, s - 2.0, tol, growth=s.real - 1.0, bound_const=1.6).value
 
 
 def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
@@ -94,26 +96,26 @@ def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
         return cpow_principal(t, w) * (r * r * math.exp(t))
 
     # e^t/(e^t - 1)^2 <= e^{-t}/(1 - e^{-1})^2 for t >= 1
-    base = integrate_mellin(
-        f, s - 2.0, 1.0, tol, growth=s.real, bound_const=2.6
-    )
-    return base.value / s
+    return integrate_mellin(f, w, tol, growth=s.real, bound_const=2.6).value / s
 
 
-def sinh_integral(s: complex, tol: float = 1e-12) -> complex:
-    """(1/4s) Integral of t^s/sinh^2(t/2) over (0, inf); equals Gamma(s) zeta(s)."""
-    s = _require_domain(s, "sinh_integral")
-    w = s - 2.0
+def _sinh_sq_integral(sigma: complex, tol: float) -> QuadratureResult:
+    """J(sigma) = Integral of t^sigma/sinh^2(t/2) over (0, inf), for sinh_integral
+    and the axis form; the callers guard Re sigma against _RE_MIN."""
+    w = sigma - 2.0
 
     def f(t: float) -> complex:
         sc = sinhc_half(t)
         return cpow_principal(t, w) * (4.0 / (sc * sc))
 
-    # t^s/sinh^2(t/2) ~ 4 t^{s-2} at 0 and <= 4 e^{-t}/(1 - e^{-1})^2 t^s at t >= 1
-    base = integrate_mellin(
-        f, s - 2.0, 1.0, tol, growth=s.real, origin_coeff=4.0, bound_const=10.5
-    )
-    return base.value / (4.0 * s)
+    # t^sigma/sinh^2(t/2) ~ 4 t^{sigma-2} at 0, <= 4 e^{-t}/(1 - e^{-1})^2 t^sigma at t >= 1
+    return integrate_mellin(f, w, tol, growth=sigma.real, origin_coeff=4.0, bound_const=10.5)
+
+
+def sinh_integral(s: complex, tol: float = 1e-12) -> complex:
+    """(1/4s) Integral of t^s/sinh^2(t/2) over (0, inf); equals Gamma(s) zeta(s)."""
+    s = _require_domain(s, "sinh_integral")
+    return _sinh_sq_integral(s, tol).value / (4.0 * s)
 
 
 def mellin_check(s: complex, tol: float = 1e-12) -> MellinReport:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .complex_core import cpow_principal
-from .errors import DomainError, PoleAtOne, finite_s
+from .errors import DomainError, PoleAtOne, check_box, finite_s
 
 __all__ = [
     "EulerMaclaurinParams",
@@ -82,8 +82,7 @@ def zeta_euler_maclaurin(
     s = finite_s(s)
     if abs(s - 1.0) < 1e-9:
         raise PoleAtOne(f"zeta has a pole at s = 1 (got s={s})")
-    if abs(s.imag) > 60.0:
-        raise DomainError(f"supported box is |Im s| <= 60, got {s.imag}")
+    check_box(s, "oracle")
     if params is None:
         params = default_params(s)
     n_cut, m_terms = params.N, params.M

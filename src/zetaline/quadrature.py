@@ -167,7 +167,6 @@ def integrate_line_decaying(
 def integrate_mellin(
     f: Integrand,
     alpha: complex,
-    decay_rate: float,
     tol: float = 1e-12,
     *,
     growth: float = 0.0,
@@ -175,25 +174,23 @@ def integrate_mellin(
     bound_const: float = 1.0,
 ) -> QuadratureResult:
     """Integral of f over (0, inf) with f ~ origin_coeff * t^alpha at 0
-    (alpha complex) and |f(t)| <= bound_const * t^growth * e^{-decay_rate*t}
-    at infinity.
+    (alpha complex) and |f(t)| <= bound_const * t^growth * e^{-t} at infinity.
 
     Substitutes t = e^u and integrates g(u) = f(e^u) e^u with
     integrate_interval.  The origin becomes an exponential tail
     ~ origin_coeff * e^{(alpha+1)u}, cut where it is below tol/10; the decay
-    side is cut where its tail bound, bound_const * (1+T)^growth *
-    e^{-decay_rate*T} / decay_rate, is below tol/10, and reports its cutoff
-    T = e^{u_right} as the truncation height; err_est adds both tails, a
-    fifth of tol.  g oscillates like e^{i Im(alpha) u}, which shrinks the
-    strip where the trapezoid rule converges fast, so the first step is the
-    largest h = 2^-k <= 1/4 with h (|Im alpha| + 4) <= pi.
+    side is cut where its tail bound, bound_const * (1+T)^growth * e^{-T},
+    is below tol/10, and reports its cutoff T = e^{u_right} as the
+    truncation height; err_est adds both tails, a fifth of tol.  An f that
+    decays faster, like e^{-a t} with a >= 1, meets the same bound.  g
+    oscillates like e^{i Im(alpha) u}, which shrinks the strip where the
+    trapezoid rule converges fast, so the first step is the largest
+    h = 2^-k <= 1/4 with h (|Im alpha| + 4) <= pi.
     """
     check_tol(tol)
     alpha = complex(alpha)
     if not alpha.real > -1.0:
         raise DomainError(f"integrate_mellin needs Re alpha > -1, got {alpha}")
-    if not decay_rate > 0.0:
-        raise DomainError(f"decay_rate must be positive, got {decay_rate}")
     ap1 = alpha.real + 1.0
     target = 0.1 * tol
     u_left = min(-2.0, math.log(target * ap1 / origin_coeff) / ap1)
@@ -206,10 +203,10 @@ def integrate_mellin(
             )
         u_left = _MELLIN_U_MIN
     growth = max(0.0, growth)
-    log_c = math.log(bound_const) - math.log(decay_rate)
-    # the tail bound C (1+T)^g e^{-aT} / a decreases from T = g/a on
-    height = _truncation_height(lambda t: log_c + growth * math.log1p(t) - decay_rate * t,
-                                target, math.ceil(max(1.0, growth / decay_rate) * 8.0) / 8.0)
+    log_c = math.log(bound_const)
+    # the tail bound C (1+T)^g e^{-T} decreases from T = g on
+    height = _truncation_height(lambda t: log_c + growth * math.log1p(t) - t,
+                                target, math.ceil(max(1.0, growth) * 8.0) / 8.0)
     u_right = max(1.0, math.log(height))
     step = _FIRST_STEP
     while step * (abs(alpha.imag) + 4.0) > math.pi:

@@ -68,6 +68,12 @@ ENTRY_POINTS = {
     "mellin_check": zetaline.mellin_check,
     "zeta_euler_maclaurin": zetaline.zeta_euler_maclaurin,
     "default_params": zetaline.default_params,
+    # the scalar kernels run a few times per evaluation; those run once per
+    # quadrature node are pinned in test_complex_core instead
+    "gamma": zetaline.gamma,
+    "log_gamma": zetaline.log_gamma,
+    "sin_pi_z": zetaline.sin_pi_z,
+    "cos_pi_z": zetaline.cos_pi_z,
 }
 
 

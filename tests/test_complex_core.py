@@ -119,6 +119,27 @@ def test_sin_pi_z_imag_cap():
         sin_pi_z(301j)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=repr)
+def test_node_kernels_nonfinite_argument(x):
+    """The kernels run once per quadrature node check nothing; a non-finite
+    argument gives what their docstrings state."""
+    if math.isnan(x):
+        assert math.isnan(sech_sq_pi(x))
+        assert cmath.isnan(cpow_principal(x, 2.0))
+        assert cmath.isnan(cpow_principal(x, 1.5 + 2.0j))
+    else:
+        assert sech_sq_pi(x) == 0.0
+    assert math.isnan(sinhc_half(x))
+    if x == math.inf:
+        assert cpow_principal(x, 2.0) == complex(math.inf, 0.0)
+        assert cpow_principal(x, -0.5) == 0.0
+        with pytest.raises(ValueError):
+            cpow_principal(x, 1.5 + 2.0j)
+    elif x == -math.inf:
+        with pytest.raises(DomainError):
+            cpow_principal(x, 2.0)
+
+
 def test_sech_sq_pi_known_value():
     # 1/cosh(pi)^2 with cosh(pi) = 11.591953275521520627
     assert sech_sq_pi(1.0) == pytest.approx(0.007441950142796216, rel=1e-14)

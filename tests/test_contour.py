@@ -76,6 +76,8 @@ def test_contract_box():
         entire_e_line(0.5 + 61.0j)
     with pytest.raises(ContractViolation):
         entire_e_axis(-1.0 - 61.0j)
+    with pytest.raises(ContractViolation):
+        zeta_euler_maclaurin(2.0 + 61.0j)
 
 
 def test_nonfinite_s_is_a_domain_error():

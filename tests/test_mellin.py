@@ -78,7 +78,6 @@ def test_termwise_mellin_factors():
         r = integrate_mellin(
             lambda t, n=n: complex(t * math.exp(-n * t)),
             alpha=1.0,
-            decay_rate=float(n),
             growth=1.0,
         )
         assert r.converged
