@@ -16,18 +16,19 @@ Subcommands and their stdout formats (space-separated tokens, floats with
   selftest  one "criterion N PASS/FAIL name: detail" line per check
 
 Exit codes: 0 pass/success; 1 usage error; 2 domain error (non-finite s or
-grid bounds, guards, poles, contract boxes, unwritable scan paths); 3
-convergence or check failure (eval on the line, or any scan cell, whose
-err_est exceeds its tolerance; eval --method axis whose quadrature missed
-tol / |pi sin(pi s/2)|, floored at 1e-14, so the err_est of E may exceed
-tol; never eval --method oracle; feq residual above 1e-8; lemma deviation
-not below 1e-9 at real s or 1e-8 at complex s; failed selftest criterion).
-Diagnostics go to stderr; stdout carries results only.  There are no
-environment variables: every knob is a flag.
+grid bounds, guards, poles, contract boxes, --jobs below 1, --n-max outside
+[1, 10^6], unwritable scan paths); 3 convergence or check failure (eval on
+the line, or any scan cell, whose err_est exceeds its tolerance; eval
+--method axis whose J(1 - s) missed max(1e-14, tol / max(1, |pi sin(pi s/2)|))
+/ (2 pi)^{Re s - 2}, so the err_est of E may exceed tol; never eval --method
+oracle; feq residual above 1e-8; lemma deviation not below 1e-9 at real s or
+1e-8 at complex s; failed selftest criterion).  Diagnostics go to stderr;
+stdout carries results only.  There are no environment variables: every
+knob is a flag.
 
-Repeated invocations with identical flags produce byte-identical stdout,
-and scans are byte-identical whatever --jobs is; evaluation order is fixed
-row-major (im outer, re inner) regardless of completion order.
+Repeated invocations with identical flags produce byte-identical stdout.
+A scan evaluates its points row-major (im outer, re inner) on one thread;
+--jobs must be >= 1 and changes nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .acceptance import run_criteria
@@ -62,7 +62,7 @@ from .quadrature import check_tol
 
 __all__ = ["ScanGrid", "main"]
 
-_MAX_SCAN_POINTS = 1_000_000
+_MAX_POINTS = 1_000_000  # largest scan grid and largest --n-max
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,13 @@ class ScanGrid:
             raise DomainError("grid needs re_min <= re_max and im_min <= im_max")
         if self.steps_re < 1 or self.steps_im < 1:
             raise DomainError("steps_re and steps_im must be >= 1")
-        if self.steps_re * self.steps_im > _MAX_SCAN_POINTS:
+        if (self.steps_re == 1 and self.re_min != self.re_max) or (
+                self.steps_im == 1 and self.im_min != self.im_max):
+            raise DomainError("an axis with one step needs equal bounds")
+        if self.steps_re * self.steps_im > _MAX_POINTS:
             raise DomainError(
                 f"grid has {self.steps_re * self.steps_im} points; "
-                f"the cap is {_MAX_SCAN_POINTS}"
+                f"the cap is {_MAX_POINTS}"
             )
 
     def points(self) -> list[complex]:
@@ -125,21 +128,11 @@ def _scan_cell(s: complex, tol: float) -> tuple[str, EvalResult]:
     return line, e
 
 
-def scan_csv_lines(
-    grid: ScanGrid, tol: float = 1e-12, jobs: int = 1
-) -> tuple[list[str], list[float]]:
-    """Header plus one line per grid point, E(s) at tolerance tol,
-    deterministic for any jobs value, and the err_est of every cell that
-    did not converge."""
+def scan_csv_lines(grid: ScanGrid, tol: float = 1e-12) -> tuple[list[str], list[float]]:
+    """Header plus one line per grid point, E(s) at tolerance tol, and the
+    err_est of every cell that did not converge."""
     check_tol(tol)
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-    pts = grid.points()
-    if jobs == 1:
-        cells = [_scan_cell(s, tol) for s in pts]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(lambda s: _scan_cell(s, tol), pts))
+    cells = [_scan_cell(s, tol) for s in grid.points()]
     missed = [e.err_est for _, e in cells if not e.converged]
     return [_SCAN_HEADER, *(line for line, _ in cells)], missed
 
@@ -193,7 +186,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps-im", type=int, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent evaluations")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for old scripts: must be >= 1 and changes nothing")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
@@ -240,8 +234,8 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
 
 
 def _cmd_residues(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
+    if not 1 <= args.n_max <= _MAX_POINTS:
+        raise DomainError(f"--n-max must be in [1, {_MAX_POINTS}], got {args.n_max}")
     s = _point(args)
     sizes = []
     n = 1
@@ -259,7 +253,9 @@ def _cmd_residues(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
-    lines, missed = scan_csv_lines(grid, args.tol, args.jobs)
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+    lines, missed = scan_csv_lines(grid, args.tol)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if missed:
@@ -275,9 +271,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         if not r.passed:
             return 3
     grid = ScanGrid(-2.0, 3.0, 0.0, 5.0, 100, 100)
-    same = scan_csv_lines(grid, 1e-8, jobs=1) == scan_csv_lines(grid, 1e-8, jobs=4)
+    # the second scan reads the node tables the first one filled
+    same = scan_csv_lines(grid, 1e-8) == scan_csv_lines(grid, 1e-8)
     print(f"criterion 9 {'PASS' if same else 'FAIL'} scan determinism: "
-          f"10000-point scan byte-identical with jobs 1 and jobs 4")
+          f"10000-point scan byte-identical when repeated in one process")
     return 0 if same else 3
 
 

@@ -255,9 +255,9 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     imaginary-axis form on the scale t = 2 pi y.
 
     The prefactor -pi sin(pi s/2) can be exponentially large in |Im s|, so
-    the axis integral runs at tol / |prefactor| (floored at 1e-14), which J
-    meets at that tol times (2 pi)^{2 - Re s}; err_est is J's err_est times
-    |pi sin(pi s/2) (2 pi)^{s-2}|.  truncation_height is J's over 2 pi, on
+    J runs at max(1e-14, tol / max(1, |prefactor|)) / (2 pi)^{Re s - 2}:
+    at tol itself, so scaled, where |prefactor| < 1 (0.55 at s = -2.1+0.05i);
+    err_est is J's err_est times |pi sin(pi s/2) (2 pi)^{s-2}|.  truncation_height is J's over 2 pi, on
     the y scale.  At the negative even integers the prefactor vanishes
     identically and E(s) = 0 is returned exactly.
     """

@@ -44,8 +44,9 @@ def _cli(*args: str) -> subprocess.CompletedProcess:
 
 def test_criterion_9_determinism(capsys):
     """Two selftest runs: each exits 0 only if its own criterion 9 finds the
-    10^4-point scan byte-identical with jobs 1 and 4, and the two print
-    byte-identical output.  The CLI's CSV file across --jobs is
+    10^4-point scan byte-identical when repeated in one process (the second
+    scan on warm node tables), and the two print byte-identical output.
+    The CLI's CSV file across --jobs is
     test_cli.py::test_scan_jobs_byte_identical."""
     first = _cli("selftest")
     second = _cli("selftest")

@@ -1,11 +1,13 @@
-"""End-to-end CLI checks via subprocess: formats, exit codes, determinism."""
+"""End-to-end CLI checks, mostly via subprocess: formats, exit codes, determinism."""
 
 import math
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from zetaline import cli
 from zetaline.cli import ScanGrid
 from zetaline.errors import DomainError
 
@@ -171,6 +173,22 @@ def test_residues_guards():
     assert run_cli("residues", "--re", "3", "--n-max", "0").returncode == 2
 
 
+def test_residues_n_max_cap(monkeypatch, capsys):
+    """--n-max above 10^6 exits 2 before any term is built; 10^6 itself runs."""
+    def no_terms(s, n_terms):
+        raise AssertionError(f"built {n_terms} terms")
+
+    monkeypatch.setattr(cli, "residue_partial_sum", no_terms)
+    assert cli.main(["residues", "--re", "3", "--n-max", "1000001"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --n-max must be in [1, 1000000], got 1000001\n"
+
+    monkeypatch.setattr(cli, "residue_partial_sum", lambda s, n_terms: (0j, 0.0))
+    assert cli.main(["residues", "--re", "3", "--n-max", "1000000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[0] == "1000000"
+
+
 def test_scan_csv_shape(tmp_path):
     out = tmp_path / "grid.csv"
     r = run_cli(
@@ -221,14 +239,29 @@ def test_scan_matches_eval(tmp_path):
     assert float(row[5]) == float(ev[1])
 
 
+_SCAN_9X5 = [
+    "scan", "--re-min", "-2", "--re-max", "3", "--im-min", "0", "--im-max", "4",
+    "--steps-re", "9", "--steps-im", "5", "--tol", "1e-10",
+]
+
+
 def test_scan_jobs_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = (
-        "scan", "--re-min", "-2", "--re-max", "3", "--im-min", "0", "--im-max", "4",
-        "--steps-re", "9", "--steps-im", "5", "--tol", "1e-10",
-    )
-    assert run_cli(*base, "--out", str(a), "--jobs", "1").returncode == 0
-    assert run_cli(*base, "--out", str(b), "--jobs", "3").returncode == 0
+    assert run_cli(*_SCAN_9X5, "--out", str(a), "--jobs", "1").returncode == 0
+    assert run_cli(*_SCAN_9X5, "--out", str(b), "--jobs", "3").returncode == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_starts_no_thread(tmp_path, monkeypatch):
+    """--jobs 4 scans on the calling thread, to the bytes of --jobs 1."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main([*_SCAN_9X5, "--out", str(a), "--jobs", "1"]) == 0
+
+    def refuse(self):
+        raise RuntimeError("scan started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert cli.main([*_SCAN_9X5, "--out", str(b), "--jobs", "4"]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -302,6 +335,11 @@ def test_zero_tol_exits_two(cmd, tmp_path):
     assert r.stderr == "error: tol must be >= 1e-14, got 0.0\n"
 
 
+def test_scan_jobs_zero_exits_two(tmp_path):
+    r = _assert_domain_error(f"{_SCAN_2X2} --im-max 1 --jobs 0", tmp_path)
+    assert r.stderr == "error: --jobs must be >= 1, got 0\n"
+
+
 def test_scan_grid_validation():
     r = run_cli(
         "scan", "--re-min", "2", "--re-max", "1", "--im-min", "0", "--im-max", "1",
@@ -325,6 +363,11 @@ def test_scan_grid_points_order():
         ScanGrid(1.0, 0.0, 0.0, 1.0, 2, 2)
     with pytest.raises(DomainError):
         ScanGrid(0.0, 1.0, 0.0, 1.0, 0, 2)
+    # one step keeps one point, so it cannot span two bounds
+    with pytest.raises(DomainError):
+        ScanGrid(0.0, 5.0, 1.0, 2.0, 1, 2)
+    with pytest.raises(DomainError):
+        ScanGrid(0.0, 1.0, 1.0, 2.0, 2, 1)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             ScanGrid(0.0, 1.0, bad, 1.0, 2, 2)
