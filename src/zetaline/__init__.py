@@ -38,6 +38,7 @@ from .contour import (
     line_integrand,
     pole_guard,
     residue_partial_sum,
+    residue_partial_sums,
     zeta,
     zeta_from_e,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "entire_e_line",
     "entire_e_axis",
     "residue_partial_sum",
+    "residue_partial_sums",
     "pole_guard",
     "zeta_from_e",
     "zeta",

@@ -17,14 +17,11 @@ Subcommands and their stdout formats (space-separated tokens, floats with
 
 Exit codes: 0 pass/success; 1 usage error; 2 domain error (non-finite s or
 grid bounds, guards, poles, contract boxes, --jobs below 1, --n-max outside
-[1, 10^6], unwritable scan paths); 3 convergence or check failure (eval on
-the line, or any scan cell, whose err_est exceeds its tolerance; eval
---method axis whose J(1 - s) missed max(1e-14, tol / max(1, |pi sin(pi s/2)|))
-/ (2 pi)^{Re s - 2}, so the err_est of E may exceed tol; never eval --method
-oracle; feq residual above 1e-8; lemma deviation not below 1e-9 at real s or
-1e-8 at complex s; failed selftest criterion).  Diagnostics go to stderr;
-stdout carries results only.  There are no environment variables: every
-knob is a flag.
+[1, 10^6], unwritable scan paths); 3 convergence or check failure (eval, or
+any scan cell, whose err_est exceeds its tolerance; feq residual above 1e-8;
+lemma deviation not below 1e-9 at real s or 1e-8 at complex s; failed
+selftest criterion).  Diagnostics go to stderr; stdout carries results
+only.  There are no environment variables: every knob is a flag.
 
 Repeated invocations with identical flags produce byte-identical stdout.
 A scan evaluates its points row-major (im outer, re inner) on one thread;
@@ -39,14 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from .acceptance import run_criteria
-from .contour import (
-    EvalResult,
-    entire_e_line,
-    pole_guard,
-    residue_partial_sum,
-    zeta,
-    zeta_from_e,
-)
+from .contour import EvalResult, entire_e_line, residue_partial_sums, zeta, zeta_from_e
 from .errors import (
     DomainError,
     NonFiniteIntegrand,
@@ -57,7 +47,6 @@ from .errors import (
 )
 from .functional_equation import feq_check
 from .mellin import mellin_check
-from .oracle import default_params, zeta_euler_maclaurin
 from .quadrature import check_tol
 
 __all__ = ["ScanGrid", "main"]
@@ -156,14 +145,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate zeta(s)")
     _add_point_flags(p)
-    p.add_argument("--method", choices=("line", "axis", "oracle"), default="line")
     p.add_argument("--tol", type=float, default=1e-12,
                    help="absolute tolerance on E(s) = (s-1) zeta(s) (default 1e-12)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("feq", help="check zeta(s) = chi(s) zeta(1-s)")
     _add_point_flags(p)
-    p.add_argument("--form", choices=("auto", "sine", "cosine"), default="auto")
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_feq)
 
@@ -202,21 +189,14 @@ def _point(args: argparse.Namespace) -> complex:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    s = _point(args)
-    check_tol(args.tol)  # whatever the method
-    if args.method == "oracle":
-        pole_guard(s)
-        value, err = zeta_euler_maclaurin(s)
-        res = EvalResult(value, err, "oracle", 0.0, default_params(s).N, True)
-    else:
-        res = zeta(s, args.tol, args.method)
+    res = zeta(_point(args), args.tol)
     print(f"{_fmt(res.value.real)} {_fmt(res.value.imag)} {_fmt(res.err_est)} "
           f"{res.method} {res.n_evals}")
     return 0 if res.converged else 3
 
 
 def _cmd_feq(args: argparse.Namespace) -> int:
-    rep = feq_check(_point(args), args.tol, args.form)
+    rep = feq_check(_point(args), args.tol)
     print(f"{_fmt(rep.lhs.real)} {_fmt(rep.lhs.imag)} {_fmt(rep.rhs.real)} "
           f"{_fmt(rep.rhs.imag)} {_fmt(rep.abs_residual)} {_fmt(rep.rel_residual)} "
           f"{rep.form} {rep.direction}")
@@ -244,8 +224,7 @@ def _cmd_residues(args: argparse.Namespace) -> int:
         n *= 2
     if sizes[-1] != args.n_max:
         sizes.append(args.n_max)
-    for size in sizes:
-        value, tail = residue_partial_sum(s, size)
+    for size, (value, tail) in zip(sizes, residue_partial_sums(s, sizes)):
         print(f"{size} {_fmt(value.real)} {_fmt(value.imag)} {_fmt(tail)}")
     return 0
 

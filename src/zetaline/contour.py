@@ -54,14 +54,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
 from .errors import DomainError, PoleAtOne, check_box, finite_s
 from .mellin import _RE_MIN, _sinh_sq_integral
-from .quadrature import check_tol, integrate_line_decaying
+from .quadrature import TOL_MIN, check_tol, integrate_line_decaying
 
 __all__ = [
     "EvalResult",
@@ -69,6 +71,7 @@ __all__ = [
     "entire_e_line",
     "entire_e_axis",
     "residue_partial_sum",
+    "residue_partial_sums",
     "pole_guard",
     "zeta_from_e",
     "zeta",
@@ -86,7 +89,7 @@ _Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
 class EvalResult:
     value: complex
     err_est: float
-    method: str  # "line" | "axis" | "oracle"
+    method: str  # "line" | "axis"
     truncation_height: float
     n_evals: int
     converged: bool = True
@@ -187,6 +190,16 @@ def _line_log_tail(s: complex, sigma: float) -> Callable[[float], float]:
     return log_tail
 
 
+def _residue_terms(s: complex, n_terms: int) -> tuple[array, array]:
+    """The real and the imaginary parts of n^{-s}, n = 1 .. n_terms."""
+    re, im = array("d"), array("d")
+    for n in range(1, n_terms + 1):
+        z = cpow_principal(float(n), -s)
+        re.append(z.real)
+        im.append(z.imag)
+    return re, im
+
+
 def _residue_sum(s: complex, n_terms: int) -> tuple[complex, float]:
     """(s-1) sum_{n <= n_terms} n^{-s}, the terms added with math.fsum, and
     a bound on its rounding error.
@@ -195,11 +208,11 @@ def _residue_sum(s: complex, n_terms: int) -> tuple[complex, float]:
     eps (|Re s| + |Im s|) ln n, on top of a few ulps, so the bound is
     eps |s-1| sum |n^{-s}| (4 + (|Re s| + |Im s|) ln n).
     """
-    terms = [cpow_principal(float(n), -s) for n in range(1, n_terms + 1)]
-    acc = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    re, im = _residue_terms(s, n_terms)
     size = abs(s.real) + abs(s.imag)
-    spread = math.fsum(abs(z) * (4.0 + size * math.log(n)) for n, z in enumerate(terms, 1))
-    return (s - 1.0) * acc, _EPS * abs(s - 1.0) * spread
+    spread = math.fsum(abs(complex(x, y)) * (4.0 + size * math.log(n))
+                       for n, (x, y) in enumerate(zip(re, im), 1))
+    return (s - 1.0) * complex(math.fsum(re), math.fsum(im)), _EPS * abs(s - 1.0) * spread
 
 
 def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
@@ -240,8 +253,7 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     residues, rounding = _residue_sum(s, n) if n else (0j, 0.0)
     budget = _TWO_PI * tol
     rounding *= _TWO_PI
-    # 1e-14 is the smallest tol any integrator takes
-    quad_tol = max(1e-14, (budget - rounding) / 1.2) if rounding < budget else rounding
+    quad_tol = max(TOL_MIN, (budget - rounding) / 1.2) if rounding < budget else rounding
     base = integrate_line_decaying(_cached_integrand(s, n), _line_log_tail(s, n + 0.5), quad_tol)
     value = base.value / _TWO_PI
     if n:
@@ -274,7 +286,7 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
         return EvalResult(complex(0.0, 0.0), 0.0, "axis", 0.0, 0, True)
     amp = abs(pref)
     scale = _TWO_PI ** (s.real - 2.0)  # |(2 pi)^{s-2}|
-    j = _sinh_sq_integral(1.0 - s, max(1e-14, tol / max(1.0, amp)) / scale)
+    j = _sinh_sq_integral(1.0 - s, max(TOL_MIN, tol / max(1.0, amp)) / scale)
     return EvalResult(pref * cpow_principal(_TWO_PI, s - 2.0) * j.value,
                       amp * scale * j.err_est, "axis",
                       j.truncation_height / _TWO_PI, j.n_evals, j.converged)
@@ -289,13 +301,20 @@ def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
     more than the tail bound (4.2e-13 against 3.3e-14 at s = 4.75+1.5i,
     N = 4000).
     """
+    return residue_partial_sums(s, [n_terms])[0]
+
+
+def residue_partial_sums(s: complex, sizes: list[int]) -> list[tuple[complex, float]]:
+    """residue_partial_sum(s, N) for each N of the increasing sizes, each
+    term n^{-s} built once and each prefix added with math.fsum."""
     s = finite_s(s)
     if not s.real > 1.0:
         raise DomainError(f"residue sum converges only for Re s > 1, got Re s = {s.real}")
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    tail = abs(s - 1.0) * float(n_terms) ** (1.0 - s.real) / (s.real - 1.0)
-    return _residue_sum(s, n_terms)[0], tail
+    if not (sizes and sizes[0] >= 1 and all(a < b for a, b in zip(sizes, sizes[1:]))):
+        raise DomainError(f"sizes must be increasing integers >= 1, got {sizes}")
+    re, im = _residue_terms(s, sizes[-1])
+    return [((s - 1.0) * complex(math.fsum(islice(re, n)), math.fsum(islice(im, n))),
+             abs(s - 1.0) * float(n) ** (1.0 - s.real) / (s.real - 1.0)) for n in sizes]
 
 
 def pole_guard(s: complex) -> None:
@@ -317,15 +336,7 @@ def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
                       e.truncation_height, e.n_evals, e.converged)
 
 
-def zeta(s: complex, tol: float = 1e-12, method: str = "line") -> EvalResult:
-    """zeta(s) from E(s) at tolerance tol, by the line contour (method
-    "line") or by the imaginary-axis form (method "axis", Re s <= -0.05);
-    PoleAtOne inside the guard disk around s = 1."""
-    s = complex(s)
-    if method == "line":
-        e = entire_e_line(s, tol)
-    elif method == "axis":
-        e = entire_e_axis(s, tol)
-    else:
-        raise DomainError(f"method must be line or axis, got {method!r}")
-    return zeta_from_e(s, e)
+def zeta(s: complex, tol: float = 1e-12) -> EvalResult:
+    """zeta(s) from the line contour's E(s) at tolerance tol; PoleAtOne
+    inside the guard disk around s = 1."""
+    return zeta_from_e(s, entire_e_line(s, tol))

@@ -104,9 +104,9 @@ def chi(s: complex, form: str = "auto") -> complex:
     return cpow_principal(_TWO_PI, s) / (2.0 * gamma(s) * cos_pi_z(0.5 * s))
 
 
-def feq_check(s: complex, tol: float = 1e-12, form: str = "auto") -> FeqReport:
+def feq_check(s: complex, tol: float = 1e-12) -> FeqReport:
     """Verify zeta(s) = chi(s) zeta(1-s) with both sides from the line
-    contour at tolerance tol.
+    contour at tolerance tol, chi in the form select_form picks.
 
     Within 1e-3 of an odd integer >= 3 the multiplier has a genuine pole, so
     the identity is checked in the equivalent reflected arrangement
@@ -121,9 +121,9 @@ def feq_check(s: complex, tol: float = 1e-12, form: str = "auto") -> FeqReport:
         )
     reflected = _dist_odd(s) < _CHECK_GUARD and s.real > 2.0
     base = 1.0 - s if reflected else s
-    used = select_form(base) if form == "auto" else form
+    form = select_form(base)
     lhs = zeta(base, tol).value
-    rhs = chi(base, used) * zeta(1.0 - base, tol).value
+    rhs = chi(base, form) * zeta(1.0 - base, tol).value
     abs_residual = abs(lhs - rhs)
     return FeqReport(
         s=s,
@@ -131,6 +131,6 @@ def feq_check(s: complex, tol: float = 1e-12, form: str = "auto") -> FeqReport:
         rhs=rhs,
         abs_residual=abs_residual,
         rel_residual=abs_residual / (1.0 + abs(lhs)),
-        form=used,
+        form=form,
         direction="reflected" if reflected else "direct",
     )

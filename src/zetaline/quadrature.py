@@ -51,6 +51,9 @@ _EPS = math.ulp(1.0)
 _FIRST_STEP = 0.25  # largest first trapezoid step; powers of two keep
 _HALVINGS = 6       # every node a + k h exact and shared across levels
 
+_MAX_HEIGHT = 500.0  # largest truncation height
+TOL_MIN = 1e-14      # smallest tol any integrator takes
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -62,10 +65,10 @@ class QuadratureResult:
 
 
 def check_tol(tol: float) -> None:
-    """Raise DomainError if the absolute tolerance tol is below 1e-14 or NaN;
+    """Raise DomainError if the absolute tolerance tol is below TOL_MIN or NaN;
     every public integrator checks its tol here."""
-    if not tol >= 1e-14:
-        raise DomainError(f"tol must be >= 1e-14, got {tol}")
+    if not tol >= TOL_MIN:
+        raise DomainError(f"tol must be >= {TOL_MIN:g}, got {tol}")
 
 
 def integrate_interval(
@@ -116,7 +119,7 @@ def integrate_interval(
 
 
 def _truncation_height(
-    log_tail: Callable[[float], float], tail: float, start: float = 1.0, cap: float = 500.0
+    log_tail: Callable[[float], float], tail: float, start: float = 1.0
 ) -> float:
     """Smallest height Y >= start on the 1/8 grid through start with
     log_tail(Y) <= log(tail), where log_tail(Y) bounds the log of the
@@ -131,8 +134,9 @@ def _truncation_height(
     hi = start
     while log_tail(hi) > log_target:
         hi += 2.0
-        if hi > cap:
-            raise TruncationFailure(f"no truncation height <= {cap} puts the tail below {tail}")
+        if hi > _MAX_HEIGHT:
+            raise TruncationFailure(
+                f"no truncation height <= {_MAX_HEIGHT} puts the tail below {tail}")
     if hi == start:
         return hi
     lo = hi - 2.0  # fails; hi meets the target

@@ -52,12 +52,12 @@ def test_readme_quick_start_runs():
 # every public function that takes s, called with s and defaults otherwise
 ENTRY_POINTS = {
     "zeta": zetaline.zeta,
-    "zeta_axis": lambda s: zetaline.zeta(s, method="axis"),
     "entire_e_line": zetaline.entire_e_line,
     "entire_e_axis": zetaline.entire_e_axis,
     "zeta_from_e": lambda s: zetaline.zeta_from_e(s, zetaline.EvalResult(1j, 0.0, "line", 1.0, 1)),
     "line_integrand": lambda s: zetaline.line_integrand(0.5, s),
     "residue_partial_sum": lambda s: zetaline.residue_partial_sum(s, 2),
+    "residue_partial_sums": lambda s: zetaline.residue_partial_sums(s, [1, 2]),
     "pole_guard": zetaline.pole_guard,
     "select_form": zetaline.select_form,
     "chi": zetaline.chi,

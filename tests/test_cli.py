@@ -1,13 +1,15 @@
 """End-to-end CLI checks, mostly via subprocess: formats, exit codes, determinism."""
 
 import math
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from zetaline import cli
+from zetaline import cli, contour
 from zetaline.cli import ScanGrid
 from zetaline.errors import DomainError
 
@@ -43,29 +45,14 @@ def test_eval_pole_message():
     assert r.returncode == 2
 
 
-def test_eval_methods_agree():
-    line = run_cli("eval", "--re", "-1.5")
-    axis = run_cli("eval", "--re", "-1.5", "--method", "axis")
-    oracle = run_cli("eval", "--re", "-1.5", "--method", "oracle")
-    assert line.returncode == axis.returncode == oracle.returncode == 0
-    vals = [float(r.stdout.split()[0]) for r in (line, axis, oracle)]
-    assert abs(vals[0] - vals[1]) <= 1e-9
-    assert abs(vals[0] - vals[2]) <= 1e-9
-    assert line.stdout.split()[3] == "line"
-    assert axis.stdout.split()[3] == "axis"
-    assert oracle.stdout.split()[3] == "oracle"
-
-
-def test_eval_axis_domain_guard():
-    r = run_cli("eval", "--re", "0.5", "--method", "axis")
-    assert r.returncode == 2
-    assert "axis" in r.stderr
-
-
-def test_eval_oracle_pole_guard():
-    r = run_cli("eval", "--re", "1", "--method", "oracle")
-    assert r.returncode == 2
-    assert r.stderr.strip() == "pole at s=1; evaluate E instead"
+def test_removed_forks_are_usage_errors():
+    """eval has one method and feq one rule for its form: the old flags exit 1."""
+    for args in (("eval", "--re", "2", "--method", "axis"),
+                 ("feq", "--re", "-3", "--form", "sine")):
+        r = run_cli(*args)
+        assert r.returncode == 1, args
+        assert r.stdout == ""
+        assert "unrecognized arguments" in r.stderr
 
 
 def test_eval_contract_box():
@@ -175,18 +162,33 @@ def test_residues_guards():
 
 def test_residues_n_max_cap(monkeypatch, capsys):
     """--n-max above 10^6 exits 2 before any term is built; 10^6 itself runs."""
-    def no_terms(s, n_terms):
-        raise AssertionError(f"built {n_terms} terms")
+    def no_terms(s, sizes):
+        raise AssertionError(f"built {sizes[-1]} terms")
 
-    monkeypatch.setattr(cli, "residue_partial_sum", no_terms)
+    monkeypatch.setattr(cli, "residue_partial_sums", no_terms)
     assert cli.main(["residues", "--re", "3", "--n-max", "1000001"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --n-max must be in [1, 1000000], got 1000001\n"
 
-    monkeypatch.setattr(cli, "residue_partial_sum", lambda s, n_terms: (0j, 0.0))
+    monkeypatch.setattr(cli, "residue_partial_sums", lambda s, sizes: [(0j, 0.0)] * len(sizes))
     assert cli.main(["residues", "--re", "3", "--n-max", "1000000"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split()[0] == "1000000"
+
+
+def test_residues_builds_each_term_once(monkeypatch, capsys):
+    """The doubling table builds each n^{-s} once, not once per row."""
+    calls = []
+    cpow = contour.cpow_principal
+
+    def counted(z, w):
+        calls.append(z)
+        return cpow(z, w)
+
+    monkeypatch.setattr(contour, "cpow_principal", counted)
+    assert cli.main(["residues", "--re", "3", "--n-max", "1000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 11
+    assert len(calls) <= 1000
 
 
 def test_scan_csv_shape(tmp_path):
@@ -312,7 +314,6 @@ _SCAN_2X2 = "scan --re-min 0 --re-max 1 --im-min 0 --steps-re 2 --steps-im 2"
     "eval --re 0.5 --im nan",
     "eval --re nan",
     "eval --re inf",
-    "eval --re inf --method oracle",
     "feq --re inf",
     "lemma --re inf",
     "residues --re 2 --im nan --n-max 2",
@@ -323,9 +324,7 @@ def test_nonfinite_s_exits_two(cmd, tmp_path):
 
 
 @pytest.mark.parametrize("cmd", [
-    "eval --re -2.5 --method line",
-    "eval --re -2.5 --method axis",
-    "eval --re -2.5 --method oracle",
+    "eval --re -2.5",
     "feq --re -3",
     "lemma --re 2",
     f"{_SCAN_2X2} --im-max 1",
@@ -371,3 +370,16 @@ def test_scan_grid_points_order():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             ScanGrid(0.0, 1.0, bad, 1.0, 2, 2)
+
+
+def test_readme_commands_run():
+    """Each zetaline line of the README's sh block exits 0 (scan and selftest
+    run in their own tests)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```sh\n(zetaline .*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0].split()[1:] for line in block.replace("\\\n", " ").splitlines()]
+    cmds = [args for args in lines if args[0] not in ("scan", "selftest")]
+    assert cmds
+    for args in cmds:
+        r = run_cli(*args)
+        assert r.returncode == 0, (args, r.stderr)

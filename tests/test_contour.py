@@ -14,7 +14,9 @@ from zetaline.contour import (
     entire_e_line,
     line_integrand,
     residue_partial_sum,
+    residue_partial_sums,
     zeta,
+    zeta_from_e,
 )
 from zetaline.errors import ContractViolation, DomainError, PoleAtOne
 from zetaline.oracle import zeta_euler_maclaurin
@@ -88,7 +90,7 @@ def test_nonfinite_s_is_a_domain_error():
             zeta(s)
     for s in (complex(math.nan, 0.0), complex(-1.0, math.nan), -math.inf):
         with pytest.raises(DomainError):
-            zeta(s, method="axis")
+            entire_e_axis(s)
 
 
 def test_spec_validation():
@@ -191,6 +193,24 @@ def test_residue_sum_guards():
         residue_partial_sum(1.0, 10)
     with pytest.raises(DomainError):
         residue_partial_sum(3.0, 0)
+    for sizes in ([], [0, 1], [2, 2], [4, 2]):
+        with pytest.raises(DomainError):
+            residue_partial_sums(3.0, sizes)
+
+
+def test_residue_table_matches_each_size():
+    """Each prefix of one table of terms equals that size's own sum, bitwise."""
+    s = 4.75 + 1.5j
+    sizes = [1, 2, 7, 64, 4000]
+
+    def own_sum(n):
+        terms = [contour.cpow_principal(float(k), -s) for k in range(1, n + 1)]
+        return (s - 1.0) * complex(math.fsum(z.real for z in terms),
+                                   math.fsum(z.imag for z in terms))
+
+    table = residue_partial_sums(s, sizes)
+    assert [value for value, _ in table] == [own_sum(n) for n in sizes]
+    assert table[-1] == residue_partial_sum(s, sizes[-1])
 
 
 def test_axis_agrees_with_line():
@@ -201,14 +221,12 @@ def test_axis_agrees_with_line():
 
 
 def test_zeta_axis_method():
-    """method="axis" turns the axis form of E into zeta as the line form does."""
+    """zeta_from_e turns the axis form of E into zeta as zeta does the line form."""
     for s in (-1.5 + 0.0j, -3.0 + 2.0j):
-        r = zeta(s, method="axis")
+        r = zeta_from_e(s, entire_e_axis(s))
         assert r.method == "axis"
         assert r.value == entire_e_axis(s).value / (s - 1.0)
         assert abs(r.value - zeta(s).value) <= 1e-9
-    with pytest.raises(DomainError):
-        zeta(-1.5, method="oracle")
 
 
 def test_axis_exact_trivial_zeros():

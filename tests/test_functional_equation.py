@@ -96,7 +96,7 @@ def test_feq_check_spot_points():
     r = feq_check(0.5 + 5.0j)
     assert r.rel_residual <= 1e-10
     assert r.form == "sine"
-    r = feq_check(4.0, form="cosine")
+    r = feq_check(4.0)
     assert r.rel_residual <= 1e-10
     assert r.form == "cosine"
 
