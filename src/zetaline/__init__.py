@@ -32,7 +32,6 @@ from .complex_core import (
     sinhc_half,
 )
 from .contour import (
-    EvalResult,
     entire_e_axis,
     entire_e_line,
     line_integrand,
@@ -65,7 +64,7 @@ from .oracle import (
     zeta_euler_maclaurin,
 )
 from .quadrature import (
-    QuadratureResult,
+    EvalResult,
     check_tol,
     integrate_interval,
     integrate_line_decaying,
@@ -93,13 +92,12 @@ __all__ = [
     "log_gamma",
     "gamma",
     # quadrature
-    "QuadratureResult",
+    "EvalResult",
     "check_tol",
     "integrate_interval",
     "integrate_line_decaying",
     "integrate_mellin",
     # contour
-    "EvalResult",
     "line_integrand",
     "entire_e_line",
     "entire_e_axis",

@@ -3,7 +3,7 @@
 Subcommands and their stdout formats (space-separated tokens, floats with
 17 significant digits so values round-trip exactly):
 
-  eval      value_re value_im err_est method n_evals
+  eval      value_re value_im err_est line n_evals  (`line` is literal)
   feq       lhs_re lhs_im rhs_re rhs_im abs_residual rel_residual form direction
   lemma     bose_re bose_im exp_sq_re exp_sq_im sinh_re sinh_im
             reference_re reference_im max_abs_deviation extended
@@ -20,8 +20,10 @@ grid bounds, guards, poles, contract boxes, --jobs below 1, --n-max outside
 [1, 10^6], unwritable scan paths); 3 convergence or check failure (eval, or
 any scan cell, whose err_est exceeds its tolerance; feq residual above 1e-8;
 lemma deviation not below 1e-9 at real s or 1e-8 at complex s; failed
-selftest criterion).  Diagnostics go to stderr; stdout carries results
-only.  There are no environment variables: every knob is a flag.
+selftest criterion; truncation failure, non-finite integrand, overflow).
+scan refuses a bad grid, --jobs, --tol or --out before it evaluates a
+point.  Diagnostics go to stderr; stdout carries results only.  There are
+no environment variables: every knob is a flag.
 
 Repeated invocations with identical flags produce byte-identical stdout.
 A scan evaluates its points row-major (im outer, re inner) on one thread;
@@ -36,18 +38,19 @@ import sys
 from dataclasses import dataclass
 
 from .acceptance import run_criteria
-from .contour import EvalResult, entire_e_line, residue_partial_sums, zeta, zeta_from_e
+from .contour import entire_e_line, residue_partial_sums, zeta, zeta_from_e
 from .errors import (
     DomainError,
     NonFiniteIntegrand,
     PoleAtOne,
     TruncationFailure,
     ZetalineError,
+    check_box,
     finite_s,
 )
 from .functional_equation import feq_check
 from .mellin import mellin_check
-from .quadrature import check_tol
+from .quadrature import EvalResult, check_tol
 
 __all__ = ["ScanGrid", "main"]
 
@@ -81,6 +84,8 @@ class ScanGrid:
                 f"grid has {self.steps_re * self.steps_im} points; "
                 f"the cap is {_MAX_POINTS}"
             )
+        for im in (self.im_min, _axis(self.im_min, self.im_max, self.steps_im)[-1]):
+            check_box(complex(0.0, im), "scan grid")  # the Im axis runs between these
 
     def points(self) -> list[complex]:
         """Row-major: im outer, re inner."""
@@ -120,7 +125,6 @@ def _scan_cell(s: complex, tol: float) -> tuple[str, EvalResult]:
 def scan_csv_lines(grid: ScanGrid, tol: float = 1e-12) -> tuple[list[str], list[float]]:
     """Header plus one line per grid point, E(s) at tolerance tol, and the
     err_est of every cell that did not converge."""
-    check_tol(tol)
     cells = [_scan_cell(s, tol) for s in grid.points()]
     missed = [e.err_est for _, e in cells if not e.converged]
     return [_SCAN_HEADER, *(line for line, _ in cells)], missed
@@ -191,7 +195,7 @@ def _point(args: argparse.Namespace) -> complex:
 def _cmd_eval(args: argparse.Namespace) -> int:
     res = zeta(_point(args), args.tol)
     print(f"{_fmt(res.value.real)} {_fmt(res.value.imag)} {_fmt(res.err_est)} "
-          f"{res.method} {res.n_evals}")
+          f"line {res.n_evals}")
     return 0 if res.converged else 3
 
 
@@ -234,8 +238,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     args.steps_re, args.steps_im)
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
-    lines, missed = scan_csv_lines(grid, args.tol)
+    check_tol(args.tol)
+    # opened first, so an unwritable path exits 2 before any point is evaluated
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        lines, missed = scan_csv_lines(grid, args.tol)
         fh.write("\n".join(lines) + "\n")
     if missed:
         print(f"scan: {len(missed)} of {len(lines) - 1} cells did not converge at "
@@ -264,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except PoleAtOne:
         print("pole at s=1; evaluate E instead", file=sys.stderr)
         return 2
-    except (TruncationFailure, NonFiniteIntegrand) as exc:
+    except (TruncationFailure, NonFiniteIntegrand, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ZetalineError, OSError) as exc:

@@ -48,6 +48,7 @@ tail.  A per-process table per line keeps ln z and pi^2 sech^2(pi y) at each
 node y >= 0 (the weight one float shared by every line), so a node costs
 one complex multiply and one complex exp; the node at -y is the conjugate.
 J runs on the same trapezoid rule through quadrature.integrate_mellin.
+Both forms and zeta return quadrature.EvalResult, as the integrals do.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Callable
@@ -63,10 +63,9 @@ from typing import Callable
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
 from .errors import DomainError, PoleAtOne, check_box, finite_s
 from .mellin import _RE_MIN, _sinh_sq_integral
-from .quadrature import TOL_MIN, check_tol, integrate_line_decaying
+from .quadrature import TOL_MIN, EvalResult, check_tol, integrate_line_decaying
 
 __all__ = [
-    "EvalResult",
     "line_integrand",
     "entire_e_line",
     "entire_e_axis",
@@ -83,16 +82,6 @@ _LOG_4PI_SQ = math.log(4.0 * _PI_SQ)
 _EPS = math.ulp(1.0)
 _POLE_RADIUS = 1e-6   # below this, 1/(s-1) amplification swamps double precision
 _Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    value: complex
-    err_est: float
-    method: str  # "line" | "axis"
-    truncation_height: float
-    n_evals: int
-    converged: bool = True
 
 
 def _check_line(n: int) -> None:
@@ -259,7 +248,7 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     if n:
         value += residues
     err = (base.err_est + rounding) / _TWO_PI
-    return EvalResult(value, err, "line", base.truncation_height, base.n_evals, err <= tol)
+    return EvalResult(value, err, base.n_evals, err <= tol, base.truncation_height)
 
 
 def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
@@ -283,13 +272,13 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     check_box(s, "axis evaluator")
     pref = -math.pi * sin_pi_z(0.5 * s)
     if pref == 0:
-        return EvalResult(complex(0.0, 0.0), 0.0, "axis", 0.0, 0, True)
+        return EvalResult(complex(0.0, 0.0), 0.0, 0, True, 0.0)
     amp = abs(pref)
     scale = _TWO_PI ** (s.real - 2.0)  # |(2 pi)^{s-2}|
     j = _sinh_sq_integral(1.0 - s, max(TOL_MIN, tol / max(1.0, amp)) / scale)
     return EvalResult(pref * cpow_principal(_TWO_PI, s - 2.0) * j.value,
-                      amp * scale * j.err_est, "axis",
-                      j.truncation_height / _TWO_PI, j.n_evals, j.converged)
+                      amp * scale * j.err_est, j.n_evals, j.converged,
+                      j.truncation_height / _TWO_PI)
 
 
 def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
@@ -332,8 +321,8 @@ def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
     s = complex(s)
     pole_guard(s)
     sm1 = s - 1.0
-    return EvalResult(e.value / sm1, e.err_est / abs(sm1), e.method,
-                      e.truncation_height, e.n_evals, e.converged)
+    return EvalResult(e.value / sm1, e.err_est / abs(sm1), e.n_evals, e.converged,
+                      e.truncation_height)
 
 
 def zeta(s: complex, tol: float = 1e-12) -> EvalResult:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .complex_core import cpow_principal, gamma, sinhc_half
 from .errors import DomainError, finite_s
 from .oracle import zeta_euler_maclaurin
-from .quadrature import QuadratureResult, integrate_mellin
+from .quadrature import EvalResult, integrate_mellin
 
 __all__ = [
     "MellinReport",
@@ -99,7 +99,7 @@ def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
     return integrate_mellin(f, w, tol, growth=s.real, bound_const=2.6).value / s
 
 
-def _sinh_sq_integral(sigma: complex, tol: float) -> QuadratureResult:
+def _sinh_sq_integral(sigma: complex, tol: float) -> EvalResult:
     """J(sigma) = Integral of t^sigma/sinh^2(t/2) over (0, inf), for sinh_integral
     and the axis form; the callers guard Re sigma against _RE_MIN."""
     w = sigma - 2.0

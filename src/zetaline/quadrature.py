@@ -18,6 +18,7 @@ h halves until two levels differ by at most tol, by no less than the last
 two did, or by no more than the sum's rounding 4 eps h sum |g| (round-off
 floor), or the budget runs out.  err_est bounds the whole integral: that
 difference, the sum's rounding and, in the front ends, both tails they cut.
+Every integrator returns an EvalResult, the package's one result type.
 
 Everything is pure and sequential-deterministic: nodes are summed level by
 level in ascending coordinate order, so identical inputs give
@@ -33,7 +34,7 @@ from typing import Callable
 from .errors import DomainError, NonFiniteIntegrand, TruncationFailure
 
 __all__ = [
-    "QuadratureResult",
+    "EvalResult",
     "check_tol",
     "integrate_interval",
     "integrate_line_decaying",
@@ -56,7 +57,9 @@ TOL_MIN = 1e-14      # smallest tol any integrator takes
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
+class EvalResult:
+    """truncation_height is None only on a bare integrate_interval result."""
+
     value: complex
     err_est: float
     n_evals: int
@@ -73,7 +76,7 @@ def check_tol(tol: float) -> None:
 
 def integrate_interval(
     g: Integrand, a: float, b: float, tol: float = 1e-12, *, step: float = _FIRST_STEP
-) -> QuadratureResult:
+) -> EvalResult:
     """Nested trapezoid rule T(h) = h (g(a)/2 + sum_{k >= 1, k h <= b - a} g(a + k h))
     for an integral over [a, inf) whose integrand g is negligible beyond b.
 
@@ -111,11 +114,11 @@ def integrate_interval(
             if err_new <= tol or err_new >= err or err_new <= noise:
                 # met tol; or halving stopped helping, or the difference is
                 # below the rounding of the sum itself: round-off floor reached
-                return QuadratureResult(refined, err_new + noise, n_evals, err_new <= tol)
+                return EvalResult(refined, err_new + noise, n_evals, err_new <= tol)
             err = err_new
         value = refined
         h *= 0.5
-    return QuadratureResult(value, err + noise, n_evals, False)
+    return EvalResult(value, err + noise, n_evals, False)
 
 
 def _truncation_height(
@@ -151,7 +154,7 @@ def _truncation_height(
 
 def integrate_line_decaying(
     g: Integrand, log_tail: Callable[[float], float], tol: float = 1e-12
-) -> QuadratureResult:
+) -> EvalResult:
     """Integral over the whole real line of f, given its fold
     g(y) = f(y) + f(-y) on y >= 0 and the caller's bound log_tail(Y) on the
     log of the integral of |f| over each tail |y| >= Y (Y >= 1).
@@ -164,8 +167,8 @@ def integrate_line_decaying(
     check_tol(tol)
     height = _truncation_height(log_tail, 0.05 * tol)
     base = integrate_interval(g, 0.0, height, tol)
-    return QuadratureResult(base.value, base.err_est + 0.1 * tol, 2 * base.n_evals,
-                            base.converged, height)
+    return EvalResult(base.value, base.err_est + 0.1 * tol, 2 * base.n_evals,
+                      base.converged, height)
 
 
 def integrate_mellin(
@@ -176,7 +179,7 @@ def integrate_mellin(
     growth: float = 0.0,
     origin_coeff: float = 1.0,
     bound_const: float = 1.0,
-) -> QuadratureResult:
+) -> EvalResult:
     """Integral of f over (0, inf) with f ~ origin_coeff * t^alpha at 0
     (alpha complex) and |f(t)| <= bound_const * t^growth * e^{-t} at infinity.
 
@@ -217,5 +220,5 @@ def integrate_mellin(
         step *= 0.5
     base = integrate_interval(lambda u: f(math.exp(u)) * math.exp(u), u_left, u_right, tol,
                               step=step)
-    return QuadratureResult(base.value, base.err_est + 0.2 * tol, base.n_evals, base.converged,
-                            math.exp(u_right))
+    return EvalResult(base.value, base.err_est + 0.2 * tol, base.n_evals, base.converged,
+                      math.exp(u_right))

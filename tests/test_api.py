@@ -2,6 +2,8 @@
 the package exports exactly the library modules' names, and the README's
 quick start runs."""
 
+import ast
+import dataclasses
 import importlib
 import math
 import os
@@ -39,6 +41,41 @@ def test_all_lists_match_exports():
         assert hasattr(zetaline, name), name
 
 
+def test_one_result_type():
+    """Every integral and every E(s) or zeta(s) comes back as the one
+    EvalResult, fields in one order."""
+    results = [
+        zetaline.zeta(2.0),
+        zetaline.entire_e_axis(-1.5),
+        zetaline.integrate_interval(lambda x: complex(math.exp(-x * x)), -10.0, 10.0),
+        zetaline.integrate_line_decaying(lambda y: complex(2.0 * math.exp(-y * y)),
+                                         lambda y: 1.0 - y),
+        zetaline.integrate_mellin(lambda t: complex(math.exp(-t)), 0.0),
+    ]
+    for r in results:
+        assert type(r) is zetaline.EvalResult
+    assert [f.name for f in dataclasses.fields(zetaline.EvalResult)] == [
+        "value", "err_est", "n_evals", "converged", "truncation_height"]
+    assert not hasattr(zetaline, "QuadratureResult")
+
+
+def test_package_imports_only_stdlib():
+    """The package needs the standard library alone: the top-level module of
+    every absolute import under src/zetaline is a stdlib module."""
+    paths = sorted((ROOT / "src" / "zetaline").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
 def test_readme_quick_start_runs():
     """The README's python block runs as written against src/."""
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
@@ -54,7 +91,7 @@ ENTRY_POINTS = {
     "zeta": zetaline.zeta,
     "entire_e_line": zetaline.entire_e_line,
     "entire_e_axis": zetaline.entire_e_axis,
-    "zeta_from_e": lambda s: zetaline.zeta_from_e(s, zetaline.EvalResult(1j, 0.0, "line", 1.0, 1)),
+    "zeta_from_e": lambda s: zetaline.zeta_from_e(s, zetaline.EvalResult(1j, 0.0, 1, True, 1.0)),
     "line_integrand": lambda s: zetaline.line_integrand(0.5, s),
     "residue_partial_sum": lambda s: zetaline.residue_partial_sum(s, 2),
     "residue_partial_sums": lambda s: zetaline.residue_partial_sums(s, [1, 2]),

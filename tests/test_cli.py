@@ -293,6 +293,41 @@ def test_scan_unwritable_path_exit_two(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("cmd", [
+    "eval --re -150",    # exp of a line node
+    "feq --re 150.5",    # gamma through chi
+    "feq --re -150.5",
+    "eval --re 1e308",
+])
+def test_overflow_exits_three(cmd):
+    """A floating-point overflow at a finite s inside the box is a failure to
+    evaluate: one error line, no output, exit 3, no traceback."""
+    r = run_cli(*cmd.split())
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("im_max, out", [(75.0, "x.csv"), (5.0, "missing_dir/x.csv")],
+                         ids=["im-axis-outside-box", "unwritable-out"])
+def test_scan_refuses_before_evaluating(im_max, out, tmp_path, monkeypatch, capsys):
+    """An Im axis that leaves the box and an unwritable --out exit 2 before
+    scan evaluates a single point."""
+    def refuse(s, tol):
+        raise AssertionError(f"scan evaluated {s}")
+
+    monkeypatch.setattr(cli, "entire_e_line", refuse)
+    path = tmp_path / out
+    argv = ["scan", "--re-min", "-2", "--re-max", "3", "--im-min", "0",
+            "--im-max", repr(im_max), "--steps-re", "100", "--steps-im", "100",
+            "--tol", "1e-8", "--out", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert not path.exists()
+
+
 def _assert_domain_error(cmd: str, tmp_path) -> subprocess.CompletedProcess:
     """cmd exits 2 with a one-line message, no output and no scan file."""
     out = tmp_path / "x.csv"

@@ -224,7 +224,6 @@ def test_zeta_axis_method():
     """zeta_from_e turns the axis form of E into zeta as zeta does the line form."""
     for s in (-1.5 + 0.0j, -3.0 + 2.0j):
         r = zeta_from_e(s, entire_e_axis(s))
-        assert r.method == "axis"
         assert r.value == entire_e_axis(s).value / (s - 1.0)
         assert abs(r.value - zeta(s).value) <= 1e-9
 
@@ -270,11 +269,10 @@ def test_entire_across_the_dirichlet_boundary():
 
 def test_result_metadata():
     r = entire_e_line(2.0)
-    assert r.method == "line"
     assert r.truncation_height >= 1.0
     assert r.n_evals > 0 and r.n_evals % 2 == 0  # folded pairs
     r = entire_e_axis(-1.5)
-    assert r.method == "axis"
+    assert r.truncation_height > 0.0 and r.n_evals > 0
 
 
 def test_looser_plan_converges_faster():
