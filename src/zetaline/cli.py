@@ -256,7 +256,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         if not r.passed:
             return 3
     grid = ScanGrid(-2.0, 3.0, 0.0, 5.0, 100, 100)
-    # the second scan reads the node tables the first one filled
+    # the second scan reads the node lists the first one filled
     same = scan_csv_lines(grid, 1e-8) == scan_csv_lines(grid, 1e-8)
     print(f"criterion 9 {'PASS' if same else 'FAIL'} scan determinism: "
           f"10000-point scan byte-identical when repeated in one process")

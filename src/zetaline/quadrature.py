@@ -12,7 +12,10 @@ All three run on integrate_interval: the trapezoid rule on a + k h, which
 converges like e^{-2 pi d / h} for an integrand analytic in the strip
 |Im u| < d and negligible at both ends (Trefethen & Weideman, SIAM Rev. 56
 (2014), Thm 5.1).  h starts at a power of two no larger than 1/4 and
-halves, and each halving reuses every earlier node.
+halves, and each halving reuses every earlier node.  The integrand comes
+as a level evaluator, level(h, ks) -> the values at a + k h for k in the
+range ks, in ascending order, so a caller can evaluate a whole level in
+one pass; ks = range(1) asks for the node at a.
 
 h halves until two levels differ by at most tol, by no less than the last
 two did, or by no more than the sum's rounding 4 eps h sum |g| (round-off
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 Integrand = Callable[[float], complex]
+Level = Callable[[float, range], list[complex]]
 
 # exp() underflows to 0.0 below ~-745; keep the substitution variable above
 # that so f is never handed an argument that collapsed to t = 0.0 exactly
@@ -75,10 +79,11 @@ def check_tol(tol: float) -> None:
 
 
 def integrate_interval(
-    g: Integrand, a: float, b: float, tol: float = 1e-12, *, step: float = _FIRST_STEP
+    level: Level, a: float, b: float, tol: float = 1e-12, *, step: float = _FIRST_STEP
 ) -> EvalResult:
     """Nested trapezoid rule T(h) = h (g(a)/2 + sum_{k >= 1, k h <= b - a} g(a + k h))
-    for an integral over [a, inf) whose integrand g is negligible beyond b.
+    for an integral over [a, inf) whose integrand g is negligible beyond b,
+    read a level at a time: level(h, ks) returns [g(a + k h) for k in ks].
 
     The weight 1/2 at a suits an integrand negligible at a as well, or a
     whole-line integrand folded onto a.  h starts at `step`, a power of two
@@ -92,7 +97,7 @@ def integrate_interval(
     if not (0.0 < step <= _FIRST_STEP and math.frexp(step)[0] == 0.5):
         raise DomainError(f"step must be a power of two <= {_FIRST_STEP}, got {step}")
     h = step
-    g0 = g(a)
+    g0, = level(h, range(1))
     acc = complex(0.5 * g0)
     l1 = 0.5 * abs(g0)  # ~ integral of |g| / h: sets the round-off floor
     n_evals = 1
@@ -100,8 +105,7 @@ def integrate_interval(
     for halving in range(_HALVINGS + 1):
         # level 0 takes every node k >= 1, each halving only the new odd k
         ks = range(1, int((b - a) / h) + 1, 2 if halving else 1)
-        for k in ks:  # ascending coordinate order
-            v = g(a + k * h)
+        for v in level(h, ks):  # ascending coordinate order
             acc += v
             l1 += abs(v)
         n_evals += len(ks)
@@ -153,11 +157,12 @@ def _truncation_height(
 
 
 def integrate_line_decaying(
-    g: Integrand, log_tail: Callable[[float], float], tol: float = 1e-12
+    level: Level, log_tail: Callable[[float], float], tol: float = 1e-12
 ) -> EvalResult:
-    """Integral over the whole real line of f, given its fold
-    g(y) = f(y) + f(-y) on y >= 0 and the caller's bound log_tail(Y) on the
-    log of the integral of |f| over each tail |y| >= Y (Y >= 1).
+    """Integral over the whole real line of f, given the level evaluator of
+    its fold g(y) = f(y) + f(-y) on y >= 0 (level(h, ks) returns
+    [g(k h) for k in ks]) and the caller's bound log_tail(Y) on the log of
+    the integral of |f| over each tail |y| >= Y (Y >= 1).
 
     The truncation height Y is the first point of the 1/8 grid from 1 where
     each tail is below tol/20, and integrate_interval runs on g over [0, Y]
@@ -166,7 +171,7 @@ def integrate_line_decaying(
     """
     check_tol(tol)
     height = _truncation_height(log_tail, 0.05 * tol)
-    base = integrate_interval(g, 0.0, height, tol)
+    base = integrate_interval(level, 0.0, height, tol)
     return EvalResult(base.value, base.err_est + 0.1 * tol, 2 * base.n_evals,
                       base.converged, height)
 
@@ -218,7 +223,9 @@ def integrate_mellin(
     step = _FIRST_STEP
     while step * (abs(alpha.imag) + 4.0) > math.pi:
         step *= 0.5
-    base = integrate_interval(lambda u: f(math.exp(u)) * math.exp(u), u_left, u_right, tol,
-                              step=step)
+    def level(h: float, ks: range) -> list[complex]:
+        return [f(math.exp(u)) * math.exp(u) for u in (u_left + k * h for k in ks)]
+
+    base = integrate_interval(level, u_left, u_right, tol, step=step)
     return EvalResult(base.value, base.err_est + 0.2 * tol, base.n_evals, base.converged,
                       math.exp(u_right))

@@ -41,14 +41,20 @@ def test_all_lists_match_exports():
         assert hasattr(zetaline, name), name
 
 
+def _level(g, a=0.0):
+    """The level evaluator of the per-node integrand g on the grid a + k h."""
+    return lambda h, ks: [g(a + k * h) for k in ks]
+
+
 def test_one_result_type():
     """Every integral and every E(s) or zeta(s) comes back as the one
     EvalResult, fields in one order."""
     results = [
         zetaline.zeta(2.0),
         zetaline.entire_e_axis(-1.5),
-        zetaline.integrate_interval(lambda x: complex(math.exp(-x * x)), -10.0, 10.0),
-        zetaline.integrate_line_decaying(lambda y: complex(2.0 * math.exp(-y * y)),
+        zetaline.integrate_interval(_level(lambda x: complex(math.exp(-x * x)), -10.0),
+                                    -10.0, 10.0),
+        zetaline.integrate_line_decaying(_level(lambda y: complex(2.0 * math.exp(-y * y))),
                                          lambda y: 1.0 - y),
         zetaline.integrate_mellin(lambda t: complex(math.exp(-t)), 0.0),
     ]

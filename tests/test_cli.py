@@ -297,7 +297,6 @@ def test_scan_unwritable_path_exit_two(tmp_path):
     "eval --re -150",    # exp of a line node
     "feq --re 150.5",    # gamma through chi
     "feq --re -150.5",
-    "eval --re 1e308",
 ])
 def test_overflow_exits_three(cmd):
     """A floating-point overflow at a finite s inside the box is a failure to
@@ -306,6 +305,16 @@ def test_overflow_exits_three(cmd):
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
+
+def test_eval_far_right_does_not_overflow():
+    """At Re s = 1e308 the line crosses the poles at 1 and 2, so nothing
+    overflows: eval prints zeta = 1, and exits 3 only because an absolute
+    --tol 1e-12 on E(s) = s - 1 lies below its round-off."""
+    r = run_cli("eval", "--re", "1e308")
+    assert r.returncode == 3
+    assert r.stdout.split()[:2] == ["1", "0"]
+    assert r.stderr == ""
 
 
 @pytest.mark.parametrize("im_max, out", [(75.0, "x.csv"), (5.0, "missing_dir/x.csv")],

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,14 @@ ZETA_M15 = -0.02548520188983303595
 ZETA_M15_2I = complex(0.12424726557777474701, -0.015707749528273202786)
 E_HALF_3I = complex(-0.029678795209616293993, 1.6376582696356153431)
 E_M15 = 0.063713004724582589874
+# E(s) at large Re s, frozen from mpmath at 60 digits and kept to 40
+E_FAR_RIGHT = {
+    8.0: ("7.028541493385610375650796669560567256813", "0"),
+    30.0: ("29.00000002700849554017037730328117731562", "0"),
+    65.76 + 6.0j: ("64.76000000000000511528113756837463999913",
+                   "6.00000000000000000083126531819364037411"),
+    750.0: ("749", "0"),
+}
 
 
 def test_entire_e_at_one_and_zero():
@@ -130,6 +139,22 @@ def test_line_integrand_guards():
         line_integrand(0.0, 2.0, 1.5)
     with pytest.raises(DomainError):
         line_integrand(301.0, 2.0)
+
+
+def test_large_re_s_within_err_est():
+    """Past Re s = 6.5 the line crosses at least the poles at 1 and 2: on
+    Re z = 1/2 the kernel peaks near 2^{Re s - 1} and cancels down to E,
+    which was off by 8.7e5 at s = 30 and by 2.9e223 at s = 750 (err_est
+    9.7e209).  Crossing only z = 1 leaves that pole half a unit from the
+    line, and at 65.76+6i an error of 1.5e-12 above an err_est of 2.1e-13."""
+    for s, (re, im) in E_FAR_RIGHT.items():
+        r = entire_e_line(s)
+        assert r.converged, s
+        with localcontext() as ctx:
+            ctx.prec = 60
+            dr = Decimal(r.value.real) - Decimal(re)
+            di = Decimal(r.value.imag) - Decimal(im)
+            assert (dr * dr + di * di).sqrt() <= Decimal(r.err_est), s
 
 
 def test_contour_independence():
@@ -312,12 +337,38 @@ def _points(name: str) -> list[complex]:
     return [complex(float(a), float(b)) for a, b in data["points"]["E"]]
 
 
+def _cached_fold(s: complex, n: int):
+    """The table-fed fold g(y) at one node y = k/256, read through the
+    level evaluator as the one-node level starting at k."""
+    level = contour._cached_level(s, n)
+
+    def g(y: float) -> complex:
+        k = int(y * 256.0)
+        return level(1.0 / 256.0, range(k, k + 1))[0]
+
+    return g
+
+
+def _line_tables():
+    """The node tables in the shape of one dict y -> (ln z, weight) per line
+    N, each y of a line found in exactly one of its levels."""
+    weights, levels = contour._node_tables()
+    lines: dict[int, dict] = {}
+    for (n, first, spacing), nodes in levels.items():
+        table = lines.setdefault(n, {})
+        for i, node in enumerate(nodes):
+            y = first + i * spacing
+            assert y not in table, (n, y)
+            table[y] = node
+    return weights, lines
+
+
 def test_node_table_matches_line_integrand():
     """The table-fed fold g(y) equals the reference kernel's f(y) + f(-y) at
     sampled nodes, relative to |f(y)| + |f(-y)| since the sum can cancel."""
     for n in (0, 3, 9):
         for s in (2.0 + 0.0j, 0.5 + 3.0j, -4.5 - 6.0j, 5.5 + 40.0j, -2.0 + 60.0j):
-            g = contour._cached_integrand(s, n)
+            g = _cached_fold(s, n)
             for k in (0, 1, 3, 64, 255, 1000, 2689, 5000):
                 y = k / 256.0
                 plus, minus = line_integrand(y, s, n), line_integrand(-y, s, n)
@@ -345,6 +396,53 @@ def test_node_table_cold_threads_bitwise():
     assert threaded == [[r.value.real.hex(), r.value.imag.hex(), r.err_est.hex()] for r in serial]
 
 
+def test_node_table_eight_cold_threads_bitwise():
+    """Eight threads started together on cold lines, all through the same
+    points, half at tol 1e-12 first and half at 1e-6 first, so they race to
+    extend the same levels to different truncation heights, give the bits
+    of serial evaluation; five rounds, each on emptied tables."""
+    code = (
+        "import json, sys, threading\n"
+        "from zetaline import contour\n"
+        "from zetaline.contour import entire_e_line\n"
+        "pts = [complex(float(a), float(b)) for a, b in json.loads(sys.stdin.read())]\n"
+        "tasks = [(s, tol) for s in pts for tol in (1e-12, 1e-6)]\n"
+        "out = [None] * 8\n"
+        "start = threading.Barrier(8)\n"
+        "def work(i):\n"
+        "    order = sorted(range(len(tasks)), key=lambda j: (j % 2 == i % 2, j))\n"
+        "    res = [None] * len(tasks)\n"
+        "    start.wait()\n"
+        "    for j in order:\n"
+        "        r = entire_e_line(*tasks[j])\n"
+        "        res[j] = [r.value.real.hex(), r.value.imag.hex(), r.err_est.hex(), r.n_evals,\n"
+        "                  r.truncation_height]\n"
+        "    out[i] = res\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "rounds = []\n"
+        "for _ in range(5):\n"
+        "    contour._node_tables.cache_clear()\n"
+        "    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
+        "    for th in threads: th.start()\n"
+        "    for th in threads: th.join(120)\n"
+        "    assert not any(th.is_alive() for th in threads)\n"
+        "    rounds.append(list(out))\n"
+        "print(json.dumps(rounds))\n"
+    )
+    pts = _points("eval-tall.json") + _points("eval-strip-seed1.json")[:40]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                         input=json.dumps([[s.real, s.imag] for s in pts]))
+    assert out.returncode == 0, out.stderr
+    serial = []
+    for s in pts:
+        for tol in (1e-12, 1e-6):
+            r = entire_e_line(s, tol)
+            serial.append([r.value.real.hex(), r.value.imag.hex(), r.err_est.hex(), r.n_evals,
+                           r.truncation_height])
+    assert len({r[-1] for r in serial}) > 10  # mixed truncation heights
+    assert json.loads(out.stdout) == [[serial] * 8] * 5
+
+
 def test_node_table_size_bounded():
     """After the 48 eval-tall points each line's table holds only nodes k/256
     up to the largest truncation height on that line, the lines share one
@@ -355,7 +453,7 @@ def test_node_table_size_bounded():
     for s in _points("eval-tall.json"):
         n = int(abs(s.imag) / (2.0 * math.pi))
         heights[n] = max(heights.get(n, 0.0), entire_e_line(s).truncation_height)
-    weights, lines = contour._node_tables()
+    weights, lines = _line_tables()
     assert set(lines) == set(heights)
     for n, table in lines.items():
         assert all(y >= 0.0 and (y * 256.0).is_integer() for y in table)

@@ -12,20 +12,25 @@ from zetaline.quadrature import (
 )
 
 
+def _level(g, a=0.0):
+    """The level evaluator of the per-node integrand g on the grid a + k h."""
+    return lambda h, ks: [g(a + k * h) for k in ks]
+
+
 def test_interval_known_integrals():
     # integral over R of sech(x) = pi; of e^{-x^2} = sqrt(pi)
-    r = integrate_interval(lambda x: 1.0 / math.cosh(x), -40.0, 40.0)
+    r = integrate_interval(_level(lambda x: 1.0 / math.cosh(x), -40.0), -40.0, 40.0)
     assert r.converged
     assert r.value.real == pytest.approx(math.pi, rel=1e-14)
-    r = integrate_interval(lambda x: math.exp(-x * x), -10.0, 10.0)
+    r = integrate_interval(_level(lambda x: math.exp(-x * x), -10.0), -10.0, 10.0)
     assert r.converged
     assert r.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
 def test_interval_complex_integrand():
     # integral over R of e^{-x^2 + ix} = sqrt(pi) e^{-1/4}
-    r = integrate_interval(lambda x: math.exp(-x * x) * complex(math.cos(x), math.sin(x)),
-                           -10.0, 10.0)
+    r = integrate_interval(_level(lambda x: math.exp(-x * x) * complex(math.cos(x), math.sin(x)),
+                                  -10.0), -10.0, 10.0)
     assert r.converged
     assert r.value == pytest.approx(math.sqrt(math.pi) * math.exp(-0.25), abs=1e-13)
 
@@ -33,7 +38,7 @@ def test_interval_complex_integrand():
 def test_interval_rejects_bad_bounds():
     for a, b in ((1.0, 0.0), (0.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(DomainError):
-            integrate_interval(math.exp, a, b)
+            integrate_interval(_level(math.exp, a), a, b)
 
 
 def test_interval_rejects_bad_step():
@@ -41,14 +46,14 @@ def test_interval_rejects_bad_step():
     node a + k h is exact and shared by the finer levels."""
     for step in (0.5, 0.3, 0.0, -0.25, math.nan):
         with pytest.raises(DomainError):
-            integrate_interval(math.exp, 0.0, 1.0, step=step)
+            integrate_interval(_level(math.exp), 0.0, 1.0, step=step)
 
 
 def test_interval_nonfinite_integrand():
     with pytest.raises(NonFiniteIntegrand):
-        integrate_interval(lambda x: complex(math.nan, 0.0), 0.0, 1.0)
+        integrate_interval(_level(lambda x: complex(math.nan, 0.0)), 0.0, 1.0)
     with pytest.raises(NonFiniteIntegrand):
-        integrate_interval(lambda x: complex(0.0, math.inf), 0.0, 1.0)
+        integrate_interval(_level(lambda x: complex(0.0, math.inf)), 0.0, 1.0)
 
 
 @given(
@@ -65,8 +70,9 @@ def test_interval_linearity(a, c1, c2):
         return math.exp(-x * x) * complex(math.cos(x), math.sin(x))
 
     lo, hi = a - 40.0, a + 40.0
-    combined = integrate_interval(lambda x: c1 * f1(x) + c2 * f2(x), lo, hi)
-    separate = c1 * integrate_interval(f1, lo, hi).value + c2 * integrate_interval(f2, lo, hi).value
+    combined = integrate_interval(_level(lambda x: c1 * f1(x) + c2 * f2(x), lo), lo, hi)
+    separate = (c1 * integrate_interval(_level(f1, lo), lo, hi).value
+                + c2 * integrate_interval(_level(f2, lo), lo, hi).value)
     assert combined.value == pytest.approx(separate, abs=1e-12)
 
 
@@ -74,8 +80,8 @@ def test_interval_conjugation_bitwise():
     def f(x: float) -> complex:
         return math.exp(-x * x) * complex(1.0, math.sin(x) * x)
 
-    r1 = integrate_interval(lambda x: f(x).conjugate(), -10.0, 10.0)
-    r2 = integrate_interval(f, -10.0, 10.0)
+    r1 = integrate_interval(_level(lambda x: f(x).conjugate(), -10.0), -10.0, 10.0)
+    r2 = integrate_interval(_level(f, -10.0), -10.0, 10.0)
     assert r1.value == r2.value.conjugate()
 
 
@@ -84,7 +90,7 @@ def test_line_gaussian():
     # the bound |f| <= 1 * e^{-|y|} fails for small |y| but
     # e^{-y^2} <= e * e^{-|y|} everywhere, so a tail is at most e^{1-Y}
     r = integrate_line_decaying(
-        lambda y: complex(2.0 * math.exp(-y * y)),
+        _level(lambda y: complex(2.0 * math.exp(-y * y))),
         log_tail=lambda y: 1.0 - y,
     )
     assert r.converged
@@ -95,7 +101,7 @@ def test_line_gaussian():
 def test_line_truncation_error_within_estimate():
     # sech integral: integral over R of 1/cosh(y) = pi
     r = integrate_line_decaying(
-        lambda y: complex(2.0 / math.cosh(y)), lambda y: math.log(2.0) - y
+        _level(lambda y: complex(2.0 / math.cosh(y))), lambda y: math.log(2.0) - y
     )
     assert abs(r.value.real - math.pi) <= max(r.err_est * 10.0, 1e-12)
 
@@ -104,7 +110,7 @@ def test_line_unreachable_tolerance_raises():
     # decay so slow the height bound cannot reach tol/10 under the cap
     with pytest.raises(TruncationFailure):
         integrate_line_decaying(
-            lambda y: complex(math.exp(-1e-4 * abs(y))),
+            _level(lambda y: complex(math.exp(-1e-4 * abs(y)))),
             lambda y: math.log(1e4) - 1e-4 * y,
             tol=1e-12,
         )
@@ -120,7 +126,7 @@ def test_line_halvings_reuse_every_node():
         seen.append(y)
         return complex(2.0 / math.cosh(y), 0.0)
 
-    r = integrate_line_decaying(g, lambda y: math.log(2.0) - y)
+    r = integrate_line_decaying(_level(g), lambda y: math.log(2.0) - y)
     assert r.converged
     assert r.value == pytest.approx(math.pi, rel=1e-12)
     assert 2 * len(seen) == r.n_evals
@@ -133,9 +139,10 @@ def test_line_halvings_reuse_every_node():
 
 def test_line_nonfinite_integrand():
     with pytest.raises(NonFiniteIntegrand):
-        integrate_line_decaying(lambda y: complex(math.nan, 0.0), lambda y: -y)
+        integrate_line_decaying(_level(lambda y: complex(math.nan, 0.0)), lambda y: -y)
     with pytest.raises(NonFiniteIntegrand):
-        integrate_line_decaying(lambda y: complex(0.0, math.inf if y > 2.0 else 0.0), lambda y: -y)
+        integrate_line_decaying(_level(lambda y: complex(0.0, math.inf if y > 2.0 else 0.0)),
+                                lambda y: -y)
 
 
 @pytest.mark.parametrize("w", [10.25, 10.5, 11.0, 11.5, 11.75])
@@ -143,7 +150,7 @@ def test_line_err_est_covers_cancellation(w):
     """f(y) = 1e4 cos(w y) e^{-y^2} integrates to 1e4 sqrt(pi) e^{-w^2/4},
     about 1e-7, from terms near 1e4: the sum's rounding, not the halving
     difference, dominates the error, and err_est must include it."""
-    r = integrate_line_decaying(lambda y: 2e4 * math.cos(w * y) * math.exp(-y * y),
+    r = integrate_line_decaying(_level(lambda y: 2e4 * math.cos(w * y) * math.exp(-y * y)),
                                 lambda y: math.log(1e4) + 1.0 - y)
     exact = 1e4 * math.sqrt(math.pi) * math.exp(-w * w / 4.0)
     assert abs(r.value - exact) <= r.err_est
@@ -152,8 +159,8 @@ def test_line_err_est_covers_cancellation(w):
 def test_err_est_includes_cut_tails():
     """Both front ends cut tails worth a share of tol and report it."""
     tol = 1e-10
-    r = integrate_line_decaying(lambda y: complex(2.0 / math.cosh(y)), lambda y: math.log(2.0) - y,
-                                tol)
+    r = integrate_line_decaying(_level(lambda y: complex(2.0 / math.cosh(y))),
+                                lambda y: math.log(2.0) - y, tol)
     assert r.err_est >= 0.1 * tol
     r = integrate_mellin(lambda t: complex(math.exp(-t)), 0.0, tol)
     assert r.err_est >= 0.2 * tol
@@ -189,8 +196,9 @@ def test_plan_validation():
     """Every integrator rejects a tolerance below 1e-14, or NaN."""
     for tol in (0.0, 1e-15, math.nan):
         with pytest.raises(DomainError):
-            integrate_interval(math.exp, 0.0, 1.0, tol)
+            integrate_interval(_level(math.exp), 0.0, 1.0, tol)
         with pytest.raises(DomainError):
-            integrate_line_decaying(lambda y: complex(math.exp(-y * y)), lambda y: -y, tol)
+            integrate_line_decaying(_level(lambda y: complex(math.exp(-y * y))), lambda y: -y,
+                                    tol)
         with pytest.raises(DomainError):
             integrate_mellin(lambda t: complex(math.exp(-t)), 0.0, tol)
