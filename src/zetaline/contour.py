@@ -51,6 +51,14 @@ by every line), so a level is one pass of two complex exps per node, one
 for y and one, conjugated, for -y.
 J runs on the same trapezoid rule through quadrature.integrate_mellin.
 Both forms and zeta return quadrature.EvalResult, as the integrals do.
+
+The poles at z = N and N + 1 lie at Im y = +-1/2 from the line, so the
+kernel is analytic in the strip |Im y| < a = 0.45, and Trefethen &
+Weideman's Thm 5.1 bounds the line rule's error by 2M / (e^{2 pi a/h} - 1),
+with M from an upper envelope of the kernel on that strip (_strip_m).  The
+rule stops at the first level this bound certifies, and err_est is then
+the bound; where it certifies none, the halving difference decides and
+err_est is an estimate (see _entire_e_line).
 """
 
 from __future__ import annotations
@@ -85,6 +93,10 @@ _EPS = math.ulp(1.0)
 _POLE_RADIUS = 1e-6   # below this, 1/(s-1) amplification swamps double precision
 _Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
 _RE_FAR = 6.5         # above this Re s the line crosses at least 2 poles
+_STRIP = 0.45         # half-width a of the strip |Im y| < a of the trapezoid bound;
+                      # the kernel's poles lie at |Im y| = 1/2
+_ENV_CELL = 0.5       # M is an upper sum over cells of this width on [0, _ENV_X]:
+_ENV_X = 4.0          # beyond it the envelope decays on every line N <= 9 for Re s >= -5
 
 
 def _check_line(n: int) -> None:
@@ -106,24 +118,31 @@ def line_integrand(y: float, s: complex, n: int = 0) -> complex:
 
 
 _Node = tuple[complex, float]  # (ln z, pi^2 sech^2(pi y)) at one node
+# per cell (log of the |z| bound, |arg z| bound, log of pi^2 / the |sin^2| bound),
+# and beyond _ENV_X the tail's (log |z| bound, |arg z| bound, constant, and the
+# bounds on the slopes of log |z| per unit 1 - Re s and of |arg z|)
+_Envelope = tuple[list[tuple[float, float, float]], tuple[float, float, float, float, float]]
 
 
 @lru_cache(maxsize=1)
-def _node_tables() -> tuple[dict[float, float], dict[tuple[int, float, float], list[_Node]]]:
+def _node_tables() -> tuple[dict[float, float], dict[tuple[int, float, float], list[_Node]],
+                            dict[int, tuple[_Envelope, _Envelope]]]:
     """The nodes y >= 0 computed so far in this process: the weights
     y -> pi^2 sech^2(pi y), one float per y shared by every line, and for
     each line N (N = 0 .. 9 in the box) and each trapezoid level, keyed
     (N, first node, node spacing), the list of (ln z, weight) at
-    z = N + 1/2 + iy for y = first, first + spacing, ... in order.
+    z = N + 1/2 + iy for y = first, first + spacing, ... in order; and per
+    line N the envelope constants of _strip_m.
 
-    Filled lazily by _cached_level.  The levels of one line are disjoint, so
-    each node is stored once per line.  A list is never changed once
-    stored: a level's missing nodes are built in a local list and published
-    with one assignment of the longer list, so a thread only ever sees a
-    complete prefix.  Threads that race to extend the same level store
-    equal values and no result depends on the order of filling.
+    Filled lazily by _cached_level and _strip_m.  The levels of one line are
+    disjoint, so each node is stored once per line.  A list is never changed
+    once stored: a level's missing nodes are built in a local list and
+    published with one assignment of the longer list, so a thread only ever
+    sees a complete prefix; an envelope is published whole the same way.
+    Threads that race to extend the same level store equal values and no
+    result depends on the order of filling.
     """
-    return {}, {}
+    return {}, {}, {}
 
 
 def _line_node(sigma: float, y: float, weights: dict[float, float]) -> _Node:
@@ -145,7 +164,7 @@ def _cached_level(s: complex, n: int) -> Callable[[float, range], list[complex]]
     second term equals exp((1-s) conj(ln z)) bitwise, so E(conj s) stays
     conj E(s) exactly.  The node y = 0 is its own mirror, 2 exp((1-s) ln z)
     times its weight."""
-    weights, lines = _node_tables()
+    weights, lines, _ = _node_tables()
     sigma = n + 0.5
     w = 1.0 - complex(s)
     wc = w.conjugate()
@@ -194,6 +213,66 @@ def _line_log_tail(s: complex, sigma: float) -> Callable[[float], float]:
     return log_tail
 
 
+def _line_envelope(sigma: float) -> tuple[_Envelope, _Envelope]:
+    """_strip_m's constants on the line Re z = sigma, for 1 - Re s >= 0 and
+    for 1 - Re s < 0: each factor of |f(x + ib)| taken at the end of its
+    cell where it is largest for every |b| < _STRIP."""
+    hi, lo = sigma + _STRIP, sigma - _STRIP
+    sin2 = math.sin(math.pi * _STRIP) ** 2
+    xs = [_ENV_CELL * j for j in range(int(_ENV_X / _ENV_CELL) + 1)]
+    log_hi = [0.5 * math.log(hi * hi + x * x) for x in xs]
+    log_lo = [0.5 * math.log(lo * lo + x * x) for x in xs]
+    arg = [math.atan(x / lo) for x in xs]
+    den = [math.log(_PI_SQ / (math.cosh(math.pi * x) ** 2 - sin2)) for x in xs[:-1]]
+    # beyond X: 1/(cosh^2(pi x) - sin2) <= 4 e^{-2 pi x} / (1 - 4 sin2 e^{-2 pi X})
+    const = _LOG_4PI_SQ - math.log1p(-4.0 * sin2 * math.exp(-_TWO_PI * _ENV_X)) - _TWO_PI * _ENV_X
+    arg_slope = lo / (lo * lo + _ENV_X * _ENV_X)
+    return ((list(zip(log_hi[1:], arg[1:], den)),
+             (log_hi[-1], arg[-1], const, 1.0 / max(_ENV_X, 2.0 * hi), arg_slope)),
+            (list(zip(log_lo, arg[1:], den)), (log_lo[-1], arg[-1], const, 0.0, arg_slope)))
+
+
+def _strip_m(s: complex, n: int) -> float | None:
+    """M, an upper bound on the integral of |f(x + ib)| over x for every
+    |b| < _STRIP, f = line_integrand(., s, n); None where none is found.
+
+    On Re z = sigma - b, sigma = n + 1/2, |f| = pi^2 |z|^{1 - Re s}
+    e^{Im s arg z} / (cosh^2(pi x) - sin^2(pi b)), and each factor has a
+    bound for every |b| < a that is monotone in |x|: |z|^{1 - Re s} on
+    the line Re z = sigma +- a where it is larger, e^{|Im s| atan(|x| /
+    (sigma - a))}, and 1 / (cosh^2(pi x) - sin^2(pi a)).  M is twice their
+    upper Riemann sum on [0, X] plus twice the integral beyond X of the
+    envelope of _line_log_tail, taken with the same bounds; that tail needs
+    its decay constant c > 0, else there is no M.
+    """
+    envelopes = _node_tables()[2]
+    env = envelopes.get(n)
+    if env is None:
+        env = envelopes[n] = _line_envelope(n + 0.5)
+    power, t = 1.0 - s.real, abs(s.imag)
+    cells, (log_x, arg_x, const, log_slope, arg_slope) = env[power < 0.0]
+    c = _TWO_PI - max(power, 0.0) * log_slope - t * arg_slope
+    if c <= 0.0:
+        return None
+    exp = math.exp
+    try:
+        return (sum([exp(power * log_z + t * arg + den) for log_z, arg, den in cells])
+                + 2.0 * exp(power * log_x + t * arg_x + const) / c)
+    except OverflowError:
+        return None
+
+
+def _strip_bound(s: complex, n: int) -> Callable[[float], float] | None:
+    """Trefethen & Weideman's bound 2M / (e^{2 pi a/h} - 1), a = _STRIP, on
+    |I - h sum_k f(k h)| for f = line_integrand(., s, n), whose poles keep
+    the strip |Im y| < a free; None where _strip_m has no M."""
+    m = _strip_m(s, n)
+    if m is None:
+        return None
+    two_m, expm1, width = 2.0 * m, math.expm1, _TWO_PI * _STRIP
+    return lambda h: two_m / expm1(width / h)
+
+
 def _residue_terms(s: complex, n_terms: int) -> tuple[array, array]:
     """The real and the imaginary parts of n^{-s}, n = 1 .. n_terms."""
     re, im = array("d"), array("d")
@@ -235,9 +314,10 @@ def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
     still converges at tol 1e-12; 6.5 lies past Re s = 6, the right edge of
     the benchmark's boxes, so none of their points moves.
 
-    tol bounds the error of E(s) itself: err_est covers the quadrature
-    error, both truncated tails and the rounding of the sum and of the
-    residues, and `converged` is err_est <= tol.
+    tol is absolute on E(s) itself: err_est covers the quadrature error,
+    both truncated tails and the rounding of the sum and of the residues,
+    and `converged` is err_est <= tol (see _entire_e_line for when the
+    quadrature's part is proven).
     """
     s = finite_s(s)
     check_box(s, "line evaluator")
@@ -255,7 +335,12 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     err_est, on the scale of the integral of 2 pi E, adds the rounding of
     the residues, which comes off the top of the budget 2 pi tol, to the
     quadrature's err_est; the quadrature runs at the rest over 1.2, which
-    leaves room for its tails and the rounding of its sum.
+    leaves room for its tails and the rounding of its sum.  At a level the
+    strip bound of _strip_bound certifies, the quadrature's err_est is
+    that proven bound; elsewhere it is the halving difference, an
+    estimate: on n = 1 at s = 65.76+6i, where the pole at z = 1 lies half a
+    unit from the line, the error is 1.5e-12 against an err_est of
+    2.1e-13, 7x (entire_e_line takes n >= 2 there).
     Where the residues' rounding alone exceeds tol the point cannot
     converge, and the quadrature stops at that rounding instead of halving
     on.
@@ -266,7 +351,8 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     budget = _TWO_PI * tol
     rounding *= _TWO_PI
     quad_tol = max(TOL_MIN, (budget - rounding) / 1.2) if rounding < budget else rounding
-    base = integrate_line_decaying(_cached_level(s, n), _line_log_tail(s, n + 0.5), quad_tol)
+    base = integrate_line_decaying(_cached_level(s, n), _line_log_tail(s, n + 0.5), quad_tol,
+                                   _strip_bound(s, n))
     value = base.value / _TWO_PI
     if n:
         value += residues
@@ -281,9 +367,16 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     The prefactor -pi sin(pi s/2) can be exponentially large in |Im s|, so
     J runs at max(1e-14, tol / max(1, |prefactor|)) / (2 pi)^{Re s - 2}:
     at tol itself, so scaled, where |prefactor| < 1 (0.55 at s = -2.1+0.05i);
-    err_est is J's err_est times |pi sin(pi s/2) (2 pi)^{s-2}|.  truncation_height is J's over 2 pi, on
-    the y scale.  At the negative even integers the prefactor vanishes
-    identically and E(s) = 0 is returned exactly.
+    err_est is J's err_est times |pi sin(pi s/2) (2 pi)^{s-2}|.
+    truncation_height is J's over 2 pi, on the y scale.  At the negative
+    even integers the prefactor vanishes identically and E(s) = 0 is
+    returned exactly.
+
+    `converged` is J's flag, that J met its own target above, and not
+    err_est <= tol, so it can be True with err_est above tol: at
+    -3.53-7.82i err_est is 7.7e-10 at tol 1e-12, and at -2.8+57.5i the
+    value is about 1e24 with err_est 5.7e24, where the prefactor puts E
+    below double precision, and both say converged=True.
     """
     check_tol(tol)  # before the floor below can hide a bad value
     s = finite_s(s)

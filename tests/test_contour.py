@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import subprocess
@@ -352,7 +353,7 @@ def _cached_fold(s: complex, n: int):
 def _line_tables():
     """The node tables in the shape of one dict y -> (ln z, weight) per line
     N, each y of a line found in exactly one of its levels."""
-    weights, levels = contour._node_tables()
+    weights, levels, _ = contour._node_tables()
     lines: dict[int, dict] = {}
     for (n, first, spacing), nodes in levels.items():
         table = lines.setdefault(n, {})
@@ -461,3 +462,113 @@ def test_node_table_size_bounded():
     assert set(weights) == set().union(*lines.values())
     assert all(weight is weights[y] for table in lines.values() for y, (_, weight) in table.items())
     assert len(weights) + sum(len(table) for table in lines.values()) < 6000
+
+
+def _dense_abs_integral(s: complex, n: int, b: float) -> float:
+    """The integral of |pi^2 z^{1-s} / sin^2(pi z)| along y = x + ib, i.e.
+    z = n + 1/2 - b + ix, by a dense trapezoid sum: step 1/512 on |x| <= 1,
+    where the pole a distance 1/2 - |b| from the line makes a narrow peak,
+    1/32 out to |x| = 16."""
+    def f(x: float) -> float:
+        z = complex(n + 0.5 - b, x)
+        return abs(math.pi ** 2 * cmath.exp((1.0 - s) * cmath.log(z)) / cmath.sin(math.pi * z) ** 2)
+
+    fine, coarse = 1.0 / 512.0, 1.0 / 32.0
+    inner = fine * math.fsum(f(k * fine) for k in range(-512, 513))
+    outer = coarse * math.fsum(f(x) + f(-x) for x in (1.0 + k * coarse for k in range(1, 481)))
+    return inner + outer
+
+
+def test_strip_m_bounds_the_integral():
+    """M bounds the integral of |f(x + ib)| over x for |b| < a, which the
+    strip bound 2M / (e^{2 pi a/h} - 1) needs: checked against a dense sum
+    on every line N = 0 .. 9, at both ends of each line's range of |Im s|,
+    both signs of Im s, Re s from -5 to 20, and b = 0, +-a/2, +-0.99a."""
+    a = contour._STRIP
+    for n in range(10):
+        for im in (2.0 * math.pi * n + 0.1, min(2.0 * math.pi * (n + 1) - 0.1, 60.0)):
+            for s in (complex(re, sign * im) for re in (-5.0, 0.5, 6.0, 20.0) for sign in (1, -1)):
+                m = contour._strip_m(s, n)
+                assert m is not None, (s, n)
+                for b in (0.0, 0.5 * a, -0.5 * a, 0.99 * a, -0.99 * a):
+                    assert _dense_abs_integral(s, n, b) <= m, (s, n, b)
+
+
+def _replay_levels(level, tol: float, bound, result) -> tuple[bool, bool]:
+    """Rerun the trapezoid levels of one integrate_interval call on the line
+    (the same nodes, summed in the same order) up to where it stopped.
+    Return (certified, fell_through): whether the strip bound certifies a
+    level, and whether the consistency check fails at the first level it
+    certifies; where the check holds, that level is where the call stopped."""
+    eps = math.ulp(1.0)
+    h = 0.25
+    g0, = level(h, range(1))
+    acc, l1, nodes = 0.5 * g0, 0.5 * abs(g0), 1
+    bound_prev = bound(h)
+    for halving in range(7):
+        ks = range(1, int(result.truncation_height / h) + 1, 2 if halving else 1)
+        for v in level(h, ks):
+            acc += v
+            l1 += abs(v)
+        nodes += len(ks)
+        refined, noise = h * acc, 4.0 * eps * h * l1
+        if halving:
+            bound_h = bound(h)
+            if bound_h + noise <= tol:
+                fell_through = abs(refined - value) > bound_h + bound_prev + noise
+                assert fell_through or 2 * nodes == result.n_evals
+                return True, fell_through
+            bound_prev = bound_h
+        if 2 * nodes == result.n_evals:
+            return False, False
+        value = refined
+        h *= 0.5
+    raise AssertionError("the replay ran past the last level")
+
+
+def test_strip_certificate_consistent_and_honest(monkeypatch):
+    """On eval-strip's and scan-grid's seed-1 points and on eval-tall's, the
+    check |T(h) - T(2h)| <= B(h) + B(2h) + noise never fails where the strip
+    bound B certifies a level, so the loop stops at the first such level;
+    and every converged eval-tall result lies within its err_est."""
+    calls = []
+    real = contour.integrate_line_decaying
+
+    def spy(level, log_tail, tol, bound=None):
+        result = real(level, log_tail, tol, bound)
+        calls.append((level, tol, bound, result))
+        return result
+
+    monkeypatch.setattr(contour, "integrate_line_decaying", spy)
+    tall = json.loads((REFS / "eval-tall.json").read_text())
+    refs = dict(zip(_points("eval-tall.json"), tall["values"]["E"]))
+    certified = 0
+    for name, tol in (("eval-strip-seed1.json", 1e-12), ("scan-grid-seed1.json", 1e-8),
+                      ("eval-tall.json", 1e-12)):
+        for s in _points(name):
+            calls.clear()
+            r = entire_e_line(s, tol)
+            level, quad_tol, bound, base = calls[0]
+            assert bound is not None, s
+            done, fell_through = _replay_levels(level, quad_tol, bound, base)
+            assert not fell_through, s
+            certified += done
+            if s in refs and r.converged:
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    re, im = refs[s]
+                    dr = Decimal(r.value.real) - Decimal(re)
+                    di = Decimal(r.value.imag) - Decimal(im)
+                    assert (dr * dr + di * di).sqrt() <= Decimal(r.err_est), s
+    assert certified > 1400
+
+
+def test_strip_certificate_evaluation_counts():
+    """Stopping at the first certified level, not one level finer: zeta
+    averages at most 250 evaluations over eval-strip's seed-1 points (386.8
+    with the halving rule alone), and entire_e_line at tol 1e-8 at most 150
+    over scan-grid's (181.3)."""
+    strip = [zeta(s).n_evals for s in _points("eval-strip-seed1.json")]
+    assert len(strip) == 400 and sum(strip) / len(strip) <= 250.0
+    scan = [entire_e_line(s, 1e-8).n_evals for s in _points("scan-grid-seed1.json")]
+    assert len(scan) == 1000 and sum(scan) / len(scan) <= 150.0

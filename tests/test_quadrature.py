@@ -166,6 +166,26 @@ def test_err_est_includes_cut_tails():
     assert r.err_est >= 0.2 * tol
 
 
+def test_line_certified_by_strip_bound():
+    """sech(8y) is analytic for |Im y| < pi/16, and |sech(8(x + ib))| <=
+    sech(8x) / cos(8b), so M = pi / (8 cos(8d)) and B(h) = 2M / (e^{2 pi d/h}
+    - 1) bound the trapezoid error for d < pi/16.  With B the rule stops at
+    the first level it certifies, before the halving rule would, within
+    err_est; a bound the levels contradict falls through to the halving
+    rule, bitwise."""
+    d = 0.15
+    m = math.pi / (8.0 * math.cos(8.0 * d))
+    level = _level(lambda y: complex(2.0 / math.cosh(8.0 * y)))
+    log_tail = lambda y: math.log(0.25) - 8.0 * y  # noqa: E731
+    plain = integrate_line_decaying(level, log_tail)
+    r = integrate_line_decaying(level, log_tail,
+                                bound=lambda h: 2.0 * m / math.expm1(2.0 * math.pi * d / h))
+    assert r.converged and r.n_evals < plain.n_evals
+    assert abs(r.value - math.pi / 8.0) <= r.err_est <= 1e-12
+    lying = integrate_line_decaying(level, log_tail, bound=lambda h: 1e-13 if h > 0.05 else 1.0)
+    assert lying == plain
+
+
 def test_mellin_gamma_integral():
     # integral of t^{s-1} e^{-t} = Gamma(s); alpha = Re s - 1
     for s, want in ((2.0, 1.0), (3.5, 3.32335097044784255)):
