@@ -44,11 +44,11 @@ times a real sech^2, with no complex division and no overflow.
 The line integral runs on the nested trapezoid rule of
 quadrature.integrate_line_decaying, whose nodes y = k h (h = 2^-2 .. 2^-8)
 do not depend on s, cut where the log envelope of the integrand bounds each
-tail.  The rule asks for a whole trapezoid level at a time, and a
-per-process table keeps, per line and level, the list of ln z and
-pi^2 sech^2(pi y) at the level's nodes y >= 0 (the weight one float shared
-by every line), so a level is one pass of two complex exps per node, one
-for y and one, conjugated, for -y.
+tail.  The rule asks for a whole trapezoid level at a time.  Each line
+keeps one record per process (_line): the list of ln z and
+pi^2 sech^2(pi y) at each level's nodes y >= 0, and the constants of its
+strip envelope (below), so a level is one pass of two complex exps per
+node, one for y and one, conjugated, for -y.
 J runs on the same trapezoid rule through quadrature.integrate_mellin.
 Both forms and zeta return quadrature.EvalResult, as the integrals do.
 
@@ -71,7 +71,7 @@ from itertools import islice
 from typing import Callable
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
-from .errors import DomainError, PoleAtOne, check_box, finite_s
+from .errors import DomainError, PoleAtOne, TruncationFailure, check_box, finite_s
 from .mellin import _RE_MIN, _sinh_sq_integral
 from .quadrature import TOL_MIN, EvalResult, check_tol, integrate_line_decaying
 
@@ -124,65 +124,56 @@ _Node = tuple[complex, float]  # (ln z, pi^2 sech^2(pi y)) at one node
 _Envelope = tuple[list[tuple[float, float, float]], tuple[float, float, float, float, float]]
 
 
-@lru_cache(maxsize=1)
-def _node_tables() -> tuple[dict[float, float], dict[tuple[int, float, float], list[_Node]],
-                            dict[int, tuple[_Envelope, _Envelope]]]:
-    """The nodes y >= 0 computed so far in this process: the weights
-    y -> pi^2 sech^2(pi y), one float per y shared by every line, and for
-    each line N (N = 0 .. 9 in the box) and each trapezoid level, keyed
-    (N, first node, node spacing), the list of (ln z, weight) at
-    z = N + 1/2 + iy for y = first, first + spacing, ... in order; and per
-    line N the envelope constants of _strip_m.
+@lru_cache(maxsize=None)
+def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]], tuple[_Envelope, _Envelope]]:
+    """The record of the line Re z = n + 1/2 (n = 0 .. 9 in the box), built
+    when the line is first used: its trapezoid levels computed so far, keyed
+    (first node, node spacing), each the list of (ln z, pi^2 sech^2(pi y))
+    at y = first, first + spacing, ... in order; and _strip_m's envelope
+    constants of the line.  Nothing in it is shared with another line.
 
-    Filled lazily by _cached_level and _strip_m.  The levels of one line are
-    disjoint, so each node is stored once per line.  A list is never changed
-    once stored: a level's missing nodes are built in a local list and
-    published with one assignment of the longer list, so a thread only ever
-    sees a complete prefix; an envelope is published whole the same way.
-    Threads that race to extend the same level store equal values and no
-    result depends on the order of filling.
+    _cached_level fills the levels lazily.  The levels are disjoint, so each
+    node y >= 0 is stored once.  A list is never changed once stored: a
+    level's missing nodes are built in a local list and published with one
+    assignment of the longer list, so a thread only ever sees a complete
+    prefix.  Threads that race to extend the same level store equal values
+    and no result depends on the order of filling.
     """
-    return {}, {}, {}
+    return {}, _line_envelope(n + 0.5)
 
 
-def _line_node(sigma: float, y: float, weights: dict[float, float]) -> _Node:
+def _line_node(sigma: float, y: float) -> _Node:
     """(ln z, pi^2 sech^2(pi y)) at z = sigma + iy, y >= 0, ln z formed as
-    cpow_principal forms it and the weight taken from (or put in) weights."""
+    cpow_principal forms it; TruncationFailure past the kernel's range,
+    which only a truncation height above _Y_MAX reaches."""
     if y > _Y_MAX:
-        raise DomainError(f"line kernel is specified for |y| <= {_Y_MAX:g}, got y = {y}")
-    weight = weights.get(y)
-    if weight is None:
-        weight = weights[y] = _PI_SQ * sech_sq_pi(y)
-    return complex(math.log(math.hypot(sigma, y)), math.atan2(y, sigma)), weight
+        raise TruncationFailure(
+            f"truncation height passes the line kernel's range |y| <= {_Y_MAX:g} at y = {y}")
+    return complex(math.log(math.hypot(sigma, y)), math.atan2(y, sigma)), _PI_SQ * sech_sq_pi(y)
 
 
 def _cached_level(s: complex, n: int) -> Callable[[float, range], list[complex]]:
     """The level evaluator of the fold g(y) = f(y) + f(-y), y >= 0, of
     f = line_integrand(., s, n): level(h, ks) returns g(k h) for k in ks,
-    read from the node tables as
+    read from the line's record _line(n) as
     (exp((1-s) ln z) + conj(exp(conj(1-s) ln z))) pi^2 sech^2(pi y): the
     second term equals exp((1-s) conj(ln z)) bitwise, so E(conj s) stays
-    conj E(s) exactly.  The node y = 0 is its own mirror, 2 exp((1-s) ln z)
-    times its weight."""
-    weights, lines, _ = _node_tables()
+    conj E(s) exactly, and at y = 0, where ln z is real, it equals the
+    first."""
+    levels = _line(n)[0]
     sigma = n + 0.5
     w = 1.0 - complex(s)
     wc = w.conjugate()
     exp = cmath.exp
 
     def level(h: float, ks: range) -> list[complex]:
-        key = (n, ks.start * h, ks.step * h)
-        nodes = lines.get(key, [])
+        key = (ks.start * h, ks.step * h)
+        nodes = levels.get(key, [])
         if len(nodes) < len(ks):
-            new = [_line_node(sigma, k * h, weights) for k in ks[len(nodes):]]
-            nodes = lines[key] = nodes + new
-        values = [(exp(w * lz) + exp(wc * lz).conjugate()) * weight
-                  for lz, weight in islice(nodes, len(ks))]
-        if not ks.start:
-            lz, weight = nodes[0]
-            v = exp(w * lz)
-            values[0] = (v + v) * weight
-        return values
+            new = [_line_node(sigma, k * h) for k in ks[len(nodes):]]
+            nodes = levels[key] = nodes + new
+        return [(exp(w * lz) + exp(wc * lz).conjugate()) * weight
+                for lz, weight in islice(nodes, len(ks))]
 
     return level
 
@@ -245,12 +236,8 @@ def _strip_m(s: complex, n: int) -> float | None:
     envelope of _line_log_tail, taken with the same bounds; that tail needs
     its decay constant c > 0, else there is no M.
     """
-    envelopes = _node_tables()[2]
-    env = envelopes.get(n)
-    if env is None:
-        env = envelopes[n] = _line_envelope(n + 0.5)
     power, t = 1.0 - s.real, abs(s.imag)
-    cells, (log_x, arg_x, const, log_slope, arg_slope) = env[power < 0.0]
+    cells, (log_x, arg_x, const, log_slope, arg_slope) = _line(n)[1][power < 0.0]
     c = _TWO_PI - max(power, 0.0) * log_slope - t * arg_slope
     if c <= 0.0:
         return None

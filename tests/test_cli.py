@@ -307,6 +307,17 @@ def test_overflow_exits_three(cmd):
     assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("re", ["-350", "-400", "-450"])
+def test_eval_far_left_truncation_exits_three(re):
+    """Far left the truncation height passes the line kernel's range: a
+    failure to evaluate a valid s, so exit 3 with one error line, as at
+    --re -300 (overflow) and --re -500, not a usage error."""
+    r = run_cli("eval", "--re", re)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
+
 def test_eval_far_right_does_not_overflow():
     """At Re s = 1e308 the line crosses the poles at 1 and 2, so nothing
     overflows: eval prints zeta = 1, and exits 3 only because an absolute

@@ -20,7 +20,7 @@ from zetaline.contour import (
     zeta,
     zeta_from_e,
 )
-from zetaline.errors import ContractViolation, DomainError, PoleAtOne
+from zetaline.errors import ContractViolation, DomainError, PoleAtOne, TruncationFailure
 from zetaline.oracle import zeta_euler_maclaurin
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
@@ -350,18 +350,18 @@ def _cached_fold(s: complex, n: int):
     return g
 
 
-def _line_tables():
-    """The node tables in the shape of one dict y -> (ln z, weight) per line
-    N, each y of a line found in exactly one of its levels."""
-    weights, levels, _ = contour._node_tables()
+def _line_tables(ns) -> dict[int, dict]:
+    """The level lists of each line n in ns in the shape of one dict
+    y -> (ln z, weight) per line, each y found in exactly one level."""
     lines: dict[int, dict] = {}
-    for (n, first, spacing), nodes in levels.items():
-        table = lines.setdefault(n, {})
-        for i, node in enumerate(nodes):
-            y = first + i * spacing
-            assert y not in table, (n, y)
-            table[y] = node
-    return weights, lines
+    for n in ns:
+        table = lines[n] = {}
+        for (first, spacing), nodes in contour._line(n)[0].items():
+            for i, node in enumerate(nodes):
+                y = first + i * spacing
+                assert y not in table, (n, y)
+                table[y] = node
+    return lines
 
 
 def test_node_table_matches_line_integrand():
@@ -374,6 +374,29 @@ def test_node_table_matches_line_integrand():
                 y = k / 256.0
                 plus, minus = line_integrand(y, s, n), line_integrand(-y, s, n)
                 assert abs(g(y) - (plus + minus)) <= 1e-15 * (abs(plus) + abs(minus))
+
+
+def test_fold_at_origin_is_twice_the_node():
+    """At y = 0, where ln z is real, the fold's two terms are the same bits,
+    so g(0) is (v + v) pi^2 with v = exp((1-s) ln(n + 1/2)), on every line
+    and for both signs of Im s."""
+    for n in range(10):
+        for s in (2.0 + 0.0j, 0.5 + 3.0j, 0.5 - 3.0j, -4.5 - 6.0j, 1.0 - 0.7j, 5.5 + 40.0j,
+                  -2.0 - 60.0j, 20.0 - 1e-300j):
+            v = cmath.exp((1.0 - s) * math.log(n + 0.5))
+            assert contour._cached_level(s, n)(0.25, range(1)) == [(v + v) * math.pi ** 2], (s, n)
+
+
+def test_far_left_truncation_past_kernel_range():
+    """Far left the tails need a truncation height above the kernel's range
+    |y| <= 300: a TruncationFailure, as further left, not a DomainError
+    about a node the caller never passed; line_integrand still refuses
+    such a y with DomainError."""
+    for re in (-350.0, -400.0, -450.0):
+        with pytest.raises(TruncationFailure, match="range"):
+            entire_e_line(complex(re, 0.0))
+    with pytest.raises(DomainError):
+        line_integrand(300.25, -400.0)
 
 
 def test_node_table_cold_threads_bitwise():
@@ -422,7 +445,7 @@ def test_node_table_eight_cold_threads_bitwise():
         "sys.setswitchinterval(1e-6)\n"
         "rounds = []\n"
         "for _ in range(5):\n"
-        "    contour._node_tables.cache_clear()\n"
+        "    contour._line.cache_clear()\n"
         "    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
         "    for th in threads: th.start()\n"
         "    for th in threads: th.join(120)\n"
@@ -445,23 +468,22 @@ def test_node_table_eight_cold_threads_bitwise():
 
 
 def test_node_table_size_bounded():
-    """After the 48 eval-tall points each line's table holds only nodes k/256
-    up to the largest truncation height on that line, the lines share one
-    weight per y, and all tables together hold fewer than 6,000 entries
-    (about 1 MB)."""
-    contour._node_tables.cache_clear()
+    """After the 48 eval-tall points exactly the lines they used are built,
+    each line's record holds only nodes k/256 up to the largest truncation
+    height on that line, and all records together hold fewer than 6,000
+    nodes (about 1 MB)."""
+    contour._line.cache_clear()
     heights: dict[int, float] = {}
     for s in _points("eval-tall.json"):
         n = int(abs(s.imag) / (2.0 * math.pi))
         heights[n] = max(heights.get(n, 0.0), entire_e_line(s).truncation_height)
-    weights, lines = _line_tables()
-    assert set(lines) == set(heights)
+    assert contour._line.cache_info().currsize == len(heights)
+    lines = _line_tables(heights)
+    assert contour._line.cache_info().currsize == len(heights)
     for n, table in lines.items():
         assert all(y >= 0.0 and (y * 256.0).is_integer() for y in table)
         assert len(table) <= 256.0 * heights[n] + 1.0
-    assert set(weights) == set().union(*lines.values())
-    assert all(weight is weights[y] for table in lines.values() for y, (_, weight) in table.items())
-    assert len(weights) + sum(len(table) for table in lines.values()) < 6000
+    assert sum(len(table) for table in lines.values()) < 6000
 
 
 def _dense_abs_integral(s: complex, n: int, b: float) -> float:

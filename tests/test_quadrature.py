@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaline import mellin, quadrature
+from zetaline.contour import entire_e_line
 from zetaline.errors import DomainError, NonFiniteIntegrand, TruncationFailure
 from zetaline.quadrature import (
     integrate_interval,
@@ -184,6 +186,91 @@ def test_line_certified_by_strip_bound():
     assert abs(r.value - math.pi / 8.0) <= r.err_est <= 1e-12
     lying = integrate_line_decaying(level, log_tail, bound=lambda h: 1e-13 if h > 0.05 else 1.0)
     assert lying == plain
+
+
+def _spy_levels(monkeypatch) -> list:
+    """Record each integrate_interval call as (its levels' (h, values) in
+    order, its tol, its bound, its result)."""
+    calls = []
+    real = quadrature.integrate_interval
+
+    def spy(level, *args, bound=None, **kwargs):
+        levels = []
+
+        def recorded(h: float, ks: range) -> list[complex]:
+            levels.append((h, level(h, ks)))
+            return levels[-1][1]
+
+        r = real(recorded, *args, bound=bound, **kwargs)
+        calls.append((levels, args[2], bound, r))
+        return r
+
+    monkeypatch.setattr(quadrature, "integrate_interval", spy)
+    return calls
+
+
+def _halvings(levels) -> list[tuple[float, float]]:
+    """(|T(h) - T(2h)|, noise) at each halving, summed as integrate_interval
+    sums: the node at a, then each level's new nodes in order."""
+    (_, (g0,)), *rest = levels
+    acc, l1 = complex(0.5 * g0), 0.5 * abs(g0)
+    out, prev = [], None
+    for h, values in rest:
+        for v in values:
+            acc += v
+            l1 += abs(v)
+        if prev is not None:
+            out.append((abs(h * acc - prev), 4.0 * math.ulp(1.0) * h * l1))
+        prev = h * acc
+    return out
+
+
+@pytest.mark.parametrize("run, bounded, n_evals, err_est", [
+    (lambda: entire_e_line(-20.0, 1e-14), True, 946, 9.497379418240337e-13),
+    (lambda: mellin._sinh_sq_integral(3.0, 1e-14), False, 345, 4.8939666088112943e-14),
+], ids=["line-at-minus-20", "sinh-at-3"])
+def test_interval_round_off_floor_exit(monkeypatch, run, bounded, n_evals, err_est):
+    """Where tol lies below the sum's rounding the loop stops on the
+    round-off floor, the difference below the noise but above tol, with
+    converged=False and err_est the difference plus the noise; on the line
+    at Re s = -20 the strip bound is present but cannot certify, since the
+    noise alone exceeds tol."""
+    calls = _spy_levels(monkeypatch)
+    r = run()
+    (levels, tol, bound, base), = calls
+    (prev, _), (diff, noise) = _halvings(levels)[-2:]
+    assert (bound is not None) == bounded
+    assert tol < diff <= noise and diff < prev
+    assert not base.converged and base.err_est == diff + noise
+    assert not r.converged and r.n_evals == n_evals
+    assert r.err_est == pytest.approx(err_est, rel=1e-9)
+
+
+def test_interval_stall_exit(monkeypatch):
+    """At Re s = -60 the line's sum cancels far above tol and halving stops
+    helping: the loop stops where a difference grows, converged=False."""
+    calls = _spy_levels(monkeypatch)
+    r = entire_e_line(-60.0, 1e-14)
+    (levels, tol, bound, base), = calls
+    (prev, _), (diff, noise) = _halvings(levels)[-2:]
+    assert bound is None
+    assert diff >= prev and diff > max(tol, noise)
+    assert not base.converged and base.err_est == diff + noise
+    assert not r.converged and r.n_evals == 2690
+    assert r.err_est == pytest.approx(2.0923065625884082e20, rel=1e-9)
+
+
+def test_interval_budget_exit():
+    """A constant cut at b = 1 is not negligible there, so T(h) = 1 + h/2
+    and every halving differs by h/2, shrinking yet above tol: the loop
+    runs out of halvings and returns the finest level, converged=False,
+    with err_est its last difference plus the noise."""
+    r = integrate_interval(lambda h, ks: [1.0] * len(ks), 0.0, 1.0, 1e-14)
+    h = 2.0 ** -8
+    assert r.value == 1.0 + h / 2.0
+    assert r.n_evals == 1 + 4 + 252
+    assert not r.converged
+    assert r.err_est == h / 2.0 + 4.0 * math.ulp(1.0) * h * (0.5 + 256.0)
 
 
 def test_mellin_gamma_integral():
