@@ -5,11 +5,13 @@ The central object is the entire function E(s) = (s - 1) zeta(s), computed as
     E(s) = (1 / 2 pi) Integral over Re z = N + 1/2 of pi^2 z^{1-s} / sin^2(pi z)
            + (s - 1) sum_{n <= N} n^{-s}
 
-with N = floor(|Im s| / 2 pi): the line Re z = 1/2 of the paper, moved past
-the residues (1-s) n^{-s} of the first N poles so that the integral does
-not cancel.  Everything else is built around that representation:
-an imaginary-axis variant for Re s <= -0.05, residue partial sums that
-recover the Dirichlet series, the functional equation zeta(s) =
+with N = floor(|Im s| / 2 pi), at least 1 for Re s > -10: the line
+Re z = 1/2 of the paper, moved past the residues (1-s) n^{-s} of the first
+N poles so that the integral does not cancel, and on N >= 1 integrated
+with the two nearest poles' contribution taken out of each trapezoid sum.
+Everything else is built around that representation: an imaginary-axis
+variant for Re s <= -0.05, residue partial sums that recover the
+Dirichlet series, the functional equation zeta(s) =
 chi(s) zeta(1-s) in two multiplier forms, a chain of Mellin integrals
 equal to Gamma(s) zeta(s), and an independent Euler-Maclaurin evaluator
 used as a cross-check.  The supported box is |Im s| <= 60.

@@ -40,9 +40,9 @@ FEQ_GRID = tuple(
 )
 
 # critical-strip comparison points for the oracle cross-check, |Im s| <= 15;
-# Im s = 7.5, 12 and 15 lie past 2 pi, so the line evaluator crosses one or
-# two residues there (N = floor(|Im s| / 2 pi)) and the check covers the
-# residue stage as well as the line Re z = 1/2
+# the line evaluator crosses one residue up to Im s = 12 and two at 15
+# (N = max(floor(|Im s| / 2 pi), 1)), so the check covers the residue stage
+# and the corrected trapezoid rule on two lines
 STRIP_POINTS = tuple(
     complex(re, im)
     for re in (0.2, 0.4, 0.6, 0.8)

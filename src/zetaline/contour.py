@@ -13,8 +13,9 @@ The integral itself converges for every s, which is what makes it a
 continuation device: zeta(s) = E(s)/(s-1) everywhere except the simple
 pole at s = 1.
 
-The evaluator moves the line to Re z = N + 1/2, N = floor(|Im s| / 2 pi),
-past the first N of those poles, and adds their residues back:
+The evaluator moves the line to Re z = N + 1/2, N = floor(|Im s| / 2 pi)
+(at least 1 for Re s > -10, see entire_e_line), past the first N of those
+poles, and adds their residues back:
 
     E(s) = (1/2 pi) Integral pi^2 z^{1-s} / sin^2(pi z) dy
            + (s-1) sum_{n<=N} n^{-s},                z = N + 1/2 + iy.
@@ -25,7 +26,8 @@ down to E; once N + 1/2 > |Im s| / 2 pi the exponent falls from y = 0 and
 nothing cancels.
 This is the contour form of the approximate functional equation (Borwein,
 Bradley & Crandall, J. Comput. Appl. Math. 121 (2000)).  N = 0, the line
-Re z = 1/2, serves |Im s| < 2 pi.
+Re z = 1/2, would serve |Im s| < 2 pi; the evaluator keeps it only left of
+Re s = -10 and otherwise takes N = 1, whose trapezoid rule is cheaper.
 
 For Re s < 0 the line can instead be pushed onto the imaginary axis, where
 the upper and lower half-axes combine into the real integral
@@ -42,23 +44,32 @@ denominator is real, even, and zero-free, so the kernel is a complex power
 times a real sech^2, with no complex division and no overflow.
 
 The line integral runs on the nested trapezoid rule of
-quadrature.integrate_line_decaying, whose nodes y = k h (h = 2^-2 .. 2^-8)
-do not depend on s, cut where the log envelope of the integrand bounds each
-tail.  The rule asks for a whole trapezoid level at a time.  Each line
-keeps one record per process (_line): the list of ln z and
-pi^2 sech^2(pi y) at each level's nodes y >= 0, and the constants of its
-strip envelope (below), so a level is one pass of two complex exps per
-node, one for y and one, conjugated, for -y.
+quadrature.integrate_line_decaying, whose nodes y = k h (h = 2^-1 .. 2^-8
+on N >= 1, 2^-2 .. 2^-8 on N = 0) do not depend on s, cut where the log
+envelope of the integrand bounds each tail.  The rule asks for a whole
+trapezoid level at a time.  Each line keeps one record per process
+(_line): the list of ln z and pi^2 sech^2(pi y) at each level's nodes
+y >= 0, and the constants of its bound's envelopes (below), so a level is
+one pass of two complex exps per node, one for y and one, conjugated,
+for -y.
 J runs on the same trapezoid rule through quadrature.integrate_mellin.
 Both forms and zeta return quadrature.EvalResult, as the integrals do.
 
-The poles at z = N and N + 1 lie at Im y = +-1/2 from the line, so the
-kernel is analytic in the strip |Im y| < a = 0.45, and Trefethen &
-Weideman's Thm 5.1 bounds the line rule's error by 2M / (e^{2 pi a/h} - 1),
-with M from an upper envelope of the kernel on that strip (_strip_m).  The
-rule stops at the first level this bound certifies, and err_est is then
-the bound; where it certifies none, the halving difference decides and
-err_est is an estimate (see _entire_e_line).
+The poles at z = N and N + 1 lie at Im y = +-1/2 from the line and cap
+the trapezoid rule's error near e^{-pi/h}.  Their residues are the ones
+the line sums, (1-s) N^{-s} and (1-s) (N+1)^{-s}, so on N >= 1 the rule
+subtracts their exact contribution C(h) from each level
+(_pole_correction), and the contour proof of Trefethen & Weideman's
+Thm 5.1, with these poles kept, then runs out to |Im y| = 1: it bounds
+the corrected level's error by (M_- + M_+) / (e^{2 pi/h} - 1), M_- and M_+
+the integrals of the kernel's modulus on the neighbouring half-integer
+lines Re z = N - 1/2 and N + 3/2 (_strip_m, from an upper envelope).  On
+N = 0 the line Re z = -1/2 would cross the branch cut of z^{1-s}, so the
+kernel's strip |Im y| < a = 0.45 gives the bound 2M / (e^{2 pi a/h} - 1)
+instead.  The rule stops at the first level its bound certifies, and
+err_est is then the bound; where it certifies none, the halving
+difference decides and err_est is the larger of it and the bound (see
+_entire_e_line).
 """
 
 from __future__ import annotations
@@ -93,8 +104,9 @@ _EPS = math.ulp(1.0)
 _POLE_RADIUS = 1e-6   # below this, 1/(s-1) amplification swamps double precision
 _Y_MAX = 300.0        # the line kernel is specified for |y| <= 300
 _RE_FAR = 6.5         # above this Re s the line crosses at least 2 poles
-_STRIP = 0.45         # half-width a of the strip |Im y| < a of the trapezoid bound;
-                      # the kernel's poles lie at |Im y| = 1/2
+_RE_LEFT = -10.0      # above this Re s the line crosses at least 1 pole
+_STRIP = 0.45         # half-width a of the strip |Im y| < a of the line N = 0's
+                      # trapezoid bound; the kernel's poles lie at |Im y| = 1/2
 _ENV_CELL = 0.5       # M is an upper sum over cells of this width on [0, _ENV_X]:
 _ENV_X = 4.0          # beyond it the envelope decays on every line N <= 9 for Re s >= -5
 
@@ -125,12 +137,16 @@ _Envelope = tuple[list[tuple[float, float, float]], tuple[float, float, float, f
 
 
 @lru_cache(maxsize=None)
-def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]], tuple[_Envelope, _Envelope]]:
+def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]],
+                           tuple[tuple[_Envelope, _Envelope], ...]]:
     """The record of the line Re z = n + 1/2 (n = 0 .. 9 in the box), built
     when the line is first used: its trapezoid levels computed so far, keyed
     (first node, node spacing), each the list of (ln z, pi^2 sech^2(pi y))
-    at y = first, first + spacing, ... in order; and _strip_m's envelope
-    constants of the line.  Nothing in it is shared with another line.
+    at y = first, first + spacing, ... in order; and the envelope constants
+    of _strip_m for the line's trapezoid bound (_line_bound): the strip
+    |Im y| < _STRIP about the line for n = 0, the neighbouring lines
+    Re z = n - 1/2 and n + 3/2 for n >= 1.  Nothing in it is shared with
+    another line.
 
     _cached_level fills the levels lazily.  The levels are disjoint, so each
     node y >= 0 is stored once.  A list is never changed once stored: a
@@ -139,7 +155,9 @@ def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]], tuple[_Envelo
     prefix.  Threads that race to extend the same level store equal values
     and no result depends on the order of filling.
     """
-    return {}, _line_envelope(n + 0.5)
+    if n == 0:
+        return {}, (_line_envelope(0.5, _STRIP),)
+    return {}, (_line_envelope(n - 0.5, 0.0), _line_envelope(n + 1.5, 0.0))
 
 
 def _line_node(sigma: float, y: float) -> _Node:
@@ -159,7 +177,8 @@ def _cached_level(s: complex, n: int) -> Callable[[float, range], list[complex]]
     (exp((1-s) ln z) + conj(exp(conj(1-s) ln z))) pi^2 sech^2(pi y): the
     second term equals exp((1-s) conj(ln z)) bitwise, so E(conj s) stays
     conj E(s) exactly, and at y = 0, where ln z is real, it equals the
-    first."""
+    first.  Where a power overflows, which only far left happens before
+    the weight can scale it, the level raises TruncationFailure."""
     levels = _line(n)[0]
     sigma = n + 0.5
     w = 1.0 - complex(s)
@@ -172,10 +191,25 @@ def _cached_level(s: complex, n: int) -> Callable[[float, range], list[complex]]
         if len(nodes) < len(ks):
             new = [_line_node(sigma, k * h) for k in ks[len(nodes):]]
             nodes = levels[key] = nodes + new
-        return [(exp(w * lz) + exp(wc * lz).conjugate()) * weight
-                for lz, weight in islice(nodes, len(ks))]
+        try:
+            return [(exp(w * lz) + exp(wc * lz).conjugate()) * weight
+                    for lz, weight in islice(nodes, len(ks))]
+        except OverflowError:
+            raise TruncationFailure(
+                f"z^(1-s) overflows double range on the line Re z = {sigma} at "
+                f"y = {_overflow_node(w, nodes, *key)} for s = {s}") from None
 
     return level
+
+
+def _overflow_node(w: complex, nodes: list[_Node], first: float, spacing: float) -> float:
+    """The first node y where exp(w ln z) or exp(conj(w) ln z) overflows."""
+    for i, (lz, _) in enumerate(nodes):
+        try:
+            cmath.exp(w * lz), cmath.exp(w.conjugate() * lz)
+        except OverflowError:
+            return first + i * spacing
+    raise AssertionError("no node overflows")
 
 
 def _line_log_tail(s: complex, sigma: float) -> Callable[[float], float]:
@@ -204,12 +238,14 @@ def _line_log_tail(s: complex, sigma: float) -> Callable[[float], float]:
     return log_tail
 
 
-def _line_envelope(sigma: float) -> tuple[_Envelope, _Envelope]:
-    """_strip_m's constants on the line Re z = sigma, for 1 - Re s >= 0 and
-    for 1 - Re s < 0: each factor of |f(x + ib)| taken at the end of its
-    cell where it is largest for every |b| < _STRIP."""
-    hi, lo = sigma + _STRIP, sigma - _STRIP
-    sin2 = math.sin(math.pi * _STRIP) ** 2
+def _line_envelope(sigma: float, a: float) -> tuple[_Envelope, _Envelope]:
+    """_strip_m's constants for the strip |Im y| < a about the line
+    Re z = sigma, for 1 - Re s >= 0 and for 1 - Re s < 0: each factor of
+    |f(x + ib)| taken at the end of its cell where it is largest for every
+    |b| < a (for a = 0, b = 0 on the line itself, where |sin^2(pi z)| is
+    cosh^2(pi x) exactly)."""
+    hi, lo = sigma + a, sigma - a
+    sin2 = math.sin(math.pi * a) ** 2
     xs = [_ENV_CELL * j for j in range(int(_ENV_X / _ENV_CELL) + 1)]
     log_hi = [0.5 * math.log(hi * hi + x * x) for x in xs]
     log_lo = [0.5 * math.log(lo * lo + x * x) for x in xs]
@@ -223,21 +259,22 @@ def _line_envelope(sigma: float) -> tuple[_Envelope, _Envelope]:
             (list(zip(log_lo, arg[1:], den)), (log_lo[-1], arg[-1], const, 0.0, arg_slope)))
 
 
-def _strip_m(s: complex, n: int) -> float | None:
+def _strip_m(s: complex, envelope: tuple[_Envelope, _Envelope]) -> float | None:
     """M, an upper bound on the integral of |f(x + ib)| over x for every
-    |b| < _STRIP, f = line_integrand(., s, n); None where none is found.
+    |b| < a, f = pi^2 z^{1-s} / sin^2(pi z) on the line Re z = sigma, from
+    envelope = _line_envelope(sigma, a); None where none is found.
 
-    On Re z = sigma - b, sigma = n + 1/2, |f| = pi^2 |z|^{1 - Re s}
-    e^{Im s arg z} / (cosh^2(pi x) - sin^2(pi b)), and each factor has a
-    bound for every |b| < a that is monotone in |x|: |z|^{1 - Re s} on
-    the line Re z = sigma +- a where it is larger, e^{|Im s| atan(|x| /
-    (sigma - a))}, and 1 / (cosh^2(pi x) - sin^2(pi a)).  M is twice their
-    upper Riemann sum on [0, X] plus twice the integral beyond X of the
-    envelope of _line_log_tail, taken with the same bounds; that tail needs
-    its decay constant c > 0, else there is no M.
+    On Re z = sigma - b, |f| = pi^2 |z|^{1 - Re s} e^{Im s arg z} /
+    (cosh^2(pi x) - sin^2(pi b)), and each factor has a bound for every
+    |b| < a that is monotone in |x|: |z|^{1 - Re s} on the line
+    Re z = sigma +- a where it is larger, e^{|Im s| atan(|x| / (sigma - a))},
+    and 1 / (cosh^2(pi x) - sin^2(pi a)).  M is twice their upper Riemann
+    sum on [0, X] plus twice the integral beyond X of the envelope of
+    _line_log_tail, taken with the same bounds; that tail needs its decay
+    constant c > 0, else there is no M.
     """
     power, t = 1.0 - s.real, abs(s.imag)
-    cells, (log_x, arg_x, const, log_slope, arg_slope) = _line(n)[1][power < 0.0]
+    cells, (log_x, arg_x, const, log_slope, arg_slope) = envelope[power < 0.0]
     c = _TWO_PI - max(power, 0.0) * log_slope - t * arg_slope
     if c <= 0.0:
         return None
@@ -249,15 +286,56 @@ def _strip_m(s: complex, n: int) -> float | None:
         return None
 
 
-def _strip_bound(s: complex, n: int) -> Callable[[float], float] | None:
-    """Trefethen & Weideman's bound 2M / (e^{2 pi a/h} - 1), a = _STRIP, on
-    |I - h sum_k f(k h)| for f = line_integrand(., s, n), whose poles keep
-    the strip |Im y| < a free; None where _strip_m has no M."""
-    m = _strip_m(s, n)
-    if m is None:
+def _line_bound(s: complex, n: int) -> Callable[[float], float] | None:
+    """Trefethen & Weideman's bound on the error of the line's trapezoid
+    sum h sum_k f(k h), f = line_integrand(., s, n), less _pole_correction
+    for n >= 1; None where _strip_m has no M.
+
+    Their proof bounds the error by the integrals of |f| along Im y = +-a,
+    each over e^{2 pi a/h} - 1, plus the contributions of the poles of f
+    between.  On n = 0 the strip |Im y| < a = _STRIP is pole-free and the
+    bound is 2M / (e^{2 pi a/h} - 1).  On n >= 1 _pole_correction takes out
+    the two poles at Im y = +-1/2, and a = 1 puts the lines on
+    Re z = n - 1/2 and n + 3/2, so the bound is (M_- + M_+) / (e^{2 pi/h} - 1),
+    M_- and M_+ the integrals of |f| there.  The exponent is capped at 700,
+    which only enlarges the bound, so that e^{2 pi a/h} stays finite.
+    """
+    ms = [_strip_m(s, envelope) for envelope in _line(n)[1]]
+    if None in ms:
         return None
-    two_m, expm1, width = 2.0 * m, math.expm1, _TWO_PI * _STRIP
-    return lambda h: two_m / expm1(width / h)
+    m, width = (2.0 * ms[0], _TWO_PI * _STRIP) if n == 0 else (ms[0] + ms[1], _TWO_PI)
+    expm1 = math.expm1
+    return lambda h: m / expm1(min(width / h, 700.0))
+
+
+def _pole_correction(s: complex, n: int, terms: tuple[array, array]) -> Callable[[float], complex]:
+    """C(h), the part of the trapezoid sum's error h sum_k f(k h) - I that
+    the double poles of f = line_integrand(., s, n) at z = n and n + 1
+    (y = i/2 and -i/2) contribute, n >= 1, for _line_bound to bound the rest:
+
+        C(h) = 2 pi [phi'(h) (n^{1-s} + (n+1)^{1-s})
+                     + phi(h) (1-s) (n^{-s} - (n+1)^{-s})],
+        phi(h) = 1/(e^{pi/h} - 1),   phi'(h) = (2 pi/h) e^{pi/h} phi(h)^2,
+
+    the poles' terms in the contour proof of Trefethen & Weideman's
+    Thm 5.1, from f's Laurent terms k^{1-s} / (z-k)^2 + (1-s) k^{-s} / (z-k)
+    at z = k, where the proof's factor 1/(e^{-+2 pi i y/h} - 1) and its
+    derivative give phi(h) and phi'(h) at y = +-i/2.  phi and phi' are
+    real, so C(conj s) is conj C(s) bitwise; terms holds k^{-s},
+    k = 1 .. n + 1, as _residue_terms gives them.
+    """
+    re, im = terms
+    near, far = complex(re[n - 1], im[n - 1]), complex(re[n], im[n])
+    double = n * near + (n + 1) * far
+    single = (1.0 - s) * (near - far)
+    exp = math.exp
+
+    def correction(h: float) -> complex:
+        q = exp(-math.pi / h)  # e^{-pi/h}, so phi = q / (1 - q)
+        phi = q / (1.0 - q)
+        return _TWO_PI * ((_TWO_PI / h) * phi / (1.0 - q) * double + phi * single)
+
+    return correction
 
 
 def _residue_terms(s: complex, n_terms: int) -> tuple[array, array]:
@@ -270,15 +348,16 @@ def _residue_terms(s: complex, n_terms: int) -> tuple[array, array]:
     return re, im
 
 
-def _residue_sum(s: complex, n_terms: int) -> tuple[complex, float]:
-    """(s-1) sum_{n <= n_terms} n^{-s}, the terms added with math.fsum, and
+def _residue_sum(s: complex, n_terms: int, terms: tuple[array, array]) -> tuple[complex, float]:
+    """(s-1) sum_{n <= n_terms} n^{-s}, the terms n^{-s} read from the
+    first n_terms of terms (_residue_terms) and added with math.fsum, and
     a bound on its rounding error.
 
     Each n^{-s} = exp(-s ln n) carries the error of its exponent, up to
     eps (|Re s| + |Im s|) ln n, on top of a few ulps, so the bound is
     eps |s-1| sum |n^{-s}| (4 + (|Re s| + |Im s|) ln n).
     """
-    re, im = _residue_terms(s, n_terms)
+    re, im = (part[:n_terms] for part in terms)
     size = abs(s.real) + abs(s.imag)
     spread = math.fsum(abs(complex(x, y)) * (4.0 + size * math.log(n))
                        for n, (x, y) in enumerate(zip(re, im), 1))
@@ -287,19 +366,23 @@ def _residue_sum(s: complex, n_terms: int) -> tuple[complex, float]:
 
 def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
     """E(s) = (s-1) zeta(s) by quadrature along the line Re z = N + 1/2,
-    N = floor(|Im s| / 2 pi), plus the residues of the N poles it crossed;
-    N is at least 2 where Re s > 6.5.
+    plus the residues of the N poles it crossed: N = floor(|Im s| / 2 pi),
+    at least 1 where Re s > -10 and at least 2 where Re s > 6.5.
 
     Valid for every s with |Im s| <= 60.  On that line the integrand's
     exponent Im s atan(y/sigma) - 2 pi |y| falls from y = 0, so the
     e^{0.8|Im s|} cancellation of the line Re z = 1/2 is gone; N = 0 is
-    that line.  For large Re s the kernel's modulus |z|^{1 - Re s} peaks
-    near 2^{Re s - 1} on Re z = 1/2 (and stays large half a unit off
-    Re z = 3/2, at the pole z = 1), so the integral would cancel down to E;
-    half a unit around Re z = 5/2 it is at most 2^{1 - Re s}, and the
-    residues (s-1)(1 + 2^{-s}) carry the value.  Below Re s = 6.5 N = 0
-    still converges at tol 1e-12; 6.5 lies past Re s = 6, the right edge of
-    the benchmark's boxes, so none of their points moves.
+    that line.  N >= 1 lets the trapezoid rule subtract the poles at z = N
+    and N + 1 and certify its levels past them (_line_bound), at about half
+    the evaluations of N = 0.  Far left, |z|^{1 - Re s} grows along
+    Re z = 3/2 and with it the sum's rounding, so for Re s <= -10 and
+    |Im s| < 2 pi the line stays N = 0: on Re s in [-20, -10] at tol 1e-12,
+    34 of 100 points converged on N = 1 against 64 on N = 0.  For large
+    Re s the kernel's modulus |z|^{1 - Re s} peaks near 2^{Re s - 1} on
+    Re z = 1/2 (and stays large half a unit off Re z = 3/2, at the pole
+    z = 1), so the integral would cancel down to E; half a unit around
+    Re z = 5/2 it is at most 2^{1 - Re s}, and the residues
+    (s-1)(1 + 2^{-s}) carry the value.
 
     tol is absolute on E(s) itself: err_est covers the quadrature error,
     both truncated tails and the rounding of the sum and of the residues,
@@ -309,7 +392,9 @@ def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
     s = finite_s(s)
     check_box(s, "line evaluator")
     n = int(abs(s.imag) / _TWO_PI)
-    return _entire_e_line(s, tol, max(n, 2) if s.real > _RE_FAR else n)
+    if s.real > _RE_LEFT:
+        n = max(n, 2 if s.real > _RE_FAR else 1)
+    return _entire_e_line(s, tol, n)
 
 
 def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
@@ -317,29 +402,35 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
 
     The residue of the kernel at z = k is (1-s) k^{-s}, so moving the line
     from Re z = 1/2 to n + 1/2 subtracts (s-1) sum_{k<=n} k^{-s} from the
-    integral; adding it back gives E(s) on every line.
+    integral; adding it back gives E(s) on every line.  For n >= 1 the
+    trapezoid rule starts at h = 1/2 and subtracts _pole_correction from
+    each level, so that h = 1/4 can already be certified; the residues and
+    the correction share one table of k^{-s}, k = 1 .. n + 1.
 
     err_est, on the scale of the integral of 2 pi E, adds the rounding of
     the residues, which comes off the top of the budget 2 pi tol, to the
     quadrature's err_est; the quadrature runs at the rest over 1.2, which
-    leaves room for its tails and the rounding of its sum.  At a level the
-    strip bound of _strip_bound certifies, the quadrature's err_est is
-    that proven bound; elsewhere it is the halving difference, an
-    estimate: on n = 1 at s = 65.76+6i, where the pole at z = 1 lies half a
-    unit from the line, the error is 1.5e-12 against an err_est of
-    2.1e-13, 7x (entire_e_line takes n >= 2 there).
+    leaves room for its tails and the rounding of its sum.  At a level
+    _line_bound certifies, the quadrature's err_est is that proven bound;
+    elsewhere it is the larger of the halving difference and the bound, or
+    the difference alone, an estimate, where there is no bound.
     Where the residues' rounding alone exceeds tol the point cannot
     converge, and the quadrature stops at that rounding instead of halving
     on.
     """
     check_tol(tol)
     _check_line(n)
-    residues, rounding = _residue_sum(s, n) if n else (0j, 0.0)
     budget = _TWO_PI * tol
-    rounding *= _TWO_PI
+    if n:
+        terms = _residue_terms(s, n + 1)
+        residues, rounding = _residue_sum(s, n, terms)
+        rounding *= _TWO_PI
+        correction = _pole_correction(s, n, terms)
+    else:
+        residues, rounding, correction = 0j, 0.0, None
     quad_tol = max(TOL_MIN, (budget - rounding) / 1.2) if rounding < budget else rounding
     base = integrate_line_decaying(_cached_level(s, n), _line_log_tail(s, n + 0.5), quad_tol,
-                                   _strip_bound(s, n))
+                                   _line_bound(s, n), correction)
     value = base.value / _TWO_PI
     if n:
         value += residues

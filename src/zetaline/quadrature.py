@@ -11,26 +11,34 @@ turns both features into plain exponential tails).
 All three run on integrate_interval: the trapezoid rule on a + k h, which
 converges like e^{-2 pi d / h} for an integrand analytic in the strip
 |Im u| < d and negligible at both ends (Trefethen & Weideman, SIAM Rev. 56
-(2014), Thm 5.1).  h starts at a power of two no larger than 1/4 and
-halves, and each halving reuses every earlier node.  The integrand comes
-as a level evaluator, level(h, ks) -> the values at a + k h for k in the
-range ks, in ascending order, so a caller can evaluate a whole level in
-one pass; ks = range(1) asks for the node at a.
+(2014), Thm 5.1).  h starts at a power of two no larger than 1/2 (1/4 by
+default; the line contour starts its corrected lines at 1/2) and halves 6
+times, or down to 2^-8 if that is further, and each halving reuses every
+earlier node.  The integrand comes as a level evaluator, level(h, ks) ->
+the values at a + k h for k in the range ks, in ascending order, so a
+caller can evaluate a whole level in one pass; ks = range(1) asks for the
+node at a.
 
-A caller that knows such a strip can pass its bound B(h) >= |I - T(h)|,
-the theorem's 2M / (e^{2 pi d/h} - 1), where M bounds the integral of
-|g(u + ib)| over u for every |b| < d.  From the first halving on, the
+A caller that knows the poles nearest the real axis can pass their exact
+contribution C(h) to the error T(h) - I, and each level becomes
+T(h) - C(h) (the line contour subtracts the kernel's two nearest double
+poles, whose residues it already sums).  A caller that knows a strip
+|Im u| < d free of the remaining poles can pass its bound
+B(h) >= |I - T(h) + C(h)|, the theorem's 2M / (e^{2 pi d/h} - 1), where M
+bounds the integral of |g(u + ib)| over u for every |b| < d (or a sum of
+such terms, one per edge of the strip).  From the first halving on, the
 first level with B(h) + noise <= tol, noise = 4 eps h sum |g| being the
-sum's rounding, is certified and returned, provided T(h) and T(2h) differ
-by at most B(h) + B(2h) + noise as the theorem implies; its err_est,
-B(h) + noise, is a proven bound up to the rounding of the nodes.
+sum's rounding, is certified and returned, provided the corrected T(h) and
+T(2h) differ by at most B(h) + B(2h) + noise as the theorem implies; its
+err_est, B(h) + noise, is a proven bound up to the rounding of the nodes.
 Otherwise the halving rule decides: h halves until two levels differ by at
 most tol, by no less than the last two did, or by no more than the noise
 (round-off floor), or the budget runs out, and err_est is that difference
-plus the noise.  The difference is an estimate, not a bound: on the line
-Re z = 3/2 at s = 65.76+6i, where the kernel's pole at z = 1 lies half a
-unit away, the error is 1.5e-12 against an err_est of 2.1e-13, 7x.  The
-front ends add both tails they cut to err_est.
+plus the noise, or with a bound the larger of the difference and B(h) plus
+the noise.  The difference alone is an estimate, not a bound: a pole
+half a unit from the line, left in the sum, can make two levels agree to
+2.1e-13 where both are 1.5e-12 off.  The front ends add both tails they
+cut to err_est.
 Every integrator returns an EvalResult, the package's one result type.
 
 Everything is pure and sequential-deterministic: nodes are summed level by
@@ -57,6 +65,7 @@ __all__ = [
 Integrand = Callable[[float], complex]
 Level = Callable[[float, range], list[complex]]
 Bound = Callable[[float], float]
+Correction = Callable[[float], complex]
 
 # exp() underflows to 0.0 below ~-745; keep the substitution variable above
 # that so f is never handed an argument that collapsed to t = 0.0 exactly
@@ -64,8 +73,10 @@ _MELLIN_U_MIN = -740.0
 
 _EPS = math.ulp(1.0)
 
-_FIRST_STEP = 0.25  # largest first trapezoid step; powers of two keep
-_HALVINGS = 6       # every node a + k h exact and shared across levels
+_FIRST_STEP = 0.25   # default first trapezoid step
+_MAX_STEP = 0.5      # largest first step; powers of two keep every node
+_HALVINGS = 6        # a + k h exact and shared across levels; at least
+_H_MIN = 2.0 ** -8   # 6 halvings, and down to this step
 
 _MAX_HEIGHT = 500.0  # largest truncation height
 TOL_MIN = 1e-14      # smallest tol any integrator takes
@@ -91,7 +102,7 @@ def check_tol(tol: float) -> None:
 
 def integrate_interval(
     level: Level, a: float, b: float, tol: float = 1e-12, *, step: float = _FIRST_STEP,
-    bound: Bound | None = None,
+    bound: Bound | None = None, correction: Correction | None = None,
 ) -> EvalResult:
     """Nested trapezoid rule T(h) = h (g(a)/2 + sum_{k >= 1, k h <= b - a} g(a + k h))
     for an integral over [a, inf) whose integrand g is negligible beyond b,
@@ -99,27 +110,30 @@ def integrate_interval(
 
     The weight 1/2 at a suits an integrand negligible at a as well, or a
     whole-line integrand folded onto a.  h starts at `step`, a power of two
-    no larger than 1/4, and halves at most 6 times; a halving adds only the
-    odd nodes of the finer grid.  With `bound`, bound(h) >= |I - T(h)|, a
-    level from the first halving on with bound(h) + noise <= tol and
-    |T(h) - T(2h)| <= bound(h) + bound(2h) + noise is certified: it returns
-    with err_est bound(h) + noise and converged=True, noise being the sum's
-    rounding.  Otherwise err_est is the last difference plus that rounding,
-    an estimate, and `converged` says the difference met tol.
+    no larger than 1/2, and halves 6 times or down to 2^-8 if that is
+    further; a halving adds only the odd nodes of the finer grid.  With
+    `correction`, each level T(h) below is T(h) - correction(h).  With
+    `bound`, bound(h) >= |I - T(h)|, a level from the first halving on with
+    bound(h) + noise <= tol and |T(h) - T(2h)| <= bound(h) + bound(2h) +
+    noise is certified: it returns with err_est bound(h) + noise and
+    converged=True, noise being the sum's rounding.  Otherwise err_est is
+    the last difference plus that rounding, an estimate, or with `bound`
+    the larger of the difference and bound(h) plus the rounding, and
+    `converged` says that err_est without the rounding met tol.
     """
     check_tol(tol)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b, got a={a}, b={b}")
-    if not (0.0 < step <= _FIRST_STEP and math.frexp(step)[0] == 0.5):
-        raise DomainError(f"step must be a power of two <= {_FIRST_STEP}, got {step}")
+    if not (0.0 < step <= _MAX_STEP and math.frexp(step)[0] == 0.5):
+        raise DomainError(f"step must be a power of two <= {_MAX_STEP}, got {step}")
     h = step
-    bound_prev = bound(h) if bound else math.inf
+    bound_h = bound(h) if bound else 0.0
     g0, = level(h, range(1))
     acc = complex(0.5 * g0)
     l1 = 0.5 * abs(g0)  # ~ integral of |g| / h: sets the round-off floor
     n_evals = 1
     err = math.inf
-    for halving in range(_HALVINGS + 1):
+    for halving in range(max(_HALVINGS, round(math.log2(step / _H_MIN))) + 1):
         # level 0 takes every node k >= 1, each halving only the new odd k
         ks = range(1, int((b - a) / h) + 1, 2 if halving else 1)
         for v in level(h, ks):  # ascending coordinate order
@@ -128,25 +142,25 @@ def integrate_interval(
         n_evals += len(ks)
         if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
             raise NonFiniteIntegrand(f"integrand is not finite on the nodes of step {h}")
-        refined = h * acc
+        refined = h * acc - correction(h) if correction else h * acc
         noise = 4.0 * _EPS * h * l1  # rounding of the sum
         if halving:
             err_new = abs(refined - value)
             if bound:
-                bound_h = bound(h)
+                bound_prev, bound_h = bound_h, bound(h)
                 # certified, unless T(h) and T(2h) differ by more than
                 # their bounds allow, which the theorem rules out
                 if bound_h + noise <= tol and err_new <= bound_h + bound_prev + noise:
                     return EvalResult(refined, bound_h + noise, n_evals, True)
-                bound_prev = bound_h
             if err_new <= tol or err_new >= err or err_new <= noise:
                 # met tol; or halving stopped helping, or the difference is
                 # below the rounding of the sum itself: round-off floor reached
-                return EvalResult(refined, err_new + noise, n_evals, err_new <= tol)
+                est = max(err_new, bound_h)
+                return EvalResult(refined, est + noise, n_evals, est <= tol)
             err = err_new
         value = refined
         h *= 0.5
-    return EvalResult(value, err + noise, n_evals, False)
+    return EvalResult(value, max(err, bound_h) + noise, n_evals, False)
 
 
 def _truncation_height(
@@ -182,7 +196,7 @@ def _truncation_height(
 
 def integrate_line_decaying(
     level: Level, log_tail: Callable[[float], float], tol: float = 1e-12,
-    bound: Bound | None = None,
+    bound: Bound | None = None, correction: Correction | None = None,
 ) -> EvalResult:
     """Integral over the whole real line of f, given the level evaluator of
     its fold g(y) = f(y) + f(-y) on y >= 0 (level(h, ks) returns
@@ -192,19 +206,28 @@ def integrate_line_decaying(
     The truncation height Y is the first point of the 1/8 grid from 1 where
     each tail is below tol/20, and integrate_interval runs on g over [0, Y]
     from h = 1/4; err_est adds both tails, a tenth of tol, to its err_est.
-    n_evals counts values of f, two per node.
+    n_evals counts values of f, two per node.  With a correction, which
+    takes out the poles nearest the real axis, each level is
+    h sum_k f(k h) - correction(h), the rule starts from h = 1/2, too
+    coarse without it, and Y is rounded up to a multiple of 1/4.
 
-    bound(h), if given, bounds |I - h sum_k f(k h)|, the error of the
-    trapezoid sum over all integers k, and integrate_interval certifies
-    levels with it.  Those have h <= 1/8, which divides Y, so the nodes the
-    sum leaves out lie at |y| = Y + h, Y + 2h, ...; log_tail(Y) must then
-    also bound h times the sum of |f| there, as it does when it bounds the
-    integral of an envelope of |f| that decreases beyond Y, and the same
-    tenth of tol covers them.
+    bound(h), if given, bounds |I - h sum_k f(k h) + correction(h)|, the
+    error of the (corrected) trapezoid sum over all integers k, and
+    integrate_interval certifies levels with it.  Those have h <= 1/8, or
+    1/4 with a correction, which divides Y, so the nodes the sum leaves out
+    lie at |y| = Y + h,
+    Y + 2h, ...; log_tail(Y) must then also bound h times the sum of |f|
+    there, as it does when it bounds the integral of an envelope of |f|
+    that decreases beyond Y, and the same tenth of tol covers them.
     """
     check_tol(tol)
     height = _truncation_height(log_tail, 0.05 * tol)
-    base = integrate_interval(level, 0.0, height, tol, bound=bound)
+    step = _FIRST_STEP
+    if correction:
+        step = _MAX_STEP
+        height = math.ceil(4.0 * height) / 4.0
+    base = integrate_interval(level, 0.0, height, tol, step=step, bound=bound,
+                              correction=correction)
     return EvalResult(base.value, base.err_est + 0.1 * tol, 2 * base.n_evals,
                       base.converged, height)
 

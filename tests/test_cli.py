@@ -318,6 +318,22 @@ def test_eval_far_left_truncation_exits_three(re):
     assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("args, line, y", [
+    ("--re -300", "Re z = 0.5", "y = 10.75"),
+    ("--re -200 --im 10", "Re z = 1.5", "y = 32.0"),
+])
+def test_eval_line_overflow_is_named(args, line, y):
+    """Far left the kernel's power z^(1-s) overflows at a line node before
+    the sech^2 weight can scale it: exit 3 with one error line that names
+    the overflow, the line, the node and s, not a bare "math range error"."""
+    r = run_cli("eval", *args.split())
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and "range error" not in r.stderr
+    assert r.stderr.startswith("error: z^(1-s) overflows")
+    assert line in r.stderr and y in r.stderr and "s = (" in r.stderr
+
+
 def test_eval_far_right_does_not_overflow():
     """At Re s = 1e308 the line crosses the poles at 1 and 2, so nothing
     overflows: eval prints zeta = 1, and exits 3 only because an absolute

@@ -160,14 +160,17 @@ def test_large_re_s_within_err_est():
 
 def test_contour_independence():
     """Shifting the line past more poles changes nothing: E(s) on the lines
-    N, N+1 and N+2 (integral plus residues) agrees within the err_ests."""
+    N0, N0+1 and N0+2, N0 = floor(|Im s| / 2 pi), (integral plus residues)
+    agrees within the err_ests with the line entire_e_line picks, N0 or,
+    for N0 = 0, the corrected line N = 1."""
     for s in (2.0 + 0.0j, 0.5 + 3.0j, -1.5 + 0.0j, 0.5 + 14.134725141734693j, 6.0 - 20.0j):
-        n = int(abs(s.imag) / (2.0 * math.pi))
-        first, *rest = [contour._entire_e_line(s, 1e-12, k) for k in (n, n + 1, n + 2)]
-        assert first.value == entire_e_line(s).value
-        for r in (first, *rest):
+        n0 = int(abs(s.imag) / (2.0 * math.pi))
+        lines = [contour._entire_e_line(s, 1e-12, k) for k in (n0, n0 + 1, n0 + 2)]
+        picked = lines[max(n0, 1) - n0]
+        assert picked.value == entire_e_line(s).value
+        for r in lines:
             assert r.converged, s
-            assert abs(r.value - first.value) <= r.err_est + first.err_est, s
+            assert abs(r.value - picked.value) <= r.err_est + picked.err_est, s
 
 
 @given(
@@ -501,39 +504,94 @@ def _dense_abs_integral(s: complex, n: int, b: float) -> float:
     return inner + outer
 
 
+def _bound_grid():
+    """(s, n): every line N = 0 .. 9, at both ends of each line's range of
+    |Im s|, both signs of Im s, Re s from -5 to 20."""
+    for n in range(10):
+        for im in (2.0 * math.pi * n + 0.1, min(2.0 * math.pi * (n + 1) - 0.1, 60.0)):
+            for re in (-5.0, 0.5, 6.0, 20.0):
+                for sign in (1, -1):
+                    yield complex(re, sign * im), n
+
+
 def test_strip_m_bounds_the_integral():
     """M bounds the integral of |f(x + ib)| over x for |b| < a, which the
     strip bound 2M / (e^{2 pi a/h} - 1) needs: checked against a dense sum
-    on every line N = 0 .. 9, at both ends of each line's range of |Im s|,
-    both signs of Im s, Re s from -5 to 20, and b = 0, +-a/2, +-0.99a."""
+    on every line of _bound_grid and b = 0, +-a/2, +-0.99a."""
     a = contour._STRIP
-    for n in range(10):
-        for im in (2.0 * math.pi * n + 0.1, min(2.0 * math.pi * (n + 1) - 0.1, 60.0)):
-            for s in (complex(re, sign * im) for re in (-5.0, 0.5, 6.0, 20.0) for sign in (1, -1)):
-                m = contour._strip_m(s, n)
-                assert m is not None, (s, n)
-                for b in (0.0, 0.5 * a, -0.5 * a, 0.99 * a, -0.99 * a):
-                    assert _dense_abs_integral(s, n, b) <= m, (s, n, b)
+    for s, n in _bound_grid():
+        m = contour._strip_m(s, contour._line_envelope(n + 0.5, a))
+        assert m is not None, (s, n)
+        for b in (0.0, 0.5 * a, -0.5 * a, 0.99 * a, -0.99 * a):
+            assert _dense_abs_integral(s, n, b) <= m, (s, n, b)
 
 
-def _replay_levels(level, tol: float, bound, result) -> tuple[bool, bool]:
-    """Rerun the trapezoid levels of one integrate_interval call on the line
-    (the same nodes, summed in the same order) up to where it stopped.
-    Return (certified, fell_through): whether the strip bound certifies a
-    level, and whether the consistency check fails at the first level it
-    certifies; where the check holds, that level is where the call stopped."""
+def test_neighbour_m_bounds_the_integral():
+    """On N >= 1 the bound (M_- + M_+) / (e^{2 pi/h} - 1) takes M_- and M_+
+    from the line's record: they bound the integral of |f| along Im y = 1
+    and -1, the lines Re z = N - 1/2 and N + 3/2, over the grid of
+    _bound_grid with N = 1 .. 9."""
+    for s, n in _bound_grid():
+        if n:
+            lower, upper = (contour._strip_m(s, envelope) for envelope in contour._line(n)[1])
+            assert lower is not None and upper is not None, (s, n)
+            assert _dense_abs_integral(s, n, 1.0) <= lower, (s, n)
+            assert _dense_abs_integral(s, n, -1.0) <= upper, (s, n)
+
+
+def test_corrected_levels_within_the_bound():
+    """The corrected trapezoid sums T(1/4) - C(1/4) and T(1/8) - C(1/8) on
+    the line entire_e_line picks lie within B(h), plus the sum's rounding,
+    the cut tails and the residues' rounding, of the 34-digit references,
+    at every eval-strip seed-1 and eval-tall point on a line N >= 1."""
     eps = math.ulp(1.0)
-    h = 0.25
+    checked = 0
+    for name in ("eval-strip-seed1.json", "eval-tall.json"):
+        data = json.loads((REFS / name).read_text())
+        for s, (re, im) in zip(_points(name), data["values"]["E"]):
+            r = entire_e_line(s)
+            n = max(int(abs(s.imag) / (2.0 * math.pi)), 1)
+            terms = contour._residue_terms(s, n + 1)
+            residues, rounding = contour._residue_sum(s, n, terms)
+            correction = contour._pole_correction(s, n, terms)
+            bound = contour._line_bound(s, n)
+            level = contour._cached_level(s, n)
+            ref = complex(float(re), float(im))
+            for h in (0.25, 0.125):
+                g0, = level(h, range(1))
+                values = level(h, range(1, int(r.truncation_height / h) + 1))
+                total = 0.5 * g0 + sum(values)
+                noise = 4.0 * eps * h * (0.5 * abs(g0) + sum(abs(v) for v in values))
+                value = (h * total - correction(h)) / (2.0 * math.pi) + residues
+                # the tails are within 0.1 tol; the last term covers the
+                # rounding of ref, of the 2 pi scaling and of the addition
+                allowed = ((bound(h) + noise) / (2.0 * math.pi) + rounding + 1e-13
+                           + 4.0 * eps * abs(ref))
+                assert abs(value - ref) <= allowed, (s, h)
+            checked += 1
+    assert checked == 448
+
+
+def _replay_levels(level, tol: float, bound, result, correction=None) -> tuple[bool, bool]:
+    """Rerun the trapezoid levels of one integrate_interval call on the line
+    (the same nodes, from h = 1/2 with a correction and 1/4 without, summed
+    in the same order, each level less correction(h)) up to where it
+    stopped.  Return (certified,
+    fell_through): whether the bound certifies a level, and whether the
+    consistency check fails at the first level it certifies; where the
+    check holds, that level is where the call stopped."""
+    eps = math.ulp(1.0)
+    h = 0.5 if correction else 0.25
     g0, = level(h, range(1))
     acc, l1, nodes = 0.5 * g0, 0.5 * abs(g0), 1
     bound_prev = bound(h)
-    for halving in range(7):
+    for halving in range(8 if correction else 7):
         ks = range(1, int(result.truncation_height / h) + 1, 2 if halving else 1)
         for v in level(h, ks):
             acc += v
             l1 += abs(v)
         nodes += len(ks)
-        refined, noise = h * acc, 4.0 * eps * h * l1
+        refined, noise = h * acc - (correction(h) if correction else 0.0), 4.0 * eps * h * l1
         if halving:
             bound_h = bound(h)
             if bound_h + noise <= tol:
@@ -550,15 +608,16 @@ def _replay_levels(level, tol: float, bound, result) -> tuple[bool, bool]:
 
 def test_strip_certificate_consistent_and_honest(monkeypatch):
     """On eval-strip's and scan-grid's seed-1 points and on eval-tall's, the
-    check |T(h) - T(2h)| <= B(h) + B(2h) + noise never fails where the strip
-    bound B certifies a level, so the loop stops at the first such level;
-    and every converged eval-tall result lies within its err_est."""
+    check |T(h) - T(2h)| <= B(h) + B(2h) + noise on the corrected levels
+    never fails where the bound B certifies a level, so the loop stops at
+    the first such level; and every converged eval-tall result lies within
+    its err_est."""
     calls = []
     real = contour.integrate_line_decaying
 
-    def spy(level, log_tail, tol, bound=None):
-        result = real(level, log_tail, tol, bound)
-        calls.append((level, tol, bound, result))
+    def spy(level, log_tail, tol, bound=None, correction=None):
+        result = real(level, log_tail, tol, bound, correction)
+        calls.append((level, tol, bound, correction, result))
         return result
 
     monkeypatch.setattr(contour, "integrate_line_decaying", spy)
@@ -570,9 +629,9 @@ def test_strip_certificate_consistent_and_honest(monkeypatch):
         for s in _points(name):
             calls.clear()
             r = entire_e_line(s, tol)
-            level, quad_tol, bound, base = calls[0]
-            assert bound is not None, s
-            done, fell_through = _replay_levels(level, quad_tol, bound, base)
+            level, quad_tol, bound, correction, base = calls[0]
+            assert bound is not None and correction is not None, s
+            done, fell_through = _replay_levels(level, quad_tol, bound, base, correction)
             assert not fell_through, s
             certified += done
             if s in refs and r.converged:
@@ -586,11 +645,11 @@ def test_strip_certificate_consistent_and_honest(monkeypatch):
 
 
 def test_strip_certificate_evaluation_counts():
-    """Stopping at the first certified level, not one level finer: zeta
-    averages at most 250 evaluations over eval-strip's seed-1 points (386.8
-    with the halving rule alone), and entire_e_line at tol 1e-8 at most 150
-    over scan-grid's (181.3)."""
+    """Stopping at the first certified level of the corrected line: zeta
+    averages at most 110 evaluations over eval-strip's seed-1 points (386.8
+    with the halving rule alone, 224.2 with the strip bound on N = 0), and
+    entire_e_line at tol 1e-8 at most 40 over scan-grid's (181.3, 137.3)."""
     strip = [zeta(s).n_evals for s in _points("eval-strip-seed1.json")]
-    assert len(strip) == 400 and sum(strip) / len(strip) <= 250.0
+    assert len(strip) == 400 and sum(strip) / len(strip) <= 110.0
     scan = [entire_e_line(s, 1e-8).n_evals for s in _points("scan-grid-seed1.json")]
-    assert len(scan) == 1000 and sum(scan) / len(scan) <= 150.0
+    assert len(scan) == 1000 and sum(scan) / len(scan) <= 40.0

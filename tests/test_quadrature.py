@@ -44,11 +44,27 @@ def test_interval_rejects_bad_bounds():
 
 
 def test_interval_rejects_bad_step():
-    """The first step must be a power of two no larger than 1/4, so every
+    """The first step must be a power of two no larger than 1/2, so every
     node a + k h is exact and shared by the finer levels."""
-    for step in (0.5, 0.3, 0.0, -0.25, math.nan):
+    for step in (1.0, 0.3, 0.0, -0.25, math.nan):
         with pytest.raises(DomainError):
             integrate_interval(_level(math.exp), 0.0, 1.0, step=step)
+
+
+def test_interval_halves_down_to_the_finest_step():
+    """From h = 1/2 the rule halves 7 times, down to 2^-8, the finest step
+    from 1/4; from 1/8 it still halves 6 times: the constant cut at b = 1
+    never settles, so each start spends its whole budget."""
+    seen = []
+
+    def level(h, ks):
+        seen.append(h)
+        return [1.0] * len(ks)
+
+    for step, finest in ((0.5, 2.0 ** -8), (0.25, 2.0 ** -8), (0.125, 2.0 ** -9)):
+        seen.clear()
+        r = integrate_interval(level, 0.0, 1.0, 1e-14, step=step)
+        assert seen[0] == step and seen[-1] == finest and not r.converged
 
 
 def test_interval_nonfinite_integrand():
@@ -185,7 +201,33 @@ def test_line_certified_by_strip_bound():
     assert r.converged and r.n_evals < plain.n_evals
     assert abs(r.value - math.pi / 8.0) <= r.err_est <= 1e-12
     lying = integrate_line_decaying(level, log_tail, bound=lambda h: 1e-13 if h > 0.05 else 1.0)
-    assert lying == plain
+    assert (lying.value, lying.n_evals) == (plain.value, plain.n_evals)
+    # uncertified, err_est is the larger of the difference and the bound
+    assert lying.err_est > 1.0 and not lying.converged
+
+
+def test_line_correction_takes_out_the_nearest_poles():
+    """sech(y) has simple poles at y = +-i pi/2, and by Poisson summation
+    h sum_k sech(k h) - pi = 2 pi sum_{m >= 1} sech(pi^2 m/h): the term
+    m = 1 is C(h), what those poles contribute, and the rest is at most
+    B(h) = 4 pi e^{-2 pi^2/h} / (1 - e^{-pi^2/h}).  With C subtracted from
+    each level the rule certifies h = 1/4, the first halving from 1/2,
+    within err_est of pi, where the plain rule needs more levels."""
+    def sech(x):
+        q = math.exp(-x)
+        return 2.0 * q / (1.0 + q * q)
+
+    level = _level(lambda y: complex(2.0 * sech(y)))
+    log_tail = lambda y: math.log(2.0) - y  # noqa: E731
+    plain = integrate_line_decaying(level, log_tail)
+    r = integrate_line_decaying(
+        level, log_tail, correction=lambda h: 2.0 * math.pi * sech(math.pi ** 2 / h),
+        bound=lambda h: 4.0 * math.pi * math.exp(-2.0 * math.pi ** 2 / h)
+        / (1.0 - math.exp(-math.pi ** 2 / h)))
+    h = 0.25
+    assert r.converged and r.n_evals == 2 * (int(r.truncation_height / h) + 1)
+    assert r.n_evals < plain.n_evals
+    assert abs(r.value - math.pi) <= r.err_est <= 1e-12
 
 
 def _spy_levels(monkeypatch) -> list:
@@ -234,14 +276,16 @@ def test_interval_round_off_floor_exit(monkeypatch, run, bounded, n_evals, err_e
     round-off floor, the difference below the noise but above tol, with
     converged=False and err_est the difference plus the noise; on the line
     at Re s = -20 the strip bound is present but cannot certify, since the
-    noise alone exceeds tol."""
+    noise alone exceeds tol, and err_est is the larger of the difference
+    and the bound at the last level, plus the noise."""
     calls = _spy_levels(monkeypatch)
     r = run()
     (levels, tol, bound, base), = calls
     (prev, _), (diff, noise) = _halvings(levels)[-2:]
     assert (bound is not None) == bounded
     assert tol < diff <= noise and diff < prev
-    assert not base.converged and base.err_est == diff + noise
+    est = max(diff, bound(levels[-1][0])) if bounded else diff
+    assert not base.converged and base.err_est == est + noise
     assert not r.converged and r.n_evals == n_evals
     assert r.err_est == pytest.approx(err_est, rel=1e-9)
 
