@@ -52,7 +52,8 @@ trapezoid level at a time.  Each line keeps one record per process
 y >= 0, and the constants of its bound's envelopes (below), so a level is
 one pass of two complex exps per node, one for y and one, conjugated,
 for -y.
-J runs on the same trapezoid rule through quadrature.integrate_mellin.
+J runs on the same trapezoid rule through quadrature.integrate_mellin, a
+level at a time in u = ln t, certified by mellin's strip bound.
 Both forms and zeta return quadrature.EvalResult, as the integrals do.
 
 The poles at z = N and N + 1 lie at Im y = +-1/2 from the line and cap
@@ -452,8 +453,8 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
 
     `converged` is J's flag, that J met its own target above, and not
     err_est <= tol, so it can be True with err_est above tol: at
-    -3.53-7.82i err_est is 7.7e-10 at tol 1e-12, and at -2.8+57.5i the
-    value is about 1e24 with err_est 5.7e24, where the prefactor puts E
+    -3.53-7.82i err_est is 6.8e-10 at tol 1e-12, and at -2.8+57.5i the
+    value is about 5e23 with err_est 5.5e24, where the prefactor puts E
     below double precision, and both say converged=True.
     """
     check_tol(tol)  # before the floor below can hide a bad value

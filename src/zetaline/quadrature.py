@@ -4,9 +4,10 @@ Three integral shapes are supported, matching what the contour evaluators
 need: an integral over [a, inf) whose integrand is negligible beyond a
 finite b, a whole-line integral whose tails the caller bounds in log space
 (folded onto y >= 0), and a Mellin-type
-integral on (0, inf) with algebraic behavior t^alpha at the origin and
-exponential decay at infinity (handled by the substitution t = e^u, which
-turns both features into plain exponential tails).
+integral on (0, inf) of t^alpha kernel(t), a real kernel times an
+algebraic factor, decaying exponentially at infinity (handled by the
+substitution t = e^u, which turns both ends into plain exponential tails
+and a level into one pass of e^{(alpha+1) u} kernel(e^u)).
 
 All three run on integrate_interval: the trapezoid rule on a + k h, which
 converges like e^{-2 pi d / h} for an integrand analytic in the strip
@@ -48,6 +49,7 @@ bitwise-identical outputs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -62,7 +64,7 @@ __all__ = [
     "integrate_mellin",
 ]
 
-Integrand = Callable[[float], complex]
+Kernel = Callable[[float], float]
 Level = Callable[[float, range], list[complex]]
 Bound = Callable[[float], float]
 Correction = Callable[[float], complex]
@@ -233,55 +235,74 @@ def integrate_line_decaying(
 
 
 def integrate_mellin(
-    f: Integrand,
+    kernel: Kernel,
     alpha: complex,
     tol: float = 1e-12,
     *,
     growth: float = 0.0,
     origin_coeff: float = 1.0,
     bound_const: float = 1.0,
+    bound: Bound | None = None,
 ) -> EvalResult:
-    """Integral of f over (0, inf) with f ~ origin_coeff * t^alpha at 0
-    (alpha complex) and |f(t)| <= bound_const * t^growth * e^{-t} at infinity.
+    """Integral of t^alpha kernel(t) over (0, inf), for a real kernel with
+    |kernel(t)| <= origin_coeff on (0, 1] and |t^alpha kernel(t)| <=
+    bound_const t^growth e^{-t} on [1, inf) (alpha complex, Re alpha > -1).
 
-    Substitutes t = e^u and integrates g(u) = f(e^u) e^u with
-    integrate_interval.  The origin becomes an exponential tail
-    ~ origin_coeff * e^{(alpha+1)u}, cut where it is below tol/10; the decay
-    side is cut where its tail bound, bound_const * (1+T)^growth * e^{-T},
-    is below tol/10, and reports its cutoff T = e^{u_right} as the
-    truncation height; err_est adds both tails, a fifth of tol.  An f that
-    decays faster, like e^{-a t} with a >= 1, meets the same bound.  g
-    oscillates like e^{i Im(alpha) u}, which shrinks the strip where the
-    trapezoid rule converges fast, so the first step is the largest
-    h = 2^-k <= 1/4 with h (|Im alpha| + 4) <= pi.
+    Substitutes t = e^u and integrates g(u) = e^{(alpha+1)u} kernel(e^u)
+    with integrate_interval, a level at a time.  The origin side is cut
+    where the nodes left out, h |g(u_left)|/2 plus
+    h sum_{k >= 1} |g(u_left - k h)| <= origin_coeff e^{(Re alpha+1) u_left}
+    (h/2) coth((Re alpha+1) h/2), are below tol/10 at every level; the
+    decay side at a T = e^{u_right} >= growth + 1 where the tail bound
+    bound_const T^growth e^{-T} T/(T - growth), which bounds the integral
+    of the envelope beyond T and so the nodes left out past u_right, is
+    below tol/10.  Both cuts are rounded outward onto the grid of the first
+    step, so every level's nodes stop exactly at them; off it, the nodes
+    past the last one could exceed the tail bound.  T is reported as the
+    truncation height and err_est adds both tails, a fifth of tol.
+
+    bound(h), if given, bounds |I - h sum_k g(u_left + k h)| over all
+    integers k, the trapezoid error on the whole line, and
+    integrate_interval certifies levels with it.  g oscillates like
+    e^{i Im(alpha) u}, which shrinks the strip where the trapezoid rule
+    converges fast, so the first step is the largest h = 2^-k <= 1/4 with
+    h (|Im alpha| + 4) <= pi.
     """
     check_tol(tol)
     alpha = complex(alpha)
     if not alpha.real > -1.0:
         raise DomainError(f"integrate_mellin needs Re alpha > -1, got {alpha}")
+    step = _FIRST_STEP
+    while step * (abs(alpha.imag) + 4.0) > math.pi:
+        step *= 0.5
     ap1 = alpha.real + 1.0
     target = 0.1 * tol
-    u_left = min(-2.0, math.log(target * ap1 / origin_coeff) / ap1)
+    # h (1/2 + 1/(e^{ap1 h} - 1)) grows with h: the first step is the worst
+    log_left = math.log(origin_coeff * step * (0.5 + 1.0 / math.expm1(ap1 * step)))
+    u_left = min(-2.0, (math.log(target) - log_left) / ap1)
     if u_left < _MELLIN_U_MIN:
-        # tail bound at the representable floor, origin_coeff*e^{ap1*u}/ap1
-        if math.log(origin_coeff / ap1) + ap1 * _MELLIN_U_MIN > math.log(target):
+        # the nodes left out at the representable floor
+        if log_left + ap1 * _MELLIN_U_MIN > math.log(target):
             raise TruncationFailure(
                 f"origin tail with alpha={alpha} cannot reach tol {tol} "
                 f"within the representable range"
             )
         u_left = _MELLIN_U_MIN
+    u_left = math.floor(u_left / step) * step
     growth = max(0.0, growth)
     log_c = math.log(bound_const)
-    # the tail bound C (1+T)^g e^{-T} decreases from T = g on
-    height = _truncation_height(lambda t: log_c + growth * math.log1p(t) - t,
-                                target, math.ceil(max(1.0, growth) * 8.0) / 8.0)
-    u_right = max(1.0, math.log(height))
-    step = _FIRST_STEP
-    while step * (abs(alpha.imag) + 4.0) > math.pi:
-        step *= 0.5
-    def level(h: float, ks: range) -> list[complex]:
-        return [f(math.exp(u)) * math.exp(u) for u in (u_left + k * h for k in ks)]
+    # the integral of C t^g e^{-t} beyond T > g is below C T^g e^{-T} T/(T - g);
+    # from T = g + 1 on the envelope decreases in u, so h times the sum of
+    # its nodes past u_right is below that integral too
+    height = _truncation_height(
+        lambda t: log_c + growth * math.log(t) - t - math.log1p(-growth / t),
+        target, math.ceil((growth + 1.0) * 8.0) / 8.0)
+    u_right = math.ceil(max(1.0, math.log(height)) / step) * step
+    ap1c = alpha + 1.0
 
-    base = integrate_interval(level, u_left, u_right, tol, step=step)
+    def level(h: float, ks: range) -> list[complex]:
+        return [cmath.exp(ap1c * u) * kernel(math.exp(u)) for u in (u_left + k * h for k in ks)]
+
+    base = integrate_interval(level, u_left, u_right, tol, step=step, bound=bound)
     return EvalResult(base.value, base.err_est + 0.2 * tol, base.n_evals, base.converged,
                       math.exp(u_right))

@@ -10,6 +10,7 @@ import json
 from decimal import Decimal, localcontext
 from pathlib import Path
 
+from zetaline import mellin
 from zetaline.cli import ScanGrid
 from zetaline.contour import entire_e_axis, entire_e_line, zeta
 from zetaline.oracle import zeta_euler_maclaurin
@@ -120,3 +121,46 @@ def test_oracle_bound_covers_eval_tall():
     for s, ref in zip(pts, refs):
         value, bound = zeta_euler_maclaurin(s)
         assert _abs_error(value, ref, s - 1.0) <= Decimal(bound), s
+
+
+def test_mellin_integrals_within_err_est():
+    """The three Mellin integrals at the verify workload's 48 points (Re s
+    in [1.1, 6], |Im s| <= 5) at tol 1e-12, each within its err_est:
+    bose = Gamma(s) zeta(s), exp_sq = s Gamma(s) zeta(s) and
+    J = 4 s Gamma(s) zeta(s), against the committed Gamma(s) zeta(s)."""
+    data = json.loads((REFS / "verify-seed1.json").read_text())
+    pts = [complex(float(a), float(b)) for a, b in data["points"]["gamma_zeta"]]
+    refs = [(Decimal(a), Decimal(b)) for a, b in data["values"]["gamma_zeta"]]
+    assert len(pts) == 48
+    for s, (a, b) in zip(pts, refs):
+        for run, factor in ((mellin._bose, 1.0), (mellin._exp_sq, s),
+                            (mellin._sinh_sq_integral, 4.0 * s)):
+            r = run(s, 1e-12)  # J near 2665 may not converge: its rounding is above tol
+            with localcontext() as ctx:
+                ctx.prec = 60
+                c, d = Decimal(factor.real), Decimal(factor.imag)
+                dr = Decimal(r.value.real) - (a * c - b * d)
+                di = Decimal(r.value.imag) - (a * d + b * c)
+                assert (dr * dr + di * di).sqrt() <= Decimal(r.err_est), (s, run)
+
+
+def test_err_est_with_the_decay_cut_on_the_grid():
+    """The decay-side cut of a Mellin integral lies on the grid of the
+    trapezoid nodes, so the nodes left out past it sum to less than the
+    tail bound.  With the cut off the grid they can sum to more: the bose
+    integral at this verify point was then off by 2.8e-13 against an
+    err_est of 2.0e-13.  The axis point below, whose J cut also falls
+    between nodes when off the grid, is checked too.  References:
+    Gamma(s) zeta(s) and (s-1) zeta(s) at 45 digits (mpmath), rounded to 34."""
+    s = complex(2.8864583333333336, -0.34054990832450915)
+    ref = (Decimal("2.077181006391567397236866394489266"),
+           Decimal("-0.5042575130810485471905700806264175"))
+    r = mellin._bose(s, 1e-12)
+    assert r.converged
+    assert _abs_error(r.value, ref) <= Decimal(r.err_est)
+    s = complex(-3.14370445144863, -1.1106075174305836)
+    ref = (Decimal("-0.06595082761640670893360919710715674"),
+           Decimal("0.04402740078718228291472737752716823"))
+    r = entire_e_axis(s)
+    assert r.converged
+    assert _abs_error(r.value, ref) <= Decimal(r.err_est)

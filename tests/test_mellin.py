@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import pytest
 
+from zetaline import mellin
+from zetaline.contour import entire_e_axis
 from zetaline.errors import DomainError
 from zetaline.mellin import bose_integral, exp_sq_integral, mellin_check, sinh_integral
 from zetaline.oracle import zeta_euler_maclaurin
@@ -72,11 +75,12 @@ def test_domain_guard():
 
 def test_termwise_mellin_factors():
     """Expanding 1/(e^t - 1) = sum e^{-nt} termwise: each piece at s = 2 is
-    integral of t e^{-nt} = 1/n^2, and the first 50 already track zeta(2)."""
+    integral of t e^{-nt} = 1/n^2 (kernel e^{-nt}, alpha = 1), and the first
+    50 already track zeta(2)."""
     total = 0.0
     for n in range(1, 51):
         r = integrate_mellin(
-            lambda t, n=n: complex(t * math.exp(-n * t)),
+            lambda t, n=n: math.exp(-n * t),
             alpha=1.0,
             growth=1.0,
         )
@@ -86,3 +90,70 @@ def test_termwise_mellin_factors():
     want, _ = zeta_euler_maclaurin(2.0)
     # the omitted tail of the n-sum is below 1/50
     assert abs(total - want.real) <= 1.0 / 50.0
+
+
+def _strip_bounds(monkeypatch) -> list:
+    """Record the strip bound B(h) that each integrate_mellin call from
+    mellin receives."""
+    bounds = []
+    real = mellin.integrate_mellin
+
+    def spy(*args, bound=None, **kwargs):
+        bounds.append(bound)
+        return real(*args, bound=bound, **kwargs)
+
+    monkeypatch.setattr(mellin, "integrate_mellin", spy)
+    return bounds
+
+
+def _expm1(t: complex) -> complex:
+    """e^t - 1 at complex t, without cancellation for small |t|."""
+    if abs(t) > 1e-2:
+        return cmath.exp(t) - 1.0
+    return t * (1.0 + t / 2.0 * (1.0 + t / 3.0 * (1.0 + t / 4.0 * (1.0 + t / 5.0))))
+
+
+# per form: the integral it runs, its origin coefficient, and its integrand
+# g(w) = e^{(alpha+1) w} kernel(e^w) at complex w, with t = e^w
+_STRIP_FORMS = {
+    "bose": (mellin._bose, 1.0,
+             lambda s, w, t: cmath.exp((s - 1.0) * w) * (t / _expm1(t))),
+    "exp_sq": (mellin._exp_sq, 1.0,
+               lambda s, w, t: cmath.exp((s - 1.0) * w) * (t / _expm1(t)) ** 2 * cmath.exp(t)),
+    "sinh": (mellin._sinh_sq_integral, 4.0,
+             lambda s, w, t: cmath.exp((s + 1.0) * w) / cmath.sinh(0.5 * t) ** 2),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_STRIP_FORMS))
+def test_strip_m_bounds_the_integrand_off_the_axis(monkeypatch, form):
+    """M(d) bounds the integral over u of |g(u + ib)| for |b| <= d: a dense
+    sum of |g| with complex arithmetic on the lines b = 0, +-d/2, +-0.99d,
+    plus a bound on the part left of u = -30, stays below it, for Re s from
+    1.06 to 8 and |Im s| <= 10."""
+    run, coeff, g = _STRIP_FORMS[form]
+    d, h, u0 = mellin._STRIP, 0.01, -30.0
+    bounds = _strip_bounds(monkeypatch)
+    for s in (1.06, 1.06 - 10j, 2.5 + 4j, 4.0 - 7j, 8.0, 8.0 + 10j):
+        run(s, 1e-12)
+        m = bounds[-1](1.0) * math.expm1(2.0 * math.pi * d) / 2.0  # B(1) = 2M / (e^{2 pi d} - 1)
+        for b in (0.0, 0.5 * d, -0.5 * d, 0.99 * d, -0.99 * d):
+            # left of u0, |kernel| <= 1.001 coeff and |e^{(s-1) w}| = e^{(Re s-1) u - Im s b}
+            total = 1.001 * coeff * math.exp((s.real - 1.0) * u0 - s.imag * b) / (s.real - 1.0)
+            for k in range(int((6.0 - u0) / h) + 1):
+                w = complex(u0 + k * h, b)
+                total += h * abs(g(s, w, cmath.exp(w)))
+            assert total <= m, (s, b, total, m)
+
+
+def test_conjugation_bitwise():
+    """I(conj s) == conj I(s) exactly for the three integrals, and
+    E(conj s) == conj E(s) for the axis form: the level's e^{(alpha+1) u}
+    times a real kernel is symmetric, and the strip bound reads |Im s|."""
+    for s in (1.5 + 2.0j, 3.25 - 4.5j, 6.0 + 0.1j):
+        for integral in (bose_integral, exp_sq_integral, sinh_integral):
+            assert integral(s.conjugate()) == integral(s).conjugate(), s
+    for s in (-1.5 + 3.0j, -4.2 - 7.9j, -0.3 + 0.5j):
+        up, down = entire_e_axis(s), entire_e_axis(s.conjugate())
+        assert down.value == up.value.conjugate(), s
+        assert (down.err_est, down.n_evals) == (up.err_est, up.n_evals), s

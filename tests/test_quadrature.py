@@ -269,15 +269,15 @@ def _halvings(levels) -> list[tuple[float, float]]:
 
 @pytest.mark.parametrize("run, bounded, n_evals, err_est", [
     (lambda: entire_e_line(-20.0, 1e-14), True, 946, 9.497379418240337e-13),
-    (lambda: mellin._sinh_sq_integral(3.0, 1e-14), False, 345, 4.8939666088112943e-14),
+    (lambda: mellin._sinh_sq_integral(3.0, 1e-14), True, 349, 4.1834238730511954e-14),
 ], ids=["line-at-minus-20", "sinh-at-3"])
 def test_interval_round_off_floor_exit(monkeypatch, run, bounded, n_evals, err_est):
     """Where tol lies below the sum's rounding the loop stops on the
     round-off floor, the difference below the noise but above tol, with
-    converged=False and err_est the difference plus the noise; on the line
-    at Re s = -20 the strip bound is present but cannot certify, since the
-    noise alone exceeds tol, and err_est is the larger of the difference
-    and the bound at the last level, plus the noise."""
+    converged=False.  On the line at Re s = -20 and for J(3) the strip
+    bound is present but cannot certify, since the noise alone exceeds tol,
+    and err_est is the larger of the difference and the bound at the last
+    level, plus the noise."""
     calls = _spy_levels(monkeypatch)
     r = run()
     (levels, tol, bound, base), = calls
@@ -318,10 +318,10 @@ def test_interval_budget_exit():
 
 
 def test_mellin_gamma_integral():
-    # integral of t^{s-1} e^{-t} = Gamma(s); alpha = Re s - 1
+    # integral of t^{s-1} e^{-t} = Gamma(s): kernel e^{-t}, alpha = s - 1
     for s, want in ((2.0, 1.0), (3.5, 3.32335097044784255)):
         r = integrate_mellin(
-            lambda t, s=s: complex(t ** (s - 1.0) * math.exp(-t)),
+            lambda t: math.exp(-t),
             alpha=s - 1.0,
             growth=s - 1.0,
         )
@@ -330,12 +330,26 @@ def test_mellin_gamma_integral():
 
 
 def test_mellin_origin_singularity_integrable():
-    # integral of t^{-1/2} e^{-t} = Gamma(1/2) = sqrt(pi)
+    # integral of t^{-1/2} e^{-t} = Gamma(1/2) = sqrt(pi): kernel e^{-t}
     r = integrate_mellin(
-        lambda t: complex(math.exp(-t) / math.sqrt(t)),
+        lambda t: math.exp(-t),
         alpha=-0.5,
     )
     assert r.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+
+
+def test_mellin_decay_cut_covers_the_exact_tail():
+    """The decay side is cut at a T where the integral beyond it of the
+    bound t^g e^{-t} (kernel e^{-t}, alpha = g), Gamma(g + 1, T) =
+    g! e^{-T} sum_{k <= g} T^k/k! for integer g, is at most tol/10."""
+    for g in range(2, 7):
+        for k in range(2, 29):
+            tol = 10.0 ** (-k / 2)
+            t = integrate_mellin(lambda t: math.exp(-t), float(g), tol,
+                                 growth=float(g)).truncation_height
+            tail = math.factorial(g) * math.exp(-t) * sum(
+                t ** j / math.factorial(j) for j in range(g + 1))
+            assert tail <= 0.1 * tol, (g, tol, t)
 
 
 def test_mellin_rejects_nonintegrable_origin():
