@@ -7,6 +7,7 @@ Subcommands and their stdout formats (space-separated tokens, floats with
   feq       lhs_re lhs_im rhs_re rhs_im abs_residual rel_residual form direction
   lemma     bose_re bose_im exp_sq_re exp_sq_im sinh_re sinh_im
             reference_re reference_im max_abs_deviation extended
+            (exp_sq and sinh are one integral and print the same value)
   residues  one row per table size N: "N value_re value_im tail_bound"
   scan      writes CSV to --out (header re_s,im_s,re_E,im_E,re_zeta,im_zeta,
             abs_zeta,err_est; shortest round-trip decimals; LF endings;

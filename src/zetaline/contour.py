@@ -67,9 +67,9 @@ the integrals of the kernel's modulus on the neighbouring half-integer
 lines Re z = N - 1/2 and N + 3/2 (_strip_m, from an upper envelope).  On
 N = 0 the line Re z = -1/2 would cross the branch cut of z^{1-s}, so the
 kernel's strip |Im y| < a = 0.45 gives the bound 2M / (e^{2 pi a/h} - 1)
-instead.  The rule stops at the first level its bound certifies, and
-err_est is then the bound; where it certifies none, the halving
-difference decides and err_est is the larger of it and the bound (see
+instead.  The envelope behind M reaches out as far as its tail needs, so
+every line has its bound for every s (inf far left, where the envelope
+overflows), and that bound is the rule's one stopping criterion (see
 _entire_e_line).
 """
 
@@ -108,8 +108,10 @@ _RE_FAR = 6.5         # above this Re s the line crosses at least 2 poles
 _RE_LEFT = -10.0      # above this Re s the line crosses at least 1 pole
 _STRIP = 0.45         # half-width a of the strip |Im y| < a of the line N = 0's
                       # trapezoid bound; the kernel's poles lie at |Im y| = 1/2
-_ENV_CELL = 0.5       # M is an upper sum over cells of this width on [0, _ENV_X]:
-_ENV_X = 4.0          # beyond it the envelope decays on every line N <= 9 for Re s >= -5
+_ENV_CELL = 0.5       # M is an upper sum over cells of this width on [0, X], X the first
+_ENV_FIRST = 8        # cell edge from the 8th on beyond which the envelope decays: the 8th,
+                      # X = 4, on every line N <= 9 for Re s >= -5, further out further left
+_ENV_CELLS_MAX = 200  # no X past 100: there cosh^2(pi x) nears overflow, and M is inf
 
 
 def _check_line(n: int) -> None:
@@ -131,20 +133,20 @@ def line_integrand(y: float, s: complex, n: int = 0) -> complex:
 
 
 _Node = tuple[complex, float]  # (ln z, pi^2 sech^2(pi y)) at one node
-# per cell (log of the |z| bound, |arg z| bound, log of pi^2 / the |sin^2| bound),
-# and beyond _ENV_X the tail's (log |z| bound, |arg z| bound, constant, and the
-# bounds on the slopes of log |z| per unit 1 - Re s and of |arg z|)
-_Envelope = tuple[list[tuple[float, float, float]], tuple[float, float, float, float, float]]
+# the strip (sigma, a), per cell for 1 - Re s >= 0 and for 1 - Re s < 0 (log of the |z|
+# bound, |arg z| bound, log of pi^2 / the |sin^2| bound), and per cell edge from X = 4 on
+# the constants of the envelope beyond it (_strip_m)
+_Table = tuple[float, float, list[tuple[float, ...]], list[tuple[float, ...]],
+               list[tuple[float, ...]]]
 
 
 @lru_cache(maxsize=None)
-def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]],
-                           tuple[tuple[_Envelope, _Envelope], ...]]:
+def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]], tuple[list[_Table], ...]]:
     """The record of the line Re z = n + 1/2 (n = 0 .. 9 in the box), built
     when the line is first used: its trapezoid levels computed so far, keyed
     (first node, node spacing), each the list of (ln z, pi^2 sech^2(pi y))
-    at y = first, first + spacing, ... in order; and the envelope constants
-    of _strip_m for the line's trapezoid bound (_line_bound): the strip
+    at y = first, first + spacing, ... in order; and the envelopes of
+    _strip_m for the line's trapezoid bound (_line_bound): the strip
     |Im y| < _STRIP about the line for n = 0, the neighbouring lines
     Re z = n - 1/2 and n + 3/2 for n >= 1.  Nothing in it is shared with
     another line.
@@ -154,7 +156,8 @@ def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]],
     level's missing nodes are built in a local list and published with one
     assignment of the longer list, so a thread only ever sees a complete
     prefix.  Threads that race to extend the same level store equal values
-    and no result depends on the order of filling.
+    and no result depends on the order of filling.  An envelope's table
+    grows the same way, replaced whole by a longer one.
     """
     if n == 0:
         return {}, (_line_envelope(0.5, _STRIP),)
@@ -239,31 +242,35 @@ def _line_log_tail(s: complex, sigma: float) -> Callable[[float], float]:
     return log_tail
 
 
-def _line_envelope(sigma: float, a: float) -> tuple[_Envelope, _Envelope]:
-    """_strip_m's constants for the strip |Im y| < a about the line
-    Re z = sigma, for 1 - Re s >= 0 and for 1 - Re s < 0: each factor of
-    |f(x + ib)| taken at the end of its cell where it is largest for every
-    |b| < a (for a = 0, b = 0 on the line itself, where |sin^2(pi z)| is
-    cosh^2(pi x) exactly)."""
+def _line_envelope(sigma: float, a: float, cells: int = _ENV_FIRST) -> list[_Table]:
+    """_strip_m's envelope of |f| in the strip |Im y| < a about the line
+    Re z = sigma on [0, cells _ENV_CELL], a one-item list so that _strip_m
+    can replace its table, with one assignment, by a longer one when some
+    s needs it: each factor of |f(x + ib)| taken at the end of its cell
+    where it is largest for every |b| < a (for a = 0, b = 0 on the line
+    itself, where |sin^2(pi z)| is cosh^2(pi x) exactly).  Each entry
+    depends on its own x alone, so a longer table repeats a shorter one's
+    bits."""
     hi, lo = sigma + a, sigma - a
     sin2 = math.sin(math.pi * a) ** 2
-    xs = [_ENV_CELL * j for j in range(int(_ENV_X / _ENV_CELL) + 1)]
+    xs = [_ENV_CELL * j for j in range(cells + 1)]
     log_hi = [0.5 * math.log(hi * hi + x * x) for x in xs]
     log_lo = [0.5 * math.log(lo * lo + x * x) for x in xs]
     arg = [math.atan(x / lo) for x in xs]
     den = [math.log(_PI_SQ / (math.cosh(math.pi * x) ** 2 - sin2)) for x in xs[:-1]]
-    # beyond X: 1/(cosh^2(pi x) - sin2) <= 4 e^{-2 pi x} / (1 - 4 sin2 e^{-2 pi X})
-    const = _LOG_4PI_SQ - math.log1p(-4.0 * sin2 * math.exp(-_TWO_PI * _ENV_X)) - _TWO_PI * _ENV_X
-    arg_slope = lo / (lo * lo + _ENV_X * _ENV_X)
-    return ((list(zip(log_hi[1:], arg[1:], den)),
-             (log_hi[-1], arg[-1], const, 1.0 / max(_ENV_X, 2.0 * hi), arg_slope)),
-            (list(zip(log_lo, arg[1:], den)), (log_lo[-1], arg[-1], const, 0.0, arg_slope)))
+    # beyond x: 1/(cosh^2(pi x') - sin2) <= 4 e^{-2 pi x'} / (1 - 4 sin2 e^{-2 pi x})
+    edges = [(lh, ll, ar,
+              _LOG_4PI_SQ - math.log1p(-4.0 * sin2 * math.exp(-_TWO_PI * x)) - _TWO_PI * x,
+              1.0 / max(x, 2.0 * hi), lo / (lo * lo + x * x))
+             for x, lh, ll, ar in islice(zip(xs, log_hi, log_lo, arg), _ENV_FIRST, None)]
+    return [(sigma, a, list(zip(log_hi[1:], arg[1:], den)), list(zip(log_lo, arg[1:], den)),
+             edges)]
 
 
-def _strip_m(s: complex, envelope: tuple[_Envelope, _Envelope]) -> float | None:
+def _strip_m(s: complex, envelope: list[_Table]) -> float:
     """M, an upper bound on the integral of |f(x + ib)| over x for every
     |b| < a, f = pi^2 z^{1-s} / sin^2(pi z) on the line Re z = sigma, from
-    envelope = _line_envelope(sigma, a); None where none is found.
+    envelope = _line_envelope(sigma, a); inf where the envelope overflows.
 
     On Re z = sigma - b, |f| = pi^2 |z|^{1 - Re s} e^{Im s arg z} /
     (cosh^2(pi x) - sin^2(pi b)), and each factor has a bound for every
@@ -271,26 +278,34 @@ def _strip_m(s: complex, envelope: tuple[_Envelope, _Envelope]) -> float | None:
     Re z = sigma +- a where it is larger, e^{|Im s| atan(|x| / (sigma - a))},
     and 1 / (cosh^2(pi x) - sin^2(pi a)).  M is twice their upper Riemann
     sum on [0, X] plus twice the integral beyond X of the envelope of
-    _line_log_tail, taken with the same bounds; that tail needs its decay
-    constant c > 0, else there is no M.
+    _line_log_tail, taken with the same bounds, X the first cell edge from
+    4 on where that tail's decay constant c is positive.  c grows with X;
+    X = 100 has it for every Re s > -600, and further left M is inf.
     """
     power, t = 1.0 - s.real, abs(s.imag)
-    cells, (log_x, arg_x, const, log_slope, arg_slope) = envelope[power < 0.0]
-    c = _TWO_PI - max(power, 0.0) * log_slope - t * arg_slope
-    if c <= 0.0:
-        return None
+    table = envelope[0]
+    for j, (log_hi, log_lo, arg_x, const, log_slope, arg_slope) in enumerate(table[4], _ENV_FIRST):
+        c = _TWO_PI - max(power, 0.0) * log_slope - t * arg_slope
+        if c > 0.0:
+            break
+    else:  # no edge of the table will do: grow it and look again, or give up
+        if j == _ENV_CELLS_MAX:
+            return math.inf
+        envelope[0], = _line_envelope(table[0], table[1], min(2 * j, _ENV_CELLS_MAX))
+        return _strip_m(s, envelope)
+    cells, log_x = (table[3], log_lo) if power < 0.0 else (table[2], log_hi)
     exp = math.exp
     try:
-        return (sum([exp(power * log_z + t * arg + den) for log_z, arg, den in cells])
+        return (sum([exp(power * log_z + t * arg + den) for log_z, arg, den in cells[:j]])
                 + 2.0 * exp(power * log_x + t * arg_x + const) / c)
     except OverflowError:
-        return None
+        return math.inf
 
 
-def _line_bound(s: complex, n: int) -> Callable[[float], float] | None:
+def _line_bound(s: complex, n: int) -> Callable[[float], float]:
     """Trefethen & Weideman's bound on the error of the line's trapezoid
     sum h sum_k f(k h), f = line_integrand(., s, n), less _pole_correction
-    for n >= 1; None where _strip_m has no M.
+    for n >= 1.
 
     Their proof bounds the error by the integrals of |f| along Im y = +-a,
     each over e^{2 pi a/h} - 1, plus the contributions of the poles of f
@@ -302,8 +317,6 @@ def _line_bound(s: complex, n: int) -> Callable[[float], float] | None:
     which only enlarges the bound, so that e^{2 pi a/h} stays finite.
     """
     ms = [_strip_m(s, envelope) for envelope in _line(n)[1]]
-    if None in ms:
-        return None
     m, width = (2.0 * ms[0], _TWO_PI * _STRIP) if n == 0 else (ms[0] + ms[1], _TWO_PI)
     expm1 = math.expm1
     return lambda h: m / expm1(min(width / h, 700.0))
@@ -411,13 +424,13 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     err_est, on the scale of the integral of 2 pi E, adds the rounding of
     the residues, which comes off the top of the budget 2 pi tol, to the
     quadrature's err_est; the quadrature runs at the rest over 1.2, which
-    leaves room for its tails and the rounding of its sum.  At a level
-    _line_bound certifies, the quadrature's err_est is that proven bound;
-    elsewhere it is the larger of the halving difference and the bound, or
-    the difference alone, an estimate, where there is no bound.
-    Where the residues' rounding alone exceeds tol the point cannot
-    converge, and the quadrature stops at that rounding instead of halving
-    on.
+    leaves room for its tails and the rounding of its sum.  _line_bound
+    judges every level: at the level it certifies the quadrature's err_est
+    is that proven bound, and at the round-off floor or the end of the
+    budget the larger of it and the last halving difference, plus the
+    rounding of the sum.  Where the residues' rounding alone exceeds tol
+    the point cannot converge, and the quadrature runs at that rounding
+    instead.
     """
     check_tol(tol)
     _check_line(n)
@@ -431,7 +444,7 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
         residues, rounding, correction = 0j, 0.0, None
     quad_tol = max(TOL_MIN, (budget - rounding) / 1.2) if rounding < budget else rounding
     base = integrate_line_decaying(_cached_level(s, n), _line_log_tail(s, n + 0.5), quad_tol,
-                                   _line_bound(s, n), correction)
+                                   bound=_line_bound(s, n), correction=correction)
     value = base.value / _TWO_PI
     if n:
         value += residues

@@ -8,22 +8,24 @@ e^t/(e^t - 1)^2 = 1/(4 sinh^2(t/2)) gives the other two:
                      = (1/s)   Integral_0..inf e^t t^s / (e^t - 1)^2 dt
                      = (1/4s)  Integral_0..inf t^s / sinh^2(t/2) dt.
 
-Each integral is evaluated independently here and compared against
-Gamma(s) zeta(s) built from log_gamma and the Euler-Maclaurin zeta, which
-share no code with the quadrature path.
+The last two integrands are the same function, so one integral,
+J(s) = Integral_0..inf t^s / sinh^2(t/2) dt = 4s Gamma(s) zeta(s), gives
+both, and what the chain checks numerically is the integration by parts
+between the first form and the second.  bose and J are evaluated
+independently here and compared against Gamma(s) zeta(s) built from
+log_gamma and the Euler-Maclaurin zeta, which share no code with the
+quadrature path.
 
-The last integral, J(s) = 4s Gamma(s) zeta(s), is also the axis form of E
-at 1 - s, i.e. the functional equation (contour.entire_e_axis), and
-_sinh_sq_integral evaluates J for both.
+J is also the axis form of E at 1 - s, i.e. the functional equation
+(contour.entire_e_axis), and _sinh_sq_integral evaluates J for both.
 
 Each integral is t^{s-2} kernel(t) (t^{sigma-2} for J) with a real
-kernel, t/(e^t - 1), t^2 e^t/(e^t - 1)^2 or t^2/sinh^2(t/2), which
-quadrature.integrate_mellin integrates a level at a time in u = ln t.
-All three integrands behave like t^{Re s - 2} at the origin, so the guard
-Re s > 1.05 keeps the Mellin substitution's left tail affordable.  Above
-t = 1 the kernels are rewritten in e^{-t} so nothing overflows; below, the
-factorizations (t/expm1(t))^2 e^t and ((t/2)/sinh(t/2))^2 stay finite
-however deep the origin tail is cut.
+kernel, t/(e^t - 1) or t^2/sinh^2(t/2), which quadrature.integrate_mellin
+integrates a level at a time in u = ln t.  Both integrands behave like
+t^{Re s - 2} at the origin, so the guard Re s > 1.05 keeps the Mellin
+substitution's left tail affordable.  Above t = 1 the bose kernel is
+rewritten in e^{-t} so nothing overflows; the factorization
+((t/2)/sinh(t/2))^2 stays finite however deep the origin tail is cut.
 
 Each level is certified by the trapezoid rule's strip bound (Trefethen &
 Weideman, SIAM Rev. 56 (2014), Thm 5.1).  In u the kernels' poles, at
@@ -33,9 +35,8 @@ with Re e^w >= e^{Re w} cos d.  Substituting t = e^{Re w} cos d bounds the
 integral of the integrand's modulus along Im w = b, |b| <= d, in closed
 form, for s = sigma + i tau:
 
-    bose:        M(d) = e^{|tau| d} cos(d)^{-sigma} Gamma(sigma) zeta(sigma),
-    exp_sq, J:   M(d) = e^{|tau| d} cos(d)^{-(sigma+1)} Gamma(sigma+1) zeta(sigma),
-                 times 4 for J,
+    bose:  M(d) = e^{|tau| d} cos(d)^{-sigma} Gamma(sigma) zeta(sigma),
+    J:     M(d) = 4 e^{|tau| d} cos(d)^{-(sigma+1)} Gamma(sigma+1) zeta(sigma),
 
 with zeta(sigma) <= 1 + 1/(sigma - 1).  The bound B(h) = 2M(d) /
 (e^{2 pi d/h} - 1) is taken at the one strip d = 1 (_STRIP).
@@ -117,15 +118,6 @@ def _bose_kernel(t: float) -> float:
     return t / math.expm1(t)
 
 
-def _exp_sq_kernel(t: float) -> float:
-    """t^2 e^t / (e^t - 1)^2, in e^{-t} from t = 1 on."""
-    if t >= 1.0:
-        em = -math.expm1(-t)  # 1 - e^{-t}
-        return t * t * math.exp(-t) / (em * em)
-    r = t / math.expm1(t)  # -> 1 at the origin; no underflowing t^2
-    return r * r * math.exp(t)
-
-
 def _sinh_kernel(t: float) -> float:
     """t^2 / sinh^2(t/2) = 4 / sinhc_half(t)^2."""
     sc = sinhc_half(t)
@@ -143,13 +135,11 @@ def _bose(s: complex, tol: float) -> EvalResult:
 
 
 def _exp_sq(s: complex, tol: float) -> EvalResult:
-    """Integral of e^t t^s/(e^t - 1)^2 over (0, inf), for exp_sq_integral."""
-    # e^t/(e^t - 1)^2 = 1/(4 sinh^2(t/2)) and |sinh(w/2)|^2 >= sinh^2(Re w/2),
-    # so M(d) = e^{|Im s| d} cos(d)^{-(Re s+1)} Gamma(Re s+1) zeta(Re s)
-    bound = _strip_bound(_log_gamma_zeta_bound(s.real, 1.0), s.real + 1.0, s.imag)
-    # e^t/(e^t - 1)^2 <= e^{-t}/(1 - e^{-1})^2 for t >= 1
-    return integrate_mellin(_exp_sq_kernel, s - 2.0, tol, growth=s.real, bound_const=2.6,
-                            bound=bound)
+    """Integral of e^t t^s/(e^t - 1)^2 over (0, inf), for exp_sq_integral:
+    the integrand is t^s/(4 sinh^2(t/2)), so this is J(s)/4, J run at tol."""
+    j = _sinh_sq_integral(s, tol)
+    return EvalResult(j.value / 4.0, j.err_est / 4.0, j.n_evals, j.converged,
+                      j.truncation_height)
 
 
 def bose_integral(s: complex, tol: float = 1e-12) -> complex:
@@ -158,7 +148,8 @@ def bose_integral(s: complex, tol: float = 1e-12) -> complex:
 
 
 def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
-    """(1/s) Integral of e^t t^s/(e^t - 1)^2 over (0, inf); equals Gamma(s) zeta(s)."""
+    """(1/s) Integral of e^t t^s/(e^t - 1)^2 over (0, inf); equals Gamma(s) zeta(s).
+    The integrand is t^s/(4 sinh^2(t/2)), so this is sinh_integral(s, tol)."""
     s = _require_domain(s, "exp_sq_integral")
     return _exp_sq(s, tol).value / s
 
@@ -166,7 +157,8 @@ def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
 def _sinh_sq_integral(sigma: complex, tol: float) -> EvalResult:
     """J(sigma) = Integral of t^sigma/sinh^2(t/2) over (0, inf), for sinh_integral
     and the axis form; the callers guard Re sigma against _RE_MIN."""
-    # four times the exp_sq integrand: M(d) as there, times 4
+    # |sinh(w/2)|^2 >= sinh^2(Re w/2), so M(d) = 4 e^{|Im s| d} cos(d)^{-(Re s+1)}
+    # Gamma(Re s+1) zeta(Re s)
     bound = _strip_bound(math.log(4.0) + _log_gamma_zeta_bound(sigma.real, 1.0),
                          sigma.real + 1.0, sigma.imag)
     # t^sigma/sinh^2(t/2) ~ 4 t^{sigma-2} at 0, <= 4 e^{-t}/(1 - e^{-1})^2 t^sigma at t >= 1
@@ -181,19 +173,17 @@ def sinh_integral(s: complex, tol: float = 1e-12) -> complex:
 
 
 def mellin_check(s: complex, tol: float = 1e-12) -> MellinReport:
-    """Evaluate all three integrals and compare each against Gamma(s) zeta(s)."""
+    """Evaluate bose and J and compare each against Gamma(s) zeta(s); J
+    fills both exp_sq and sinh_form, one integral (see the module)."""
     s = _require_domain(s, "mellin_check")
     bose = bose_integral(s, tol)
-    exp_sq = exp_sq_integral(s, tol)
     sinh_form = sinh_integral(s, tol)
     reference = gamma(s) * zeta_euler_maclaurin(s)[0]
-    deviation = max(
-        abs(bose - reference), abs(exp_sq - reference), abs(sinh_form - reference)
-    )
+    deviation = max(abs(bose - reference), abs(sinh_form - reference))
     return MellinReport(
         s=s,
         bose=bose,
-        exp_sq=exp_sq,
+        exp_sq=sinh_form,
         sinh_form=sinh_form,
         reference=reference,
         max_abs_deviation=deviation,

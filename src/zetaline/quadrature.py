@@ -23,23 +23,15 @@ node at a.
 A caller that knows the poles nearest the real axis can pass their exact
 contribution C(h) to the error T(h) - I, and each level becomes
 T(h) - C(h) (the line contour subtracts the kernel's two nearest double
-poles, whose residues it already sums).  A caller that knows a strip
-|Im u| < d free of the remaining poles can pass its bound
-B(h) >= |I - T(h) + C(h)|, the theorem's 2M / (e^{2 pi d/h} - 1), where M
-bounds the integral of |g(u + ib)| over u for every |b| < d (or a sum of
-such terms, one per edge of the strip).  From the first halving on, the
-first level with B(h) + noise <= tol, noise = 4 eps h sum |g| being the
-sum's rounding, is certified and returned, provided the corrected T(h) and
-T(2h) differ by at most B(h) + B(2h) + noise as the theorem implies; its
-err_est, B(h) + noise, is a proven bound up to the rounding of the nodes.
-Otherwise the halving rule decides: h halves until two levels differ by at
-most tol, by no less than the last two did, or by no more than the noise
-(round-off floor), or the budget runs out, and err_est is that difference
-plus the noise, or with a bound the larger of the difference and B(h) plus
-the noise.  The difference alone is an estimate, not a bound: a pole
-half a unit from the line, left in the sum, can make two levels agree to
-2.1e-13 where both are 1.5e-12 off.  The front ends add both tails they
-cut to err_est.
+poles, whose residues it already sums).  Every caller passes a bound
+B(h) >= |I - T(h) + C(h)|: the theorem's 2M / (e^{2 pi d/h} - 1) for a
+strip |Im u| < d free of the remaining poles, M bounding the integral of
+|g(u + ib)| over u for every |b| < d, plus the tails the front end cut.
+B is the one stopping rule.  A level whose T(h) lies within B(h) + B(2h)
+plus the sum's rounding of T(2h), as the theorem implies, is certified
+when B(h) plus that rounding meets tol, and is the round-off floor when
+B(h) is below the rounding; otherwise the budget runs out.  converged is
+err_est <= tol at every exit (see integrate_interval).
 Every integrator returns an EvalResult, the package's one result type.
 
 Everything is pure and sequential-deterministic: nodes are summed level by
@@ -103,8 +95,8 @@ def check_tol(tol: float) -> None:
 
 
 def integrate_interval(
-    level: Level, a: float, b: float, tol: float = 1e-12, *, step: float = _FIRST_STEP,
-    bound: Bound | None = None, correction: Correction | None = None,
+    level: Level, a: float, b: float, tol: float = 1e-12, *, bound: Bound,
+    step: float = _FIRST_STEP, correction: Correction | None = None,
 ) -> EvalResult:
     """Nested trapezoid rule T(h) = h (g(a)/2 + sum_{k >= 1, k h <= b - a} g(a + k h))
     for an integral over [a, inf) whose integrand g is negligible beyond b,
@@ -114,14 +106,14 @@ def integrate_interval(
     whole-line integrand folded onto a.  h starts at `step`, a power of two
     no larger than 1/2, and halves 6 times or down to 2^-8 if that is
     further; a halving adds only the odd nodes of the finer grid.  With
-    `correction`, each level T(h) below is T(h) - correction(h).  With
-    `bound`, bound(h) >= |I - T(h)|, a level from the first halving on with
-    bound(h) + noise <= tol and |T(h) - T(2h)| <= bound(h) + bound(2h) +
-    noise is certified: it returns with err_est bound(h) + noise and
-    converged=True, noise being the sum's rounding.  Otherwise err_est is
-    the last difference plus that rounding, an estimate, or with `bound`
-    the larger of the difference and bound(h) plus the rounding, and
-    `converged` says that err_est without the rounding met tol.
+    `correction`, each level T(h) below is T(h) - correction(h).
+    bound(h) >= |I - T(h)| must hold for every h, the nodes left out past b
+    included.  From the first halving on, a level with |T(h) - T(2h)| <=
+    bound(h) + bound(2h) + noise, noise being the sum's rounding, stops the
+    rule when bound(h) + noise <= tol (certified, err_est bound(h) + noise)
+    or when bound(h) <= noise (round-off floor); the floor and a spent
+    budget return err_est max(|T(h) - T(2h)|, bound(h)) + noise.
+    `converged` is err_est <= tol.
     """
     check_tol(tol)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -129,12 +121,11 @@ def integrate_interval(
     if not (0.0 < step <= _MAX_STEP and math.frexp(step)[0] == 0.5):
         raise DomainError(f"step must be a power of two <= {_MAX_STEP}, got {step}")
     h = step
-    bound_h = bound(h) if bound else 0.0
+    bound_h = bound(h)
     g0, = level(h, range(1))
     acc = complex(0.5 * g0)
     l1 = 0.5 * abs(g0)  # ~ integral of |g| / h: sets the round-off floor
     n_evals = 1
-    err = math.inf
     for halving in range(max(_HALVINGS, round(math.log2(step / _H_MIN))) + 1):
         # level 0 takes every node k >= 1, each halving only the new odd k
         ks = range(1, int((b - a) / h) + 1, 2 if halving else 1)
@@ -147,22 +138,19 @@ def integrate_interval(
         refined = h * acc - correction(h) if correction else h * acc
         noise = 4.0 * _EPS * h * l1  # rounding of the sum
         if halving:
-            err_new = abs(refined - value)
-            if bound:
-                bound_prev, bound_h = bound_h, bound(h)
-                # certified, unless T(h) and T(2h) differ by more than
-                # their bounds allow, which the theorem rules out
-                if bound_h + noise <= tol and err_new <= bound_h + bound_prev + noise:
+            diff = abs(refined - value)
+            bound_prev, bound_h = bound_h, bound(h)
+            # T(h) and T(2h) lie within their bounds of I, unless the bound is wrong
+            if diff <= bound_h + bound_prev + noise:
+                if bound_h + noise <= tol:
                     return EvalResult(refined, bound_h + noise, n_evals, True)
-            if err_new <= tol or err_new >= err or err_new <= noise:
-                # met tol; or halving stopped helping, or the difference is
-                # below the rounding of the sum itself: round-off floor reached
-                est = max(err_new, bound_h)
-                return EvalResult(refined, est + noise, n_evals, est <= tol)
-            err = err_new
+                if bound_h <= noise:  # round-off floor: the noise, not the bound, limits err_est
+                    break
         value = refined
         h *= 0.5
-    return EvalResult(value, max(err, bound_h) + noise, n_evals, False)
+    # the round-off floor, or the end of the budget
+    est = max(diff, bound_h) + noise
+    return EvalResult(refined, est, n_evals, est <= tol)
 
 
 def _truncation_height(
@@ -197,8 +185,8 @@ def _truncation_height(
 
 
 def integrate_line_decaying(
-    level: Level, log_tail: Callable[[float], float], tol: float = 1e-12,
-    bound: Bound | None = None, correction: Correction | None = None,
+    level: Level, log_tail: Callable[[float], float], tol: float = 1e-12, *,
+    bound: Bound, correction: Correction | None = None,
 ) -> EvalResult:
     """Integral over the whole real line of f, given the level evaluator of
     its fold g(y) = f(y) + f(-y) on y >= 0 (level(h, ks) returns
@@ -207,20 +195,20 @@ def integrate_line_decaying(
 
     The truncation height Y is the first point of the 1/8 grid from 1 where
     each tail is below tol/20, and integrate_interval runs on g over [0, Y]
-    from h = 1/4; err_est adds both tails, a tenth of tol, to its err_est.
-    n_evals counts values of f, two per node.  With a correction, which
-    takes out the poles nearest the real axis, each level is
-    h sum_k f(k h) - correction(h), the rule starts from h = 1/2, too
+    from h = 1/4.  n_evals counts values of f, two per node.  With a
+    correction, which takes out the poles nearest the real axis, each level
+    is h sum_k f(k h) - correction(h), the rule starts from h = 1/2, too
     coarse without it, and Y is rounded up to a multiple of 1/4.
 
-    bound(h), if given, bounds |I - h sum_k f(k h) + correction(h)|, the
-    error of the (corrected) trapezoid sum over all integers k, and
-    integrate_interval certifies levels with it.  Those have h <= 1/8, or
-    1/4 with a correction, which divides Y, so the nodes the sum leaves out
-    lie at |y| = Y + h,
-    Y + 2h, ...; log_tail(Y) must then also bound h times the sum of |f|
-    there, as it does when it bounds the integral of an envelope of |f|
-    that decreases beyond Y, and the same tenth of tol covers them.
+    bound(h) bounds |I - h sum_k f(k h) + correction(h)|, the error of the
+    (corrected) trapezoid sum over all integers k.  The levels that can
+    stop the rule, h <= 1/8, or 1/4 with a correction, divide Y, so the
+    nodes left out lie at |y| = Y + h, Y + 2h, ...; log_tail(Y) must then
+    also bound h times the sum of |f| there, as it does when it bounds the
+    integral of an envelope of |f| that decreases beyond Y.  Both tails, a
+    tenth of tol, are added to the bound integrate_interval judges each
+    level by, and to its tol: err_est covers them, and `converged` is
+    err_est <= 1.1 tol.
     """
     check_tol(tol)
     height = _truncation_height(log_tail, 0.05 * tol)
@@ -228,10 +216,10 @@ def integrate_line_decaying(
     if correction:
         step = _MAX_STEP
         height = math.ceil(4.0 * height) / 4.0
-    base = integrate_interval(level, 0.0, height, tol, step=step, bound=bound,
-                              correction=correction)
-    return EvalResult(base.value, base.err_est + 0.1 * tol, 2 * base.n_evals,
-                      base.converged, height)
+    tails = 0.1 * tol
+    base = integrate_interval(level, 0.0, height, tol + tails, step=step,
+                              bound=lambda h: bound(h) + tails, correction=correction)
+    return EvalResult(base.value, base.err_est, 2 * base.n_evals, base.converged, height)
 
 
 def integrate_mellin(
@@ -242,7 +230,7 @@ def integrate_mellin(
     growth: float = 0.0,
     origin_coeff: float = 1.0,
     bound_const: float = 1.0,
-    bound: Bound | None = None,
+    bound: Bound,
 ) -> EvalResult:
     """Integral of t^alpha kernel(t) over (0, inf), for a real kernel with
     |kernel(t)| <= origin_coeff on (0, 1] and |t^alpha kernel(t)| <=
@@ -259,11 +247,12 @@ def integrate_mellin(
     below tol/10.  Both cuts are rounded outward onto the grid of the first
     step, so every level's nodes stop exactly at them; off it, the nodes
     past the last one could exceed the tail bound.  T is reported as the
-    truncation height and err_est adds both tails, a fifth of tol.
+    truncation height.
 
-    bound(h), if given, bounds |I - h sum_k g(u_left + k h)| over all
-    integers k, the trapezoid error on the whole line, and
-    integrate_interval certifies levels with it.  g oscillates like
+    bound(h) bounds |I - h sum_k g(u_left + k h)| over all integers k, the
+    trapezoid error on the whole line.  Both tails, a fifth of tol, are
+    added to it and to tol for integrate_interval, so err_est covers them
+    and `converged` is err_est <= 1.2 tol.  g oscillates like
     e^{i Im(alpha) u}, which shrinks the strip where the trapezoid rule
     converges fast, so the first step is the largest h = 2^-k <= 1/4 with
     h (|Im alpha| + 4) <= pi.
@@ -303,6 +292,7 @@ def integrate_mellin(
     def level(h: float, ks: range) -> list[complex]:
         return [cmath.exp(ap1c * u) * kernel(math.exp(u)) for u in (u_left + k * h for k in ks)]
 
-    base = integrate_interval(level, u_left, u_right, tol, step=step, bound=bound)
-    return EvalResult(base.value, base.err_est + 0.2 * tol, base.n_evals, base.converged,
-                      math.exp(u_right))
+    tails = 0.2 * tol
+    base = integrate_interval(level, u_left, u_right, tol + tails, step=step,
+                              bound=lambda h: bound(h) + tails)
+    return EvalResult(base.value, base.err_est, base.n_evals, base.converged, math.exp(u_right))

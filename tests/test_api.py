@@ -46,6 +46,12 @@ def _level(g, a=0.0):
     return lambda h, ks: [g(a + k * h) for k in ks]
 
 
+def _gauss_bound(h):
+    """The strip bound 2M / (e^{2 pi d/h} - 1) of e^{-x^2}, M = sqrt(pi) e^{d^2}
+    at d = 1, plus 1e-40 for the nodes and the integral past |x| = 10."""
+    return 2.0 * math.sqrt(math.pi) * math.e / math.expm1(2.0 * math.pi / h) + 1e-40
+
+
 def test_one_result_type():
     """Every integral and every E(s) or zeta(s) comes back as the one
     EvalResult, fields in one order."""
@@ -53,10 +59,13 @@ def test_one_result_type():
         zetaline.zeta(2.0),
         zetaline.entire_e_axis(-1.5),
         zetaline.integrate_interval(_level(lambda x: complex(math.exp(-x * x)), -10.0),
-                                    -10.0, 10.0),
+                                    -10.0, 10.0, bound=_gauss_bound),
         zetaline.integrate_line_decaying(_level(lambda y: complex(2.0 * math.exp(-y * y))),
-                                         lambda y: 1.0 - y),
-        zetaline.integrate_mellin(lambda t: complex(math.exp(-t)), 0.0),
+                                         lambda y: 1.0 - y, bound=_gauss_bound),
+        # e^{-e^w} along Im w = b integrates to 1 / cos(b) in modulus: M(1) = 1 / cos(1)
+        zetaline.integrate_mellin(
+            lambda t: complex(math.exp(-t)), 0.0,
+            bound=lambda h: 2.0 / math.cos(1.0) / math.expm1(2.0 * math.pi / h)),
     ]
     for r in results:
         assert type(r) is zetaline.EvalResult

@@ -426,8 +426,10 @@ def test_node_table_cold_threads_bitwise():
 def test_node_table_eight_cold_threads_bitwise():
     """Eight threads started together on cold lines, all through the same
     points, half at tol 1e-12 first and half at 1e-6 first, so they race to
-    extend the same levels to different truncation heights, give the bits
-    of serial evaluation; five rounds, each on emptied tables."""
+    extend the same levels to different truncation heights, and to grow the
+    envelope tables that the far-left points need past X = 4 while others
+    read them, give the bits of serial evaluation; five rounds, each on
+    emptied tables."""
     code = (
         "import json, sys, threading\n"
         "from zetaline import contour\n"
@@ -456,7 +458,8 @@ def test_node_table_eight_cold_threads_bitwise():
         "    rounds.append(list(out))\n"
         "print(json.dumps(rounds))\n"
     )
-    pts = _points("eval-tall.json") + _points("eval-strip-seed1.json")[:40]
+    far_left = [complex(-8.3 - 1.3 * k, (-1) ** k * (59.5 - 4.0 * k)) for k in range(10)]
+    pts = _points("eval-tall.json") + far_left + _points("eval-strip-seed1.json")[:40]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
                          input=json.dumps([[s.real, s.imag] for s in pts]))
     assert out.returncode == 0, out.stderr
@@ -493,23 +496,26 @@ def _dense_abs_integral(s: complex, n: int, b: float) -> float:
     """The integral of |pi^2 z^{1-s} / sin^2(pi z)| along y = x + ib, i.e.
     z = n + 1/2 - b + ix, by a dense trapezoid sum: step 1/512 on |x| <= 1,
     where the pole a distance 1/2 - |b| from the line makes a narrow peak,
-    1/32 out to |x| = 16."""
+    1/32 out to |x| = max(16, (1 - Re s) / 2), far past the peak of
+    |z|^{1 - Re s} e^{-2 pi |x|} near |x| = (1 - Re s) / 2 pi."""
     def f(x: float) -> float:
         z = complex(n + 0.5 - b, x)
         return abs(math.pi ** 2 * cmath.exp((1.0 - s) * cmath.log(z)) / cmath.sin(math.pi * z) ** 2)
 
     fine, coarse = 1.0 / 512.0, 1.0 / 32.0
+    m = int((max(16.0, 0.5 * (1.0 - s.real)) - 1.0) / coarse)
     inner = fine * math.fsum(f(k * fine) for k in range(-512, 513))
-    outer = coarse * math.fsum(f(x) + f(-x) for x in (1.0 + k * coarse for k in range(1, 481)))
+    outer = coarse * math.fsum(f(x) + f(-x) for x in (1.0 + k * coarse for k in range(1, m + 1)))
     return inner + outer
 
 
 def _bound_grid():
     """(s, n): every line N = 0 .. 9, at both ends of each line's range of
-    |Im s|, both signs of Im s, Re s from -5 to 20."""
+    |Im s|, both signs of Im s, Re s from -60 to 20.  From Re s = -8.3 on
+    down some lines need the envelope past X = 4, out to X = 13 at -60."""
     for n in range(10):
         for im in (2.0 * math.pi * n + 0.1, min(2.0 * math.pi * (n + 1) - 0.1, 60.0)):
-            for re in (-5.0, 0.5, 6.0, 20.0):
+            for re in (-60.0, -20.0, -12.0, -8.3, -5.0, 0.5, 6.0, 20.0):
                 for sign in (1, -1):
                     yield complex(re, sign * im), n
 
@@ -521,7 +527,7 @@ def test_strip_m_bounds_the_integral():
     a = contour._STRIP
     for s, n in _bound_grid():
         m = contour._strip_m(s, contour._line_envelope(n + 0.5, a))
-        assert m is not None, (s, n)
+        assert math.isfinite(m), (s, n)
         for b in (0.0, 0.5 * a, -0.5 * a, 0.99 * a, -0.99 * a):
             assert _dense_abs_integral(s, n, b) <= m, (s, n, b)
 
@@ -534,9 +540,39 @@ def test_neighbour_m_bounds_the_integral():
     for s, n in _bound_grid():
         if n:
             lower, upper = (contour._strip_m(s, envelope) for envelope in contour._line(n)[1])
-            assert lower is not None and upper is not None, (s, n)
+            assert math.isfinite(lower) and math.isfinite(upper), (s, n)
             assert _dense_abs_integral(s, n, 1.0) <= lower, (s, n)
             assert _dense_abs_integral(s, n, -1.0) <= upper, (s, n)
+
+
+def test_every_line_has_a_finite_bound():
+    """_line_bound is finite on the line entire_e_line picks at every point
+    of a 31 x 25 grid of Re s in [-20, 10], |Im s| <= 60, where the tail's
+    envelope needs X up to 5.5 from Re s = -8.3 on down; a table grown by
+    one s serves the next with the same bits as a fresh one."""
+    contour._line.cache_clear()
+    for re in range(-20, 11):
+        for k in range(-12, 13):
+            s = complex(re, 5.0 * k)
+            n = int(abs(s.imag) / (2.0 * math.pi))
+            if s.real > -10.0:
+                n = max(n, 2 if s.real > 6.5 else 1)
+            bound = contour._line_bound(s, n)
+            assert math.isfinite(bound(0.25)), s
+            fresh = [contour._strip_m(s, contour._line_envelope(*table[0][:2]))
+                     for table in contour._line(n)[1]]
+            assert [contour._strip_m(s, table) for table in contour._line(n)[1]] == fresh, s
+
+
+def test_strip_m_is_inf_where_the_envelope_overflows():
+    """Far left the envelope's e^{(1 - Re s) log|z|} overflows: M is inf, a
+    bound that certifies nothing, and the line's nodes overflow too, so the
+    evaluation fails with the overflow named."""
+    s = complex(-300.0, 0.0)
+    assert contour._strip_m(s, contour._line_envelope(0.5, contour._STRIP)) == math.inf
+    assert contour._line_bound(s, 0)(0.25) == math.inf
+    with pytest.raises(TruncationFailure, match="overflows"):
+        entire_e_line(s)
 
 
 def test_corrected_levels_within_the_bound():
@@ -615,8 +651,8 @@ def test_strip_certificate_consistent_and_honest(monkeypatch):
     calls = []
     real = contour.integrate_line_decaying
 
-    def spy(level, log_tail, tol, bound=None, correction=None):
-        result = real(level, log_tail, tol, bound, correction)
+    def spy(level, log_tail, tol, *, bound, correction):
+        result = real(level, log_tail, tol, bound=bound, correction=correction)
         calls.append((level, tol, bound, correction, result))
         return result
 
@@ -630,7 +666,7 @@ def test_strip_certificate_consistent_and_honest(monkeypatch):
             calls.clear()
             r = entire_e_line(s, tol)
             level, quad_tol, bound, correction, base = calls[0]
-            assert bound is not None and correction is not None, s
+            assert correction is not None, s
             done, fell_through = _replay_levels(level, quad_tol, bound, base, correction)
             assert not fell_through, s
             certified += done
