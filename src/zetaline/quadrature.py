@@ -7,7 +7,9 @@ finite b, a whole-line integral whose tails the caller bounds in log space
 integral on (0, inf) of t^alpha kernel(t), a real kernel times an
 algebraic factor, decaying exponentially at infinity (handled by the
 substitution t = e^u, which turns both ends into plain exponential tails
-and a level into one pass of e^{(alpha+1) u} kernel(e^u)).
+and a level into one pass of e^{(alpha+1) u} kernel(e^u), the kernel's
+values read from a KernelTable: the nodes lie on a lattice of u that does
+not depend on alpha, so a table serves every integral of one kernel).
 
 All three run on integrate_interval: the trapezoid rule on a + k h, which
 converges like e^{-2 pi d / h} for an integrand analytic in the strip
@@ -34,9 +36,10 @@ B(h) is below the rounding; otherwise the budget runs out.  converged is
 err_est <= tol at every exit (see integrate_interval).
 Every integrator returns an EvalResult, the package's one result type.
 
-Everything is pure and sequential-deterministic: nodes are summed level by
-level in ascending coordinate order, so identical inputs give
-bitwise-identical outputs.
+Everything is sequential-deterministic: nodes are summed level by level in
+ascending coordinate order, so identical inputs give bitwise-identical
+outputs.  The only state is a KernelTable's stored values, each the one
+value its node always has, so what a table holds never changes a result.
 """
 
 from __future__ import annotations
@@ -222,8 +225,51 @@ def integrate_line_decaying(
     return EvalResult(base.value, base.err_est, 2 * base.n_evals, base.converged, height)
 
 
+class KernelTable:
+    """The values kernel(e^u) of a real kernel on the lattices that
+    integrate_mellin's levels read, kept for the life of the table.
+
+    A level's nodes u_left + k h are exact multiples of h, since u_left
+    lies on the grid of the first step, so a level asks for
+    kernel(e^u) at u = first + i spacing, i = 0 .. n - 1, and those values
+    depend on u alone, whatever alpha and the cuts are.  The table keeps
+    one list per lattice (offset, spacing), offset = first mod spacing
+    (0 for a first level, h for the odd nodes a halving adds), covering
+    the indices lo, lo + 1, ... seen so far; a request outside it extends
+    the list to cover both, and publishes it with one assignment, so a
+    thread only ever reads a complete list.  Threads that race store equal
+    values, each entry computed from its own u, so no result depends on
+    the order of filling.  The package keeps one table per kernel it
+    integrates (mellin); integrate_mellin wraps any other kernel in a
+    table of its own, which lives for one call.
+    """
+
+    __slots__ = ("kernel", "_lattices")
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self._lattices: dict[tuple[float, float], tuple[int, list[float]]] = {}
+
+    def values(self, first: float, spacing: float, n: int) -> list[float]:
+        """[kernel(e^u) for u = first + i spacing, i in range(n)], first an
+        exact multiple of spacing / 2."""
+        offset = first % spacing
+        start = int((first - offset) / spacing)
+        lattices = self._lattices
+        lo, vals = lattices.get((offset, spacing), (start, []))
+        hi = lo + len(vals)
+        if start < lo or start + n > hi:
+            f, exp = self.kernel, math.exp
+            new_lo, new_hi = min(lo, start), max(hi, start + n)
+            vals = ([f(exp(offset + i * spacing)) for i in range(new_lo, lo)] + vals
+                    + [f(exp(offset + i * spacing)) for i in range(hi, new_hi)])
+            lo = new_lo
+            lattices[offset, spacing] = (lo, vals)
+        return vals[start - lo:start - lo + n]
+
+
 def integrate_mellin(
-    kernel: Kernel,
+    kernel: Kernel | KernelTable,
     alpha: complex,
     tol: float = 1e-12,
     *,
@@ -237,17 +283,25 @@ def integrate_mellin(
     bound_const t^growth e^{-t} on [1, inf) (alpha complex, Re alpha > -1).
 
     Substitutes t = e^u and integrates g(u) = e^{(alpha+1)u} kernel(e^u)
-    with integrate_interval, a level at a time.  The origin side is cut
-    where the nodes left out, h |g(u_left)|/2 plus
+    with integrate_interval, a level at a time.  The level reads
+    kernel(e^u) from `kernel` when it is a KernelTable, which keeps the
+    values for every later call, and otherwise from a table that lives for
+    this call; either way each value is kernel(math.exp(u)) at the node's
+    own u, so a result does not depend on what the table held before.  A
+    kernel whose expansion at the origin the caller has subtracted (as
+    mellin does) has a large Re alpha and a short origin tail.
+
+    The origin side is cut where the nodes left out, h |g(u_left)|/2 plus
     h sum_{k >= 1} |g(u_left - k h)| <= origin_coeff e^{(Re alpha+1) u_left}
     (h/2) coth((Re alpha+1) h/2), are below tol/10 at every level; the
     decay side at a T = e^{u_right} >= growth + 1 where the tail bound
     bound_const T^growth e^{-T} T/(T - growth), which bounds the integral
     of the envelope beyond T and so the nodes left out past u_right, is
     below tol/10.  Both cuts are rounded outward onto the grid of the first
-    step, so every level's nodes stop exactly at them; off it, the nodes
-    past the last one could exceed the tail bound.  T is reported as the
-    truncation height.
+    step, so every level's nodes stop exactly at them and are exact
+    multiples of h; off it, the nodes past the last one could exceed the
+    tail bound.  T is reported as the truncation height.  Where
+    e^{(alpha+1) u} overflows at a node the level raises TruncationFailure.
 
     bound(h) bounds |I - h sum_k g(u_left + k h)| over all integers k, the
     trapezoid error on the whole line.  Both tails, a fifth of tol, are
@@ -288,9 +342,18 @@ def integrate_mellin(
         target, math.ceil((growth + 1.0) * 8.0) / 8.0)
     u_right = math.ceil(max(1.0, math.log(height)) / step) * step
     ap1c = alpha + 1.0
+    table = kernel if isinstance(kernel, KernelTable) else KernelTable(kernel)
+    exp = cmath.exp
 
     def level(h: float, ks: range) -> list[complex]:
-        return [cmath.exp(ap1c * u) * kernel(math.exp(u)) for u in (u_left + k * h for k in ks)]
+        first, spacing = u_left + ks.start * h, ks.step * h
+        try:
+            return [exp(ap1c * (first + i * spacing)) * v
+                    for i, v in enumerate(table.values(first, spacing, len(ks)))]
+        except OverflowError:
+            raise TruncationFailure(
+                f"t^(alpha+1) overflows double range on (0, {math.exp(u_right):.6g}] "
+                f"for alpha = {alpha}") from None
 
     tails = 0.2 * tol
     base = integrate_interval(level, u_left, u_right, tol + tails, step=step,

@@ -327,10 +327,16 @@ def _floor_exit(calls) -> None:
     assert base.err_est == max(diff, bound(h)) + noise and not base.converged
 
 
+def _gamma_integral(alpha: float, tol: float):
+    """integrate_mellin on t^alpha e^{-t}, whose integral is Gamma(alpha + 1)."""
+    return integrate_mellin(lambda t: math.exp(-t), alpha, tol, growth=alpha,
+                            bound=_mellin_bound(alpha))
+
+
 @pytest.mark.parametrize("run, n_evals, err_est", [
     (lambda: entire_e_line(-20.0, 1e-14), 474, 3.58081052160454e-10),
-    (lambda: mellin._sinh_sq_integral(3.0, 1e-14), 175, 5.404509344571397e-14),
-], ids=["line-at-minus-20", "sinh-at-3"])
+    (lambda: _gamma_integral(10.0, 1e-14), 61, 0.009971235376497134),
+], ids=["line-at-minus-20", "gamma-at-11"])
 def test_interval_round_off_floor_exit(monkeypatch, run, n_evals, err_est):
     """Where tol lies below the sum's rounding the loop stops on the
     round-off floor, the first level whose bound is below the noise, with
@@ -368,18 +374,19 @@ def _exit(levels, tol, bound, correction) -> str:
 @pytest.mark.parametrize("run, exit", [
     (lambda: entire_e_line(2.0 + 3.0j), "certified"),
     (lambda: mellin._sinh_sq_integral(3.0, 1e-12), "certified"),
-    (lambda: mellin._sinh_sq_integral(6.0, 1e-12), "floor"),
+    (lambda: _gamma_integral(9.0, 1e-12), "floor"),
     (lambda: quadrature.integrate_interval(lambda h, ks: [1.0] * len(ks), 0.0, 1.0, 1e-14,
                                            bound=lambda h: 0.5 * h), "budget"),
     (lambda: integrate_line_decaying(_level(lambda y: complex(2.0 / math.cosh(8.0 * y))),
                                      lambda y: math.log(0.25) - 8.0 * y,
                                      bound=lambda h: 1e-13 if h > 0.05 else 1.0), "budget"),
-], ids=["line", "sinh-at-3", "sinh-at-6", "constant", "lying-bound"])
+], ids=["line", "sinh-at-3", "gamma-at-10", "constant", "lying-bound"])
 def test_converged_is_err_est_within_tol(monkeypatch, run, exit):
     """At every exit converged is err_est <= tol, the tol integrate_interval
-    was given.  J(6) at tol 1e-12 is the case a rule that judged the halving
-    difference without the noise got wrong: converged=True with err_est
-    3.26e-12 after 165 evaluations."""
+    was given.  Gamma(10) = 362880 as a Mellin integral at tol 1e-12 stops
+    on the floor, where a rule that judged the halving difference without
+    the noise would say converged=True (as J(6) did before its head was
+    subtracted: err_est 3.26e-12 after 165 evaluations)."""
     calls = _spy_levels(monkeypatch)
     r = run()
     (levels, tol, bound, correction, base), = calls
