@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 
 from .acceptance import run_criteria
-from .contour import entire_e_line, residue_partial_sums, zeta, zeta_from_e
+from .contour import _zeta_value, entire_e_line, residue_partial_sums, zeta
 from .errors import (
     DomainError,
     NonFiniteIntegrand,
@@ -108,25 +108,29 @@ def _fmt(x: float) -> str:
 _SCAN_HEADER = "re_s,im_s,re_E,im_E,re_zeta,im_zeta,abs_zeta,err_est"
 
 
-def _scan_cell(s: complex, tol: float) -> tuple[str, EvalResult]:
+def _scan_cell(s: complex, re_txt: str, im_txt: str, tol: float) -> tuple[str, EvalResult]:
+    """The CSV line of s, whose parts read re_txt and im_txt, and E(s)."""
     e = entire_e_line(s, tol)
     try:
-        z = zeta_from_e(s, e).value
+        z = _zeta_value(s, e.value)
     except PoleAtOne:
-        z_re = z_im = z_abs = ""  # undefined near the pole, not zero
+        z_txt = ",,"  # undefined near the pole, not zero
     else:
-        z_re, z_im, z_abs = repr(z.real), repr(z.imag), repr(abs(z))
-    line = (
-        f"{s.real!r},{s.imag!r},{e.value.real!r},{e.value.imag!r},"
-        f"{z_re},{z_im},{z_abs},{e.err_est!r}"
-    )
-    return line, e
+        z_txt = f"{z.real!r},{z.imag!r},{abs(z)!r}"
+    return f"{re_txt},{im_txt},{e.value.real!r},{e.value.imag!r},{z_txt},{e.err_est!r}", e
 
 
 def scan_csv_lines(grid: ScanGrid, tol: float = 1e-12) -> tuple[list[str], list[float]]:
     """Header plus one line per grid point, E(s) at tolerance tol, and the
-    err_est of every cell that did not converge."""
-    cells = [_scan_cell(s, tol) for s in grid.points()]
+    err_est of every cell that did not converge.  Each grid line's
+    coordinate is formatted once."""
+    res = _axis(grid.re_min, grid.re_max, grid.steps_re)
+    re_txts = [repr(re) for re in res]
+    cells = []
+    for im in _axis(grid.im_min, grid.im_max, grid.steps_im):  # row-major, as grid.points()
+        im_txt = repr(im)
+        cells += [_scan_cell(complex(re, im), re_txt, im_txt, tol)
+                  for re, re_txt in zip(res, re_txts)]
     missed = [e.err_est for _, e in cells if not e.converged]
     return [_SCAN_HEADER, *(line for line, _ in cells)], missed
 

@@ -71,6 +71,14 @@ instead.  The envelope behind M reaches out as far as its tail needs, so
 every line has its bound for every s (inf far left, where the envelope
 overflows), and that bound is the rule's one stopping criterion (see
 _entire_e_line).
+
+What a point pays for besides its nodes is set-up, kept to one pass each:
+the residues, their rounding and the correction's N^{-s} and (N+1)^{-s}
+come from one loop over k^{-s} (_line_residues), M_- and M_+ from one call
+(_strip_m), and the factors of the bound and the correction that depend
+on h alone, e^{2 pi a/h} - 1 and phi(h), from a table built at import
+(_LEVEL_FACTORS), so a level's bound is one division.  None of it changes
+a bit of the result.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ import math
 from array import array
 from functools import lru_cache
 from itertools import islice
+from types import MappingProxyType
 from typing import Callable
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
@@ -141,7 +150,7 @@ _Table = tuple[float, float, list[tuple[float, ...]], list[tuple[float, ...]],
 
 
 @lru_cache(maxsize=None)
-def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]], tuple[list[_Table], ...]]:
+def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]], list[_Table]]:
     """The record of the line Re z = n + 1/2 (n = 0 .. 9 in the box), built
     when the line is first used: its trapezoid levels computed so far, keyed
     (first node, node spacing), each the list of (ln z, pi^2 sech^2(pi y))
@@ -160,8 +169,8 @@ def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]], tuple[list[_T
     grows the same way, replaced whole by a longer one.
     """
     if n == 0:
-        return {}, (_line_envelope(0.5, _STRIP),)
-    return {}, (_line_envelope(n - 0.5, 0.0), _line_envelope(n + 1.5, 0.0))
+        return {}, [_line_envelope(0.5, _STRIP)]
+    return {}, [_line_envelope(n - 0.5, 0.0), _line_envelope(n + 1.5, 0.0)]
 
 
 def _line_node(sigma: float, y: float) -> _Node:
@@ -242,15 +251,13 @@ def _line_log_tail(s: complex, sigma: float) -> Callable[[float], float]:
     return log_tail
 
 
-def _line_envelope(sigma: float, a: float, cells: int = _ENV_FIRST) -> list[_Table]:
+def _line_envelope(sigma: float, a: float, cells: int = _ENV_FIRST) -> _Table:
     """_strip_m's envelope of |f| in the strip |Im y| < a about the line
-    Re z = sigma on [0, cells _ENV_CELL], a one-item list so that _strip_m
-    can replace its table, with one assignment, by a longer one when some
-    s needs it: each factor of |f(x + ib)| taken at the end of its cell
-    where it is largest for every |b| < a (for a = 0, b = 0 on the line
-    itself, where |sin^2(pi z)| is cosh^2(pi x) exactly).  Each entry
-    depends on its own x alone, so a longer table repeats a shorter one's
-    bits."""
+    Re z = sigma on [0, cells _ENV_CELL]: each factor of |f(x + ib)| taken
+    at the end of its cell where it is largest for every |b| < a (for
+    a = 0, b = 0 on the line itself, where |sin^2(pi z)| is cosh^2(pi x)
+    exactly).  Each entry depends on its own x alone, so a longer table
+    repeats a shorter one's bits."""
     hi, lo = sigma + a, sigma - a
     sin2 = math.sin(math.pi * a) ** 2
     xs = [_ENV_CELL * j for j in range(cells + 1)]
@@ -263,14 +270,16 @@ def _line_envelope(sigma: float, a: float, cells: int = _ENV_FIRST) -> list[_Tab
               _LOG_4PI_SQ - math.log1p(-4.0 * sin2 * math.exp(-_TWO_PI * x)) - _TWO_PI * x,
               1.0 / max(x, 2.0 * hi), lo / (lo * lo + x * x))
              for x, lh, ll, ar in islice(zip(xs, log_hi, log_lo, arg), _ENV_FIRST, None)]
-    return [(sigma, a, list(zip(log_hi[1:], arg[1:], den)), list(zip(log_lo, arg[1:], den)),
-             edges)]
+    return (sigma, a, list(zip(log_hi[1:], arg[1:], den)), list(zip(log_lo, arg[1:], den)),
+            edges)
 
 
-def _strip_m(s: complex, envelope: list[_Table]) -> float:
-    """M, an upper bound on the integral of |f(x + ib)| over x for every
-    |b| < a, f = pi^2 z^{1-s} / sin^2(pi z) on the line Re z = sigma, from
-    envelope = _line_envelope(sigma, a); inf where the envelope overflows.
+def _strip_m(s: complex, envelopes: list[_Table]) -> list[float]:
+    """M for each envelope = _line_envelope(sigma, a) of the list, in one
+    pass: an upper bound on the integral of |f(x + ib)| over x for every
+    |b| < a, f = pi^2 z^{1-s} / sin^2(pi z) on the line Re z = sigma; inf
+    where the envelope overflows.  An envelope too short for s is replaced
+    in the list, with one assignment, by a longer one.
 
     On Re z = sigma - b, |f| = pi^2 |z|^{1 - Re s} e^{Im s arg z} /
     (cosh^2(pi x) - sin^2(pi b)), and each factor has a bound for every
@@ -283,29 +292,53 @@ def _strip_m(s: complex, envelope: list[_Table]) -> float:
     X = 100 has it for every Re s > -600, and further left M is inf.
     """
     power, t = 1.0 - s.real, abs(s.imag)
-    table = envelope[0]
-    for j, (log_hi, log_lo, arg_x, const, log_slope, arg_slope) in enumerate(table[4], _ENV_FIRST):
-        c = _TWO_PI - max(power, 0.0) * log_slope - t * arg_slope
-        if c > 0.0:
-            break
-    else:  # no edge of the table will do: grow it and look again, or give up
-        if j == _ENV_CELLS_MAX:
-            return math.inf
-        envelope[0], = _line_envelope(table[0], table[1], min(2 * j, _ENV_CELLS_MAX))
-        return _strip_m(s, envelope)
-    cells, log_x = (table[3], log_lo) if power < 0.0 else (table[2], log_hi)
+    slope_power = max(power, 0.0)
+    cells_at = 3 if power < 0.0 else 2
     exp = math.exp
-    try:
-        return (sum([exp(power * log_z + t * arg + den) for log_z, arg, den in cells[:j]])
-                + 2.0 * exp(power * log_x + t * arg_x + const) / c)
-    except OverflowError:
-        return math.inf
+    ms = []
+    for i, table in enumerate(envelopes):
+        while True:  # the first edge past which the tail decays; none: grow, or give up
+            for j, (log_hi, log_lo, arg_x, const, log_slope, arg_slope) in enumerate(
+                    table[4], _ENV_FIRST):
+                c = _TWO_PI - slope_power * log_slope - t * arg_slope
+                if c > 0.0:
+                    break
+            if c > 0.0 or j == _ENV_CELLS_MAX:
+                break
+            envelopes[i] = table = _line_envelope(table[0], table[1], min(2 * j, _ENV_CELLS_MAX))
+        if c <= 0.0:
+            ms.append(math.inf)
+            continue
+        log_x = log_lo if power < 0.0 else log_hi
+        try:
+            ms.append(sum([exp(power * log_z + t * arg + den)
+                           for log_z, arg, den in table[cells_at][:j]])
+                      + 2.0 * exp(power * log_x + t * arg_x + const) / c)
+        except OverflowError:
+            ms.append(math.inf)
+    return ms
+
+
+def _level_factors(h: float) -> tuple[float, float, float, float]:
+    """The factors of the line's bound and correction at step h that do not
+    depend on s: e^{2 pi a/h} - 1 for a = _STRIP and a = 1, its exponent
+    capped at 700, which only enlarges the bound, so that it stays finite;
+    and (2 pi/h) e^{pi/h} phi(h)^2 = phi'(h) and phi(h) = 1/(e^{pi/h} - 1)
+    (_pole_correction)."""
+    q = math.exp(-math.pi / h)  # e^{-pi/h}, so phi = q / (1 - q)
+    phi = q / (1.0 - q)
+    return (math.expm1(min(_TWO_PI * _STRIP / h, 700.0)), math.expm1(min(_TWO_PI / h, 700.0)),
+            (_TWO_PI / h) * phi / (1.0 - q), phi)
+
+
+# _level_factors at every step the line's rule takes, h = 2^-1 .. 2^-8; read-only
+_LEVEL_FACTORS = MappingProxyType({2.0 ** -k: _level_factors(2.0 ** -k) for k in range(1, 9)})
 
 
 def _line_bound(s: complex, n: int) -> Callable[[float], float]:
     """Trefethen & Weideman's bound on the error of the line's trapezoid
     sum h sum_k f(k h), f = line_integrand(., s, n), less _pole_correction
-    for n >= 1.
+    for n >= 1, at the steps h = 2^-1 .. 2^-8.
 
     Their proof bounds the error by the integrals of |f| along Im y = +-a,
     each over e^{2 pi a/h} - 1, plus the contributions of the poles of f
@@ -313,16 +346,17 @@ def _line_bound(s: complex, n: int) -> Callable[[float], float]:
     bound is 2M / (e^{2 pi a/h} - 1).  On n >= 1 _pole_correction takes out
     the two poles at Im y = +-1/2, and a = 1 puts the lines on
     Re z = n - 1/2 and n + 3/2, so the bound is (M_- + M_+) / (e^{2 pi/h} - 1),
-    M_- and M_+ the integrals of |f| there.  The exponent is capped at 700,
-    which only enlarges the bound, so that e^{2 pi a/h} stays finite.
+    M_- and M_+ the integrals of |f| there.  The denominators come from
+    _LEVEL_FACTORS, so a level's bound is one division.
     """
-    ms = [_strip_m(s, envelope) for envelope in _line(n)[1]]
-    m, width = (2.0 * ms[0], _TWO_PI * _STRIP) if n == 0 else (ms[0] + ms[1], _TWO_PI)
-    expm1 = math.expm1
-    return lambda h: m / expm1(min(width / h, 700.0))
+    ms = _strip_m(s, _line(n)[1])
+    m, col = (2.0 * ms[0], 0) if n == 0 else (ms[0] + ms[1], 1)
+    factors = _LEVEL_FACTORS
+    return lambda h: m / factors[h][col]
 
 
-def _pole_correction(s: complex, n: int, terms: tuple[array, array]) -> Callable[[float], complex]:
+def _pole_correction(s: complex, n: int, near: complex, far: complex
+                     ) -> Callable[[float], complex]:
     """C(h), the part of the trapezoid sum's error h sum_k f(k h) - I that
     the double poles of f = line_integrand(., s, n) at z = n and n + 1
     (y = i/2 and -i/2) contribute, n >= 1, for _line_bound to bound the rest:
@@ -335,47 +369,52 @@ def _pole_correction(s: complex, n: int, terms: tuple[array, array]) -> Callable
     Thm 5.1, from f's Laurent terms k^{1-s} / (z-k)^2 + (1-s) k^{-s} / (z-k)
     at z = k, where the proof's factor 1/(e^{-+2 pi i y/h} - 1) and its
     derivative give phi(h) and phi'(h) at y = +-i/2.  phi and phi' are
-    real, so C(conj s) is conj C(s) bitwise; terms holds k^{-s},
-    k = 1 .. n + 1, as _residue_terms gives them.
+    real, read from _LEVEL_FACTORS, so C(conj s) is conj C(s) bitwise;
+    near and far are n^{-s} and (n+1)^{-s} as _line_residues gives them.
     """
-    re, im = terms
-    near, far = complex(re[n - 1], im[n - 1]), complex(re[n], im[n])
     double = n * near + (n + 1) * far
     single = (1.0 - s) * (near - far)
-    exp = math.exp
+    factors = _LEVEL_FACTORS
 
     def correction(h: float) -> complex:
-        q = exp(-math.pi / h)  # e^{-pi/h}, so phi = q / (1 - q)
-        phi = q / (1.0 - q)
-        return _TWO_PI * ((_TWO_PI / h) * phi / (1.0 - q) * double + phi * single)
+        _, _, dphi, phi = factors[h]
+        return _TWO_PI * (dphi * double + phi * single)
 
     return correction
 
 
-def _residue_terms(s: complex, n_terms: int) -> tuple[array, array]:
-    """The real and the imaginary parts of n^{-s}, n = 1 .. n_terms."""
-    re, im = array("d"), array("d")
-    for n in range(1, n_terms + 1):
-        z = cpow_principal(float(n), -s)
-        re.append(z.real)
-        im.append(z.imag)
-    return re, im
+def _line_residues(s: complex, n: int) -> tuple[complex, float, complex, complex]:
+    """(s-1) sum_{k<=n} k^{-s}, the terms added with math.fsum, a bound on
+    its rounding, and n^{-s} and (n+1)^{-s} for _pole_correction, in one
+    pass over k = 1 .. n + 1.
 
-
-def _residue_sum(s: complex, n_terms: int, terms: tuple[array, array]) -> tuple[complex, float]:
-    """(s-1) sum_{n <= n_terms} n^{-s}, the terms n^{-s} read from the
-    first n_terms of terms (_residue_terms) and added with math.fsum, and
-    a bound on its rounding error.
-
-    Each n^{-s} = exp(-s ln n) carries the error of its exponent, up to
-    eps (|Re s| + |Im s|) ln n, on top of a few ulps, so the bound is
-    eps |s-1| sum |n^{-s}| (4 + (|Re s| + |Im s|) ln n).
+    k^{-s} is formed as cpow_principal(float(k), -s) forms it, bitwise:
+    math.pow for real s, else exp(-s ln k) split into its modulus and
+    angle, the angle's terms w.imag * 0.0 kept for their signed zeros.
+    Each k^{-s} carries the error of its exponent, up to
+    eps (|Re s| + |Im s|) ln k, on top of a few ulps, so the bound is
+    eps |s-1| sum |k^{-s}| (4 + (|Re s| + |Im s|) ln k).
     """
-    re, im = (part[:n_terms] for part in terms)
+    wr, wi = -s.real, -s.imag
     size = abs(s.real) + abs(s.imag)
-    spread = math.fsum(abs(complex(x, y)) * (4.0 + size * math.log(n))
-                       for n, (x, y) in enumerate(zip(re, im), 1))
-    return (s - 1.0) * complex(math.fsum(re), math.fsum(im)), _EPS * abs(s - 1.0) * spread
+    log, exp, cos, sin = math.log, math.exp, math.cos, math.sin
+    re, im, spread = [], [], []
+    for k in range(1, n + 2):
+        lk = log(k)
+        if wi == 0.0:  # 1.0 at w = 0, and exact on positive reals
+            x, y = math.pow(k, wr), 0.0
+        else:
+            m = exp(wr * lk - wi * 0.0)
+            b = wr * 0.0 + wi * lk
+            x, y = m * cos(b), m * sin(b)
+        re.append(x)
+        im.append(y)
+        # complex abs, not math.hypot, which can differ in the last bit
+        spread.append(abs(complex(x, y)) * (4.0 + size * lk))
+    far = complex(re.pop(), im.pop())
+    spread.pop()
+    return ((s - 1.0) * complex(math.fsum(re), math.fsum(im)),
+            _EPS * abs(s - 1.0) * math.fsum(spread), complex(re[-1], im[-1]), far)
 
 
 def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
@@ -405,6 +444,7 @@ def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
     """
     s = finite_s(s)
     check_box(s, "line evaluator")
+    check_tol(tol)
     n = int(abs(s.imag) / _TWO_PI)
     if s.real > _RE_LEFT:
         n = max(n, 2 if s.real > _RE_FAR else 1)
@@ -419,7 +459,9 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     integral; adding it back gives E(s) on every line.  For n >= 1 the
     trapezoid rule starts at h = 1/2 and subtracts _pole_correction from
     each level, so that h = 1/4 can already be certified; the residues and
-    the correction share one table of k^{-s}, k = 1 .. n + 1.
+    the correction share one pass over k^{-s}, k = 1 .. n + 1
+    (_line_residues).  s and tol are the caller's to check, as
+    entire_e_line does; the quadrature checks only the tol derived here.
 
     err_est, on the scale of the integral of 2 pi E, adds the rounding of
     the residues, which comes off the top of the budget 2 pi tol, to the
@@ -432,14 +474,12 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     the point cannot converge, and the quadrature runs at that rounding
     instead.
     """
-    check_tol(tol)
     _check_line(n)
     budget = _TWO_PI * tol
     if n:
-        terms = _residue_terms(s, n + 1)
-        residues, rounding = _residue_sum(s, n, terms)
+        residues, rounding, near, far = _line_residues(s, n)
         rounding *= _TWO_PI
-        correction = _pole_correction(s, n, terms)
+        correction = _pole_correction(s, n, near, far)
     else:
         residues, rounding, correction = 0j, 0.0, None
     quad_tol = max(TOL_MIN, (budget - rounding) / 1.2) if rounding < budget else rounding
@@ -489,6 +529,16 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
                       j.truncation_height / _TWO_PI)
 
 
+def _residue_terms(s: complex, n_terms: int) -> tuple[array, array]:
+    """The real and the imaginary parts of n^{-s}, n = 1 .. n_terms."""
+    re, im = array("d"), array("d")
+    for n in range(1, n_terms + 1):
+        z = cpow_principal(float(n), -s)
+        re.append(z.real)
+        im.append(z.imag)
+    return re, im
+
+
 def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
     """Minus the sum of the first n_terms residues: sum (s-1) n^{-s} -> E(s).
 
@@ -526,11 +576,18 @@ def pole_guard(s: complex) -> None:
 
 def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
     """zeta(s) = E(s)/(s-1) from an evaluation e of E at s, err_est scaled alike."""
-    s = complex(s)
-    pole_guard(s)
+    s = finite_s(s)
+    return EvalResult(_zeta_value(s, e.value), e.err_est / abs(s - 1.0), e.n_evals,
+                      e.converged, e.truncation_height)
+
+
+def _zeta_value(s: complex, e: complex) -> complex:
+    """zeta(s) = e/(s-1) from the value e of E at a finite s; PoleAtOne
+    inside the guard disk.  The one place E turns into zeta."""
     sm1 = s - 1.0
-    return EvalResult(e.value / sm1, e.err_est / abs(sm1), e.n_evals, e.converged,
-                      e.truncation_height)
+    if abs(sm1) < _POLE_RADIUS:
+        pole_guard(s)  # raises, naming the disk
+    return e / sm1
 
 
 def zeta(s: complex, tol: float = 1e-12) -> EvalResult:

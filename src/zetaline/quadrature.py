@@ -19,8 +19,14 @@ default; the line contour starts its corrected lines at 1/2) and halves 6
 times, or down to 2^-8 if that is further, and each halving reuses every
 earlier node.  The integrand comes as a level evaluator, level(h, ks) ->
 the values at a + k h for k in the range ks, in ascending order, so a
-caller can evaluate a whole level in one pass; ks = range(1) asks for the
-node at a.
+caller can evaluate a whole level in one pass; the first level's ks starts
+at 0, the node at a, and each halving's at 1.
+
+Both front ends that cut a decay tail, integrate_line_decaying and
+integrate_mellin, place the cut with one search (_truncation_height): the
+first point of a 1/8 or 1/4 grid where the caller's bound on the log of
+the tail meets its target, found by secant steps in a few calls of the
+bound, at the point an exhaustive scan of the grid would find.
 
 A caller that knows the poles nearest the real axis can pass their exact
 contribution C(h) to the error T(h) - I, and each level becomes
@@ -125,18 +131,20 @@ def integrate_interval(
         raise DomainError(f"step must be a power of two <= {_MAX_STEP}, got {step}")
     h = step
     bound_h = bound(h)
-    g0, = level(h, range(1))
-    acc = complex(0.5 * g0)
-    l1 = 0.5 * abs(g0)  # ~ integral of |g| / h: sets the round-off floor
+    # level 0 takes the node at a and every node k >= 1, each halving only the new odd k
+    values = level(h, range(int((b - a) / h) + 1))
+    acc = complex(0.5 * values[0])
+    l1 = 0.5 * abs(values[0])  # ~ integral of |g| / h: sets the round-off floor
+    values = values[1:]
     n_evals = 1
     for halving in range(max(_HALVINGS, round(math.log2(step / _H_MIN))) + 1):
-        # level 0 takes every node k >= 1, each halving only the new odd k
-        ks = range(1, int((b - a) / h) + 1, 2 if halving else 1)
-        for v in level(h, ks):  # ascending coordinate order
+        if halving:
+            values = level(h, range(1, int((b - a) / h) + 1, 2))
+        for v in values:  # ascending coordinate order
             acc += v
             l1 += abs(v)
-        n_evals += len(ks)
-        if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
+        n_evals += len(values)
+        if not cmath.isfinite(acc):
             raise NonFiniteIntegrand(f"integrand is not finite on the nodes of step {h}")
         refined = h * acc - correction(h) if correction else h * acc
         noise = 4.0 * _EPS * h * l1  # rounding of the sum
@@ -157,34 +165,66 @@ def integrate_interval(
 
 
 def _truncation_height(
-    log_tail: Callable[[float], float], tail: float, start: float = 1.0
+    log_tail: Callable[[float], float], tail: float, start: float = 1.0,
+    grid: float = 0.125,
 ) -> float:
-    """Smallest height Y >= start on the 1/8 grid through start with
-    log_tail(Y) <= log(tail), where log_tail(Y) bounds the log of the
-    integral of |f| beyond Y.
+    """Smallest height Y = start + k grid, k >= 0, with log_tail(Y) <= log(tail),
+    where log_tail(Y) bounds the log of the integral of |f| beyond Y; grid
+    is 1/8 or 1/4.
 
     log_tail may return inf where it has no bound; once it meets the target
-    it must keep meeting it further out.  Steps of 2 find the first interval
-    that does, and four bisections on the 1/8 grid place Y inside it.
-    Evaluated in log space so extreme bound constants cannot overflow.
+    it must keep meeting it further out, so Y is where the grid crosses the
+    target and the search only has to find a point that meets it with the
+    point one step below failing.  Outward from start, each probe is the
+    secant through the last two finite values, rounded up onto the grid,
+    or a step of 2 where there is no such pair; once a probe meets the
+    target, the secant through the bracket's ends, strictly inside it,
+    shrinks it, with a bisection after two secant probes in a row that did
+    not halve it.  A log_tail close to linear, as the line's and the Mellin
+    tail are, takes about four calls.  The search looks no further than
+    the last point start + 2j <= _MAX_HEIGHT, j an integer, and gives up if
+    that point fails.  Evaluated in log space so extreme bound constants
+    cannot overflow.
     """
-    log_target = math.log(tail)
-    hi = start
-    while log_tail(hi) > log_target:
-        hi += 2.0
-        if hi > _MAX_HEIGHT:
+    target = math.log(tail)
+    lo, f_lo = start, log_tail(start)  # lo fails the target; hi, once found, meets it
+    if f_lo <= target:
+        return start
+    last = start + 2.0 * ((_MAX_HEIGHT - start) // 2.0) if start < _MAX_HEIGHT else start
+    inf, ceil = math.inf, math.ceil
+    x = start + 2.0 if start + 2.0 < last else last
+    f = log_tail(x)
+    while f > target:  # out from start until a point meets the target
+        if x >= last:
             raise TruncationFailure(
                 f"no truncation height <= {_MAX_HEIGHT} puts the tail below {tail}")
-    if hi == start:
-        return hi
-    lo = hi - 2.0  # fails; hi meets the target
-    for _ in range(4):
-        mid = 0.5 * (lo + hi)
-        if log_tail(mid) <= log_target:
-            hi = mid
+        if f < f_lo < inf:  # the secant through lo and x, at least one step on
+            ahead = x + grid * ceil((f - target) * (x - lo) / ((f_lo - f) * grid))
         else:
-            lo = mid
-    return hi
+            ahead = x + 2.0
+        lo, f_lo = x, f
+        x = ahead if ahead < last else last
+        f = log_tail(x)
+    hi, f_hi = x, f
+    slow = 0  # secant probes in a row that did not halve the bracket
+    while True:  # shrink the bracket (lo, hi] to one step
+        steps = (hi - lo) / grid
+        if steps <= 1.0:
+            return hi
+        bisect = slow == 2 or not (f_lo < inf and -inf < f_hi)
+        if bisect:
+            k = ceil(0.5 * steps)
+        else:  # the secant through lo and hi, strictly inside
+            k = ceil((f_lo - target) / (f_lo - f_hi) * steps)
+            if k >= steps:
+                k = steps - 1.0
+        x = lo + grid * k
+        f = log_tail(x)
+        if f <= target:
+            hi, f_hi = x, f
+        else:
+            lo, f_lo, k = x, f, steps - k  # k: the steps left in the bracket
+        slow = 0 if bisect or 2 * k <= steps else slow + 1
 
 
 def integrate_line_decaying(
@@ -201,7 +241,8 @@ def integrate_line_decaying(
     from h = 1/4.  n_evals counts values of f, two per node.  With a
     correction, which takes out the poles nearest the real axis, each level
     is h sum_k f(k h) - correction(h), the rule starts from h = 1/2, too
-    coarse without it, and Y is rounded up to a multiple of 1/4.
+    coarse without it, and Y is the first such point of the 1/4 grid, the
+    first one of the 1/8 grid rounded up to a multiple of 1/4.
 
     bound(h) bounds |I - h sum_k f(k h) + correction(h)|, the error of the
     (corrected) trapezoid sum over all integers k.  The levels that can
@@ -214,11 +255,8 @@ def integrate_line_decaying(
     err_est <= 1.1 tol.
     """
     check_tol(tol)
-    height = _truncation_height(log_tail, 0.05 * tol)
-    step = _FIRST_STEP
-    if correction:
-        step = _MAX_STEP
-        height = math.ceil(4.0 * height) / 4.0
+    step = _MAX_STEP if correction else _FIRST_STEP
+    height = _truncation_height(log_tail, 0.05 * tol, grid=0.5 * step)
     tails = 0.1 * tol
     base = integrate_interval(level, 0.0, height, tol + tails, step=step,
                               bound=lambda h: bound(h) + tails, correction=correction)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaline import contour
+from zetaline.complex_core import cpow_principal
 from zetaline.contour import (
     entire_e_axis,
     entire_e_line,
@@ -526,7 +527,7 @@ def test_strip_m_bounds_the_integral():
     on every line of _bound_grid and b = 0, +-a/2, +-0.99a."""
     a = contour._STRIP
     for s, n in _bound_grid():
-        m = contour._strip_m(s, contour._line_envelope(n + 0.5, a))
+        m, = contour._strip_m(s, [contour._line_envelope(n + 0.5, a)])
         assert math.isfinite(m), (s, n)
         for b in (0.0, 0.5 * a, -0.5 * a, 0.99 * a, -0.99 * a):
             assert _dense_abs_integral(s, n, b) <= m, (s, n, b)
@@ -539,7 +540,7 @@ def test_neighbour_m_bounds_the_integral():
     _bound_grid with N = 1 .. 9."""
     for s, n in _bound_grid():
         if n:
-            lower, upper = (contour._strip_m(s, envelope) for envelope in contour._line(n)[1])
+            lower, upper = contour._strip_m(s, contour._line(n)[1])
             assert math.isfinite(lower) and math.isfinite(upper), (s, n)
             assert _dense_abs_integral(s, n, 1.0) <= lower, (s, n)
             assert _dense_abs_integral(s, n, -1.0) <= upper, (s, n)
@@ -559,9 +560,9 @@ def test_every_line_has_a_finite_bound():
                 n = max(n, 2 if s.real > 6.5 else 1)
             bound = contour._line_bound(s, n)
             assert math.isfinite(bound(0.25)), s
-            fresh = [contour._strip_m(s, contour._line_envelope(*table[0][:2]))
-                     for table in contour._line(n)[1]]
-            assert [contour._strip_m(s, table) for table in contour._line(n)[1]] == fresh, s
+            fresh = contour._strip_m(
+                s, [contour._line_envelope(*table[:2]) for table in contour._line(n)[1]])
+            assert contour._strip_m(s, contour._line(n)[1]) == fresh, s
 
 
 def test_strip_m_is_inf_where_the_envelope_overflows():
@@ -569,7 +570,7 @@ def test_strip_m_is_inf_where_the_envelope_overflows():
     bound that certifies nothing, and the line's nodes overflow too, so the
     evaluation fails with the overflow named."""
     s = complex(-300.0, 0.0)
-    assert contour._strip_m(s, contour._line_envelope(0.5, contour._STRIP)) == math.inf
+    assert contour._strip_m(s, [contour._line_envelope(0.5, contour._STRIP)]) == [math.inf]
     assert contour._line_bound(s, 0)(0.25) == math.inf
     with pytest.raises(TruncationFailure, match="overflows"):
         entire_e_line(s)
@@ -587,9 +588,8 @@ def test_corrected_levels_within_the_bound():
         for s, (re, im) in zip(_points(name), data["values"]["E"]):
             r = entire_e_line(s)
             n = max(int(abs(s.imag) / (2.0 * math.pi)), 1)
-            terms = contour._residue_terms(s, n + 1)
-            residues, rounding = contour._residue_sum(s, n, terms)
-            correction = contour._pole_correction(s, n, terms)
+            residues, rounding, near, far = contour._line_residues(s, n)
+            correction = contour._pole_correction(s, n, near, far)
             bound = contour._line_bound(s, n)
             level = contour._cached_level(s, n)
             ref = complex(float(re), float(im))
@@ -689,3 +689,29 @@ def test_strip_certificate_evaluation_counts():
     assert len(strip) == 400 and sum(strip) / len(strip) <= 110.0
     scan = [entire_e_line(s, 1e-8).n_evals for s in _points("scan-grid-seed1.json")]
     assert len(scan) == 1000 and sum(scan) / len(scan) <= 40.0
+
+
+def test_line_residues_match_cpow_bitwise():
+    """_line_residues forms each k^{-s} in line as cpow_principal(float(k), -s)
+    does, so its sum, its rounding bound and the correction's n^{-s} and
+    (n+1)^{-s} equal, bit for bit and zero sign for zero sign, those built
+    from cpow_principal, for every n + 1 <= 10: at real s, s = 0 and -0.0,
+    Im s = +-0.0, and conjugate pairs, among them 1.6 +- 57.5i, where
+    math.hypot and the complex abs the bound takes differ in the last bit."""
+    eps = math.ulp(1.0)
+    points = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 2.0 + 0j,
+              -3.5 + 0j, 0.5 + 0j, complex(2.0, -0.0), complex(-1.5, -0.0), complex(0.0, 1.0),
+              complex(-0.0, -1.0), complex(7.25, 1e-300)]
+    for a, b in ((0.5, 14.134725), (-12.0, 3.0), (1.0, 0.1), (6.75, 59.5), (-0.0, 6.3),
+                 (1.6, 57.5)):
+        points += [complex(a, b), complex(a, b).conjugate()]
+    for s in points:
+        for n in range(1, 10):
+            terms = [cpow_principal(float(k), -s) for k in range(1, n + 2)]
+            size = abs(s.real) + abs(s.imag)
+            spread = math.fsum(abs(z) * (4.0 + size * math.log(k))
+                               for k, z in enumerate(terms[:n], 1))
+            expected = ((s - 1.0) * complex(math.fsum(z.real for z in terms[:n]),
+                                            math.fsum(z.imag for z in terms[:n])),
+                        eps * abs(s - 1.0) * spread, terms[n - 1], terms[n])
+            assert repr(contour._line_residues(s, n)) == repr(expected), (s, n)

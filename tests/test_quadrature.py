@@ -1,10 +1,13 @@
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaline import mellin, quadrature
+from zetaline import contour, mellin, quadrature
 from zetaline.contour import entire_e_line
 from zetaline.errors import DomainError, NonFiniteIntegrand, TruncationFailure
 from zetaline.quadrature import (
@@ -12,6 +15,8 @@ from zetaline.quadrature import (
     integrate_line_decaying,
     integrate_mellin,
 )
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
 
 def _level(g, a=0.0):
@@ -299,10 +304,10 @@ def _halvings(levels, correction=None) -> list[tuple[float, float]]:
     """(|T(h) - T(2h)|, noise) at each halving, summed as integrate_interval
     sums: the node at a, then each level's new nodes in order, each level
     less correction(h)."""
-    (_, (g0,)), *rest = levels
+    (h0, (g0, *first)), *rest = levels
     acc, l1 = complex(0.5 * g0), 0.5 * abs(g0)
     out, prev = [], None
-    for h, values in rest:
+    for h, values in [(h0, first), *rest]:
         for v in values:
             acc += v
             l1 += abs(v)
@@ -462,3 +467,104 @@ def test_plan_validation():
                                     tol, bound=_no_bound)
         with pytest.raises(DomainError):
             integrate_mellin(lambda t: complex(math.exp(-t)), 0.0, tol, bound=_no_bound)
+
+
+def _grid_scan_height(log_tail, tail, start=1.0, grid=0.125):
+    """_truncation_height by brute force: the first point start + k grid
+    where log_tail meets log(tail), looking no further than the last point
+    start + 2j <= 500, and TruncationFailure past it."""
+    target, last = math.log(tail), start
+    while last + 2.0 <= 500.0:
+        last += 2.0
+    k = 0
+    while start + k * grid <= last:
+        if log_tail(start + k * grid) <= target:
+            return start + k * grid
+        k += 1
+    raise TruncationFailure("past the last step")
+
+
+def _same_height(log_tail, tail, start=1.0, grid=0.125) -> None:
+    try:
+        expected = _grid_scan_height(log_tail, tail, start, grid)
+    except TruncationFailure:
+        with pytest.raises(TruncationFailure):
+            quadrature._truncation_height(log_tail, tail, start, grid)
+        return
+    assert quadrature._truncation_height(log_tail, tail, start, grid) == expected, (
+        tail, start, grid)
+
+
+def _mellin_log_tail(growth: float, bound_const: float):
+    """integrate_mellin's bound on the log of its decay tail beyond T."""
+    return lambda t: (math.log(bound_const) + growth * math.log(t) - t
+                      - math.log1p(-growth / t))
+
+
+def test_truncation_height_is_the_first_grid_point():
+    """The secant search finds the first point of the 1/8 or 1/4 grid where
+    the tail meets its target, as a scan of the whole grid does: on linear
+    tails, on the line's tail at 200 seeded (s, tol), on the Mellin decay
+    tail at growth 0 .. 10, and on tails with no bound (inf) below some y."""
+    rng = random.Random(23)
+    for slope in (0.01, 0.3, 1.0, 2.0 * math.pi, 40.0):
+        for c in (-5.0, 0.0, 3.0, 50.0):
+            for grid in (0.125, 0.25):
+                for tail in (1e-16, 1e-9, 1e-3, 10.0):
+                    _same_height(lambda y: c - slope * y, tail, 1.0, grid)
+    for _ in range(200):
+        s = complex(rng.uniform(-25.0, 25.0), rng.uniform(-60.0, 60.0))
+        tol = 10.0 ** rng.uniform(-14.0, -2.0)
+        for n in (0, 1, max(1, int(abs(s.imag) / (2.0 * math.pi)))):
+            log_tail = contour._line_log_tail(s, n + 0.5)
+            for grid in (0.125, 0.25):
+                _same_height(log_tail, 0.05 * tol, 1.0, grid)
+    for growth in range(11):
+        start = math.ceil((growth + 1.0) * 8.0) / 8.0
+        for bound_const in (1e-3, 1.0, 1e6):
+            for tol in (1e-14, 1e-10, 1e-6, 1e-2):
+                _same_height(_mellin_log_tail(float(growth), bound_const), 0.1 * tol, start)
+    for edge in (1.0, 1.5, 2.9, 3.0, 7.125, 40.0):
+        for grid in (0.125, 0.25):
+            for tail in (1e-12, 1e-3):
+                _same_height(lambda y: math.inf if y < edge else 2.0 - 3.0 * (y - edge),
+                             tail, 1.0, grid)
+                _same_height(lambda y: math.inf if y < edge else 5.0 - 0.05 * y, tail, 1.0, grid)
+
+
+def test_truncation_height_gives_up_past_its_last_point():
+    """A tail that never meets the target, or meets it only past the last
+    point start + 2j <= 500, raises TruncationFailure; one that meets it
+    there does not."""
+    for start in (1.0, 1.125, 3.5, 498.5, 499.0, 600.0):
+        for grid in (0.125, 0.25):
+            _same_height(lambda y: 1.0, 1e-3, start, grid)
+            _same_height(lambda y: math.inf, 1e-3, start, grid)
+    last = 499.0  # from start 1
+    for crossing in (last - 0.25, last - 0.125, last, last + 0.125, last + 0.5, last + 1.0):
+        for grid in (0.125, 0.25):
+            _same_height(lambda y: crossing - y, 1.0, 1.0, grid)
+    with pytest.raises(TruncationFailure):
+        quadrature._truncation_height(lambda y: last + 0.125 - y, 1.0)
+    assert quadrature._truncation_height(lambda y: last - y, 1.0) == last
+
+
+def test_truncation_height_searches_in_a_few_tail_calls(monkeypatch):
+    """entire_e_line at tol 1e-8 on scan-grid's seed-1 points calls its
+    log_tail 4.37 times per search on average."""
+    calls = 0
+    real = quadrature._truncation_height
+
+    def counted(log_tail, *args, **kwargs):
+        def tail(y):
+            nonlocal calls
+            calls += 1
+            return log_tail(y)
+        return real(tail, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_truncation_height", counted)
+    data = json.loads((REFS / "scan-grid-seed1.json").read_text())
+    points = [complex(float(a), float(b)) for a, b in data["points"]["E"]]
+    for s in points:
+        entire_e_line(s, 1e-8)
+    assert calls / len(points) <= 4.4
