@@ -88,13 +88,20 @@ import math
 from array import array
 from functools import lru_cache
 from itertools import islice
-from types import MappingProxyType
 from typing import Callable
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
 from .errors import DomainError, PoleAtOne, TruncationFailure, check_box, finite_s
 from .mellin import _RE_MIN, _sinh_sq_integral
-from .quadrature import TOL_MIN, EvalResult, check_tol, integrate_line_decaying
+from .quadrature import (
+    _FIRST_STEP,
+    _MAX_STEP,
+    TOL_MIN,
+    EvalResult,
+    _step_schedule,
+    check_tol,
+    integrate_line_decaying,
+)
 
 __all__ = [
     "line_integrand",
@@ -331,14 +338,15 @@ def _level_factors(h: float) -> tuple[float, float, float, float]:
             (_TWO_PI / h) * phi / (1.0 - q), phi)
 
 
-# _level_factors at every step the line's rule takes, h = 2^-1 .. 2^-8; read-only
-_LEVEL_FACTORS = MappingProxyType({2.0 ** -k: _level_factors(2.0 ** -k) for k in range(1, 9)})
+# _level_factors at every step the line's rule takes, from either first step; never written
+_LEVEL_FACTORS = {h: _level_factors(h) for first in (_MAX_STEP, _FIRST_STEP)
+                  for h in _step_schedule(first)}
 
 
 def _line_bound(s: complex, n: int) -> Callable[[float], float]:
     """Trefethen & Weideman's bound on the error of the line's trapezoid
     sum h sum_k f(k h), f = line_integrand(., s, n), less _pole_correction
-    for n >= 1, at the steps h = 2^-1 .. 2^-8.
+    for n >= 1, at every step of the rule (quadrature._step_schedule).
 
     Their proof bounds the error by the integrals of |f| along Im y = +-a,
     each over e^{2 pi a/h} - 1, plus the contributions of the poles of f
@@ -564,14 +572,20 @@ def residue_partial_sums(s: complex, sizes: list[int]) -> list[tuple[complex, fl
              abs(s - 1.0) * float(n) ** (1.0 - s.real) / (s.real - 1.0)) for n in sizes]
 
 
-def pole_guard(s: complex) -> None:
-    """Raise PoleAtOne inside the guard disk |s - 1| < 1e-6 around the pole of zeta."""
-    s = finite_s(s)
-    if abs(s - 1.0) < _POLE_RADIUS:
+def _off_pole(s: complex) -> complex:
+    """s - 1 for a finite s; PoleAtOne inside the guard disk |s - 1| < 1e-6."""
+    sm1 = s - 1.0
+    if abs(sm1) < _POLE_RADIUS:
         raise PoleAtOne(
-            f"zeta has a simple pole at s = 1 and |s-1| = {abs(s - 1.0):.3e} is "
+            f"zeta has a simple pole at s = 1 and |s-1| = {abs(sm1):.3e} is "
             f"inside the {_POLE_RADIUS} guard disk; evaluate entire_e_line instead"
         )
+    return sm1
+
+
+def pole_guard(s: complex) -> None:
+    """Raise PoleAtOne inside the guard disk |s - 1| < 1e-6 around the pole of zeta."""
+    _off_pole(finite_s(s))
 
 
 def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
@@ -584,10 +598,7 @@ def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
 def _zeta_value(s: complex, e: complex) -> complex:
     """zeta(s) = e/(s-1) from the value e of E at a finite s; PoleAtOne
     inside the guard disk.  The one place E turns into zeta."""
-    sm1 = s - 1.0
-    if abs(sm1) < _POLE_RADIUS:
-        pole_guard(s)  # raises, naming the disk
-    return e / sm1
+    return e / _off_pole(s)
 
 
 def zeta(s: complex, tol: float = 1e-12) -> EvalResult:

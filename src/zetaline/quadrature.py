@@ -16,7 +16,8 @@ converges like e^{-2 pi d / h} for an integrand analytic in the strip
 |Im u| < d and negligible at both ends (Trefethen & Weideman, SIAM Rev. 56
 (2014), Thm 5.1).  h starts at a power of two no larger than 1/2 (1/4 by
 default; the line contour starts its corrected lines at 1/2) and halves 6
-times, or down to 2^-8 if that is further, and each halving reuses every
+times, or down to 2^-8 if that is further (_step_schedule, from which the
+line contour tables its bound's factors), and each halving reuses every
 earlier node.  The integrand comes as a level evaluator, level(h, ks) ->
 the values at a + k h for k in the range ks, in ascending order, so a
 caller can evaluate a whole level in one pass; the first level's ks starts
@@ -53,6 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import DomainError, NonFiniteIntegrand, TruncationFailure
@@ -103,6 +105,14 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tol must be >= {TOL_MIN:g}, got {tol}")
 
 
+@lru_cache(maxsize=None)
+def _step_schedule(step: float) -> tuple[float, ...]:
+    """The steps integrate_interval takes from a first step `step`: step and
+    6 halvings, or down to _H_MIN if that is further."""
+    return tuple(step * 0.5 ** k
+                 for k in range(max(_HALVINGS, round(math.log2(step / _H_MIN))) + 1))
+
+
 def integrate_interval(
     level: Level, a: float, b: float, tol: float = 1e-12, *, bound: Bound,
     step: float = _FIRST_STEP, correction: Correction | None = None,
@@ -129,15 +139,14 @@ def integrate_interval(
         raise DomainError(f"need finite a < b, got a={a}, b={b}")
     if not (0.0 < step <= _MAX_STEP and math.frexp(step)[0] == 0.5):
         raise DomainError(f"step must be a power of two <= {_MAX_STEP}, got {step}")
-    h = step
-    bound_h = bound(h)
+    bound_h = bound(step)
     # level 0 takes the node at a and every node k >= 1, each halving only the new odd k
-    values = level(h, range(int((b - a) / h) + 1))
+    values = level(step, range(int((b - a) / step) + 1))
     acc = complex(0.5 * values[0])
     l1 = 0.5 * abs(values[0])  # ~ integral of |g| / h: sets the round-off floor
     values = values[1:]
     n_evals = 1
-    for halving in range(max(_HALVINGS, round(math.log2(step / _H_MIN))) + 1):
+    for halving, h in enumerate(_step_schedule(step)):
         if halving:
             values = level(h, range(1, int((b - a) / h) + 1, 2))
         for v in values:  # ascending coordinate order
@@ -158,7 +167,6 @@ def integrate_interval(
                 if bound_h <= noise:  # round-off floor: the noise, not the bound, limits err_est
                     break
         value = refined
-        h *= 0.5
     # the round-off floor, or the end of the budget
     est = max(diff, bound_h) + noise
     return EvalResult(refined, est, n_evals, est <= tol)

@@ -70,6 +70,22 @@ def test_eval_unconverged_exit():
     assert r.returncode == 0
 
 
+def test_main_reuses_one_parser(capsys):
+    """main builds its parser once per process, and a usage error, a domain
+    error or another subcommand in between leaves it as it was."""
+    assert cli.main(["eval", "--re", "2"]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["eval", "--re", "two"])
+    assert usage.value.code == 1
+    assert cli.main(["eval", "--re", "2", "--tol", "0"]) == 2
+    assert cli.main(["feq", "--re", "0.5", "--im", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--re", "2"]) == 0
+    assert capsys.readouterr().out == first
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_eval_deterministic():
     a = run_cli("eval", "--re", "0.3", "--im", "2.7")
     b = run_cli("eval", "--re", "0.3", "--im", "2.7")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaline import contour
+from zetaline import contour, quadrature
 from zetaline.complex_core import cpow_principal
 from zetaline.contour import (
     entire_e_axis,
@@ -82,6 +82,13 @@ def test_pole_guard():
     # just outside the guard disk the evaluation stands
     r = zeta(1.0 + 1e-5j)
     assert math.isfinite(r.value.real)
+    # pole_guard and the scan's zeta value share the one disk test
+    with pytest.raises(PoleAtOne, match="guard disk") as guard:
+        contour.pole_guard(1.0 + 1e-8j)
+    with pytest.raises(PoleAtOne) as value:
+        contour._zeta_value(1.0 + 1e-8j, 1.0)
+    assert str(value.value) == str(guard.value)
+    assert contour._zeta_value(1.0 + 1e-5j, 1.0) == 1.0 / 1e-5j
 
 
 def test_contract_box():
@@ -574,6 +581,20 @@ def test_strip_m_is_inf_where_the_envelope_overflows():
     assert contour._line_bound(s, 0)(0.25) == math.inf
     with pytest.raises(TruncationFailure, match="overflows"):
         entire_e_line(s)
+
+
+def test_level_factors_cover_every_step_of_the_rule():
+    """The line's bound and correction read the factors that depend on h
+    alone from _LEVEL_FACTORS at every step integrate_interval takes from
+    either first step the line uses (1/2 with a correction, 1/4 without)."""
+    s = 0.5 + 3.0j
+    residues, rounding, near, far = contour._line_residues(s, 1)
+    for n, first in ((0, quadrature._FIRST_STEP), (1, quadrature._MAX_STEP)):
+        bound = contour._line_bound(s, n)
+        for h in quadrature._step_schedule(first):
+            assert 0.0 < bound(h) < math.inf, (n, h)
+            if n:
+                assert cmath.isfinite(contour._pole_correction(s, n, near, far)(h)), h
 
 
 def test_corrected_levels_within_the_bound():

@@ -103,6 +103,7 @@ def test_interval_halves_down_to_the_finest_step():
         seen.clear()
         r = integrate_interval(level, 0.0, 1.0, 1e-14, step=step, bound=lambda h: 0.5 * h)
         assert seen[0] == step and seen[-1] == finest and not r.converged
+        assert tuple(seen) == quadrature._step_schedule(step)  # the schedule others read
 
 
 def test_interval_nonfinite_integrand():
