@@ -12,6 +12,11 @@ package leans on:
   (a scaled form for 1/cosh^2; sinh(t/2)/(t/2), whose reciprocal square
   replaces 1/sinh^2(t/2)).
 
+The Mellin heads need Gamma(z) together with a bound on its rounding;
+_gamma_with_err forms both from one Lanczos sum and one pair of logs.  Its
+value is gamma(z) bitwise: the sum, the logs and exp run in the operations
+and order of log_gamma's Lanczos branch and gamma's exp.
+
 Only `math`/`cmath` are used; no state, no configuration.
 """
 
@@ -192,9 +197,12 @@ def log_gamma(z: complex) -> complex:
     return (z - 0.5) * cmath.log(base) - base + _HALF_LOG_TWO_PI + cmath.log(ser)
 
 
-def _gamma_rel_err(z: complex) -> float:
-    """A bound, to first order in u = 2^-53, on the relative error of
-    gamma(z) for Re z >= 1/2, where log_gamma takes the Lanczos sum.
+def _gamma_with_err(z: complex) -> tuple[complex, float]:
+    """(gamma(z), a bound to first order in u = 2^-53 on its relative
+    error) for Re z >= 1/2, where log_gamma takes the Lanczos sum; the value
+    is gamma(z) bitwise, from the same sum and logs the bound reads, so the
+    sum and its two logs run once.  OverflowError when Gamma(z) leaves
+    doubles.
 
     gamma(z) = exp(L), L = (z - 1/2) ln b - b + ln sqrt(2 pi) + ln ser with
     b = z + g - 1/2 and ser the Lanczos sum, so the relative error is L's
@@ -216,7 +224,7 @@ def _gamma_rel_err(z: complex) -> float:
     """
     zm = z - 0.5
     b = z + (_LANCZOS_G - 0.5)
-    ser = complex(_LANCZOS_C[0])
+    ser = _LANCZOS_C[0]  # a float, as in log_gamma
     err_ser = 0.0
     for k in range(1, 15):
         term = _LANCZOS_C[k] / (z + (k - 1))
@@ -225,9 +233,10 @@ def _gamma_rel_err(z: complex) -> float:
     ls, lb = cmath.log(ser), cmath.log(b)
     q = zm * lb - b
     r = q + _HALF_LOG_TWO_PI
+    log_value = r + ls  # log_gamma(z)
     err_l = (abs(zm) * (4.0 + (2.0 + math.sqrt(5.0)) * abs(lb)) + abs(b) + abs(q) + abs(r)
-             + abs(r + ls) + err_ser / abs(ser) + 2.0 + abs(ls))
-    return _U * (err_l + 3.0) + 1e-15
+             + abs(log_value) + err_ser / abs(ser) + 2.0 + abs(ls))
+    return cmath.exp(log_value), _U * (err_l + 3.0) + 1e-15
 
 
 def gamma(z: complex) -> complex:

@@ -62,10 +62,18 @@ form, for s = sigma + i tau:
 
 with zeta(sigma) <= 1 + 1/(sigma - 1), and each head term a_j e^{-t} t^j
 adds exactly |a_j| e^{|tau| d} Gamma(sigma-1+j) cos(d)^{-(sigma-1+j)}, so
-M(d) for the remainder is that short sum (_strip_terms).  The bound
+M(d) for the remainder is that short sum (_log_ms).  The bound
 B(h) = 2M(d) / (e^{2 pi d/h} - 1) is taken at the one strip d = 1
 (_STRIP).  err_est adds the head's rounding and the remainder kernels'
 cancellation to the quadrature's (_remainder).
+
+Each quantity of a check is formed once.  A head's Gamma and the bound on
+its rounding come from one Lanczos sum (complex_core._gamma_with_err); one
+pass over the strip terms gives M(0), which sizes the cancellation, and
+M(d); the s-free part of B(h), 2 pi d/h and log(1 - e^{-2 pi d/h}), is
+tabled at import for the steps integrate_mellin takes (_STRIP_FACTORS).
+Each is the same floating-point operations in the same order as when it
+was formed where it is used, so every value and err_est keeps its bits.
 """
 
 from __future__ import annotations
@@ -74,10 +82,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .complex_core import _gamma_rel_err, gamma
+from .complex_core import _gamma_with_err, gamma
 from .errors import DomainError, TruncationFailure, finite_s
 from .oracle import zeta_euler_maclaurin
-from .quadrature import TOL_MIN, EvalResult, KernelTable, check_tol, integrate_mellin
+from .quadrature import (
+    _FIRST_STEP,
+    TOL_MIN,
+    EvalResult,
+    KernelTable,
+    _step_schedule,
+    check_tol,
+    integrate_mellin,
+)
 
 __all__ = [
     "MellinReport",
@@ -93,6 +109,7 @@ PASS_COMPLEX = 1e-8
 _EPS = math.ulp(1.0)
 _STRIP = 1.0         # half-width d of the strip |Im u| < d of the trapezoid bound:
                      # the kernels' poles lie at |Im u| = pi/2
+_LOG_COS_STRIP = math.log(math.cos(_STRIP))
 
 
 @dataclass(frozen=True)
@@ -190,13 +207,29 @@ _BOSE_TABLE = KernelTable(_bose_rem)
 _SINH_TABLE = KernelTable(_sinh_rem)
 
 
-def _log_m(terms: list[tuple[float, float]], d: float, tau: float) -> float:
-    """log M(d), M(d) = e^{|tau| d} sum_i e^{log_m_i} / cos(d)^{power_i} over
-    terms (log_m_i, power_i), in log space so that no term overflows."""
-    log_cos = math.log(math.cos(d))
-    logs = [log_m - power * log_cos for log_m, power in terms]
-    top = max(logs)
-    return abs(tau) * d + top + math.log(math.fsum(math.exp(x - top) for x in logs))
+def _log_ms(sigma: float, tau: float, log_kernel_m: float, kernel_power: float,
+            head: tuple[float, ...]) -> tuple[float, float]:
+    """(log M(0), log M(d)), d = _STRIP, for a remainder g(w) = e^{(sigma-1+i tau) w}
+    (kernel(e^w) - e^{-e^w} sum_j a_j e^{jw}), from one pass over its terms:
+
+        M(d) = e^{|tau| d} sum_i e^{log_m_i} / cos(d)^{power_i},
+
+    summed in log space so that no term overflows, over the kernel's own
+    term (log_kernel_m, kernel_power) and, for each head term,
+    (log |a_j| + log Gamma(sigma-1+j), sigma-1+j), since along Im w = b,
+    |b| < pi/2, the integral over u of |e^{(s-1)w} e^{-e^w} e^{jw}| is
+    e^{-tau b} Gamma(sigma-1+j) / cos(b)^{sigma-1+j} exactly.  At d = 0
+    every cos(d)^{power_i} is 1, so each term enters M(0) as log_m_i."""
+    at_0 = [log_kernel_m]
+    at_d = [log_kernel_m - kernel_power * _LOG_COS_STRIP]
+    for j, a in enumerate(head):
+        power = sigma - 1.0 + j
+        log_m = math.log(a) + math.lgamma(power)
+        at_0.append(log_m)
+        at_d.append(log_m - power * _LOG_COS_STRIP)
+    exp, top_0, top_d = math.exp, max(at_0), max(at_d)
+    return (top_0 + math.log(math.fsum([exp(x - top_0) for x in at_0])),
+            abs(tau) * _STRIP + top_d + math.log(math.fsum([exp(x - top_d) for x in at_d])))
 
 
 def _exp(x: float) -> float:
@@ -207,29 +240,33 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _strip_bound(terms: list[tuple[float, float]], tau: float) -> Callable[[float], float]:
+def _strip_factors(h: float) -> tuple[float, float]:
+    """x = 2 pi d/h and log(1 - e^{-x}), d = _STRIP: log(e^x - 1) is their sum."""
+    x = 2.0 * math.pi * _STRIP / h
+    return x, math.log(-math.expm1(-x))
+
+
+# _strip_factors at every step integrate_mellin takes from a first step of
+# 1/4 down to 1/32, which it halves to as |Im s| grows: 1/32 serves
+# |Im s| <= 96, past the box |Im s| <= 60; a step outside it is computed
+_STRIP_FACTORS = {h: _strip_factors(h) for k in range(4)
+                  for h in _step_schedule(_FIRST_STEP * 0.5 ** k)}
+
+
+def _strip_bound(log_m: float) -> Callable[[float], float]:
     """The trapezoid bound B(h) = 2 M(d) / (e^{2 pi d/h} - 1) with d = _STRIP,
-    M(d) (_log_m) bounding the integral of |g(u + ib)| over u for every
-    |b| <= d (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1); inf
-    where it leaves double range, as far left on the axis form at coarse h."""
-    log_2m = math.log(2.0) + _log_m(terms, _STRIP, tau)
+    log_m = log M(d) (_log_ms), M(d) bounding the integral of |g(u + ib)|
+    over u for every |b| <= d (Trefethen & Weideman, SIAM Rev. 56 (2014),
+    Thm 5.1); inf where it leaves double range, as far left on the axis
+    form at coarse h.  The denominator's factors come from _STRIP_FACTORS."""
+    log_2m = math.log(2.0) + log_m
+    factors = _STRIP_FACTORS
 
     def bound(h: float) -> float:
-        x = 2.0 * math.pi * _STRIP / h  # log(e^x - 1) = x + log(1 - e^{-x})
-        return _exp(log_2m - x - math.log(-math.expm1(-x)))
+        x, log_q = factors.get(h) or _strip_factors(h)
+        return _exp(log_2m - x - log_q)
 
     return bound
-
-
-def _strip_terms(sigma: float, log_kernel_m: float, kernel_power: float,
-                 head: tuple[float, ...]) -> list[tuple[float, float]]:
-    """The terms of M for a remainder g(w) = e^{(sigma-1+i tau) w} (kernel(e^w)
-    - e^{-e^w} sum_j a_j e^{jw}): the kernel's own (log_kernel_m, kernel_power),
-    and for each head term (log |a_j| + log Gamma(sigma-1+j), sigma-1+j), since
-    along Im w = b, |b| < pi/2, the integral over u of |e^{(s-1)w} e^{-e^w} e^{jw}|
-    is e^{-tau b} Gamma(sigma-1+j) / cos(b)^{sigma-1+j} exactly."""
-    return [(log_kernel_m, kernel_power)] + [
-        (math.log(a) + math.lgamma(sigma - 1.0 + j), sigma - 1.0 + j) for j, a in enumerate(head)]
 
 
 def _log_gamma_zeta_bound(sigma: float, shift: float) -> float:
@@ -239,46 +276,51 @@ def _log_gamma_zeta_bound(sigma: float, shift: float) -> float:
 
 
 def _remainder(table: KernelTable, s: complex, tol: float, head: complex, head_err: float,
-               terms: list[tuple[float, float]], cancel: float, **kwargs) -> EvalResult:
+               log_ms: tuple[float, float], cancel: float, **kwargs) -> EvalResult:
     """head plus the integral of t^{s+2} table.kernel(t) over (0, inf).
 
     err_est adds to the quadrature's the head's rounding head_err, the
     final sum's u (|head| + |integral|), and the rounding of the kernel's
     direct branch: at most cancel eps times the sizes of the kernel part
     and the head part at each node, whose integrals against |t^{s-2}| make
-    up M(0), the d = 0 value of the strip bound's M (terms); h times the
-    nodes' sum exceeds that integral by at most the level's B(h), whose
-    cancel eps share is negligible.  None of these is a trapezoid error, so
+    up M(0), the d = 0 value of the strip bound's M (log_ms holds log M(0)
+    and log M(d), _log_ms); h times the nodes' sum exceeds that integral by
+    at most the level's B(h), whose cancel eps share is negligible.  None
+    of these is a trapezoid error, so
     none goes into the bound the levels are judged by: the quadrature runs
     at the tol that leaves them room in the budget 1.2 tol, but never below
     the kernel's rounding, which would only reach the round-off floor, and
     `converged` is err_est <= 1.2 tol.
     """
     check_tol(tol)  # before the floor below can hide a bad value
-    rounding = cancel * _EPS * _exp(_log_m(terms, 0.0, 0.0))
+    log_m0, log_md = log_ms
+    rounding = cancel * _EPS * _exp(log_m0)
     extra = head_err + rounding
     quad_tol = max(TOL_MIN, tol - extra / 1.2, rounding)
-    base = integrate_mellin(table, s + 2.0, quad_tol, bound=_strip_bound(terms, s.imag), **kwargs)
+    base = integrate_mellin(table, s + 2.0, quad_tol, bound=_strip_bound(log_md), **kwargs)
     value = head + base.value
     err = base.err_est + extra + 0.5 * _EPS * (abs(head) + abs(base.value))
     return EvalResult(value, err, base.n_evals, err <= 1.2 * tol, base.truncation_height)
 
 
-def _head_gamma(z: complex) -> complex:
-    """gamma(z) for a head; TruncationFailure where it leaves double range,
-    as far left on the axis form, where the integral does too."""
+def _head_gamma(z: complex) -> tuple[complex, float]:
+    """gamma(z) for a head and a bound on its relative rounding, from one
+    Lanczos sum (complex_core._gamma_with_err); TruncationFailure where it
+    leaves double range, as far left on the axis form, where the integral
+    does too."""
     try:
-        return gamma(z)
+        return _gamma_with_err(z)
     except OverflowError:
         raise TruncationFailure(f"Gamma({z}) in the integral's head overflows double range") from None
 
 
-def _head_err(head: complex, z: complex) -> float:
+def _head_err(head: complex, gamma_err: float) -> float:
     """A bound on the rounding of a head Gamma(z) R, R a product of a few
-    linear factors over another: gamma's own (complex_core._gamma_rel_err)
-    and R's, at most eight roundings of u per real part, sqrt(5) u per
-    complex product and 8u for the quotient, 20u = 10 eps in all."""
-    return abs(head) * (_gamma_rel_err(z) + 10.0 * _EPS)
+    linear factors over another: gamma's own relative gamma_err
+    (_head_gamma) and R's, at most eight roundings of u per real part,
+    sqrt(5) u per complex product and 8u for the quotient, 20u = 10 eps in
+    all."""
+    return abs(head) * (gamma_err + 10.0 * _EPS)
 
 
 def _bose_head(s: complex) -> tuple[complex, float]:
@@ -286,8 +328,9 @@ def _bose_head(s: complex) -> tuple[complex, float]:
     + (s-1)s/12) = Gamma(s+1)(s+2)(s+3) / (12 s (s-1)), from Gamma(s+1) so
     that log_gamma stays off its reflection branch, and a bound on its
     rounding (_head_err)."""
-    head = _head_gamma(s + 1.0) * ((s + 2.0) * (s + 3.0)) / (12.0 * (s * (s - 1.0)))
-    return head, _head_err(head, s + 1.0)
+    g, g_err = _head_gamma(s + 1.0)
+    head = g * ((s + 2.0) * (s + 3.0)) / (12.0 * (s * (s - 1.0)))
+    return head, _head_err(head, g_err)
 
 
 def _bose(s: complex, tol: float) -> EvalResult:
@@ -297,9 +340,9 @@ def _bose(s: complex, tol: float) -> EvalResult:
     head, head_err = _bose_head(s)
     # with w = u + ib, |b| <= d: |e^{e^w} - 1| >= e^{e^u cos d} - 1, so the
     # kernel's M(d) = e^{|Im s| d} cos(d)^{-Re s} Gamma(Re s) zeta(Re s)
-    terms = _strip_terms(s.real, _log_gamma_zeta_bound(s.real, 0.0), s.real, _BOSE_HEAD)
+    log_ms = _log_ms(s.real, s.imag, _log_gamma_zeta_bound(s.real, 0.0), s.real, _BOSE_HEAD)
     # |remainder| <= t^4/720 and <= t^2 e^{-t}/12 (see the module)
-    return _remainder(_BOSE_TABLE, s, tol, head, head_err, terms, _BOSE_CANCEL,
+    return _remainder(_BOSE_TABLE, s, tol, head, head_err, log_ms, _BOSE_CANCEL,
                       growth=s.real, origin_coeff=1.0 / 720.0, bound_const=1.0 / 12.0)
 
 
@@ -328,8 +371,9 @@ def _sinh_head(sigma: complex) -> tuple[complex, float]:
     4 Gamma(sigma-1)(1 + (sigma-1) + 5(sigma-1)sigma/12
     + (sigma-1)sigma(sigma+1)/12) = Gamma(sigma+1)(sigma+2)(sigma+3) / (3 (sigma-1)),
     from Gamma(sigma+1), and a bound on its rounding (_head_err)."""
-    head = _head_gamma(sigma + 1.0) * ((sigma + 2.0) * (sigma + 3.0)) / (3.0 * (sigma - 1.0))
-    return head, _head_err(head, sigma + 1.0)
+    g, g_err = _head_gamma(sigma + 1.0)
+    head = g * ((sigma + 2.0) * (sigma + 3.0)) / (3.0 * (sigma - 1.0))
+    return head, _head_err(head, g_err)
 
 
 def _sinh_sq_integral(sigma: complex, tol: float) -> EvalResult:
@@ -339,10 +383,11 @@ def _sinh_sq_integral(sigma: complex, tol: float) -> EvalResult:
     head, head_err = _sinh_head(sigma)
     # |sinh(w/2)|^2 >= sinh^2(Re w/2), so the kernel's M(d) = 4 e^{|Im s| d}
     # cos(d)^{-(Re s+1)} Gamma(Re s+1) zeta(Re s)
-    terms = _strip_terms(sigma.real, math.log(4.0) + _log_gamma_zeta_bound(sigma.real, 1.0),
-                         sigma.real + 1.0, _SINH_HEAD)
+    log_ms = _log_ms(sigma.real, sigma.imag,
+                     math.log(4.0) + _log_gamma_zeta_bound(sigma.real, 1.0),
+                     sigma.real + 1.0, _SINH_HEAD)
     # |remainder| <= t^4/60 and <= t^3 e^{-t}/3 (see the module)
-    return _remainder(_SINH_TABLE, sigma, tol, head, head_err, terms, _SINH_CANCEL,
+    return _remainder(_SINH_TABLE, sigma, tol, head, head_err, log_ms, _SINH_CANCEL,
                       growth=sigma.real + 1.0, origin_coeff=1.0 / 60.0, bound_const=1.0 / 3.0)
 
 

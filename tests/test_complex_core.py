@@ -1,11 +1,15 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaline.complex_core import (
+    _LANCZOS_C,
+    _LANCZOS_G,
+    _gamma_with_err,
     cos_pi_z,
     cpow_principal,
     gamma,
@@ -221,3 +225,42 @@ def test_log_gamma_pole_guard():
         log_gamma(-3.0)
     with pytest.raises(PoleError):
         log_gamma(complex(-2.0, 1e-13))
+
+
+def _gamma_rel_err(z: complex) -> float:
+    """The bound of _gamma_with_err as it was built on its own, with a
+    second Lanczos sum and a second pair of logs."""
+    zm = z - 0.5
+    b = z + (_LANCZOS_G - 0.5)
+    ser = complex(_LANCZOS_C[0])
+    err_ser = 0.0
+    for k in range(1, 15):
+        term = _LANCZOS_C[k] / (z + (k - 1))
+        ser += term
+        err_ser += 7.0 * abs(term) + abs(ser)
+    ls, lb = cmath.log(ser), cmath.log(b)
+    q = zm * lb - b
+    r = q + 0.5 * math.log(2.0 * math.pi)
+    err_l = (abs(zm) * (4.0 + (2.0 + math.sqrt(5.0)) * abs(lb)) + abs(b) + abs(q) + abs(r)
+             + abs(r + ls) + err_ser / abs(ser) + 2.0 + abs(ls))
+    return 2.0 ** -53 * (err_l + 3.0) + 1e-15
+
+
+def test_gamma_with_err_is_gamma_and_its_bound_bitwise():
+    """One Lanczos sum gives gamma(z) and the bound bit for bit, on seeded z
+    with Re z in [0.5, 12] and |Im z| <= 61, their conjugates, real z and
+    Im z = -0.0, and raises gamma's OverflowError where Gamma(z) leaves doubles."""
+    rng = random.Random(24)
+    zs = [complex(rng.uniform(0.5, 12.0), rng.uniform(-61.0, 61.0)) for _ in range(1500)]
+    zs += [z.conjugate() for z in zs]
+    zs += [complex(x, 0.0) for x in (0.5, 1.0, 2.0, 3.5, 7.0, 12.0)]
+    zs += [complex(x, -0.0) for x in (0.5, 2.5, 11.0)] + [complex(171.5, 0.0), 50.0 - 61.0j]
+    for z in zs:
+        value, err = _gamma_with_err(z)
+        assert repr(value) == repr(gamma(z)), z
+        assert err == _gamma_rel_err(z), z
+    for z in (172.0, 302.0 - 10.0j):
+        with pytest.raises(OverflowError):
+            gamma(z)
+        with pytest.raises(OverflowError):
+            _gamma_with_err(complex(z))

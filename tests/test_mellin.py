@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from zetaline import mellin
-from zetaline.complex_core import _gamma_rel_err, gamma
+from zetaline.complex_core import _gamma_with_err, gamma
 from zetaline.contour import entire_e_axis
 from zetaline.errors import DomainError, TruncationFailure
 from zetaline.mellin import bose_integral, exp_sq_integral, mellin_check, sinh_integral
@@ -242,13 +242,15 @@ _GAMMA_25 = {
 
 @pytest.mark.parametrize("z", list(_GAMMA_25), ids=repr)
 def test_gamma_and_heads_within_their_rounding_terms(z):
-    """gamma(z) lies within _gamma_rel_err(z) of Gamma(z), relative, on
-    Re z in [2, 9] up to |Im z| = 60, and each head within its own
-    rounding term; both bounds stay within 100x of the measured error
+    """gamma(z) lies within its bound from _gamma_with_err(z) of Gamma(z),
+    relative, on Re z in [2, 9] up to |Im z| = 60, and each head within its
+    own rounding term; both bounds stay within 100x of the measured error
     envelope 1.5 eps (1 + |z| ln(|z| + 5)) for gamma."""
     g, bose, sinh = _GAMMA_25[z]
-    assert abs(gamma(z) - g) <= _gamma_rel_err(z) * abs(g)
-    assert _gamma_rel_err(z) <= 100.0 * 1.5 * _EPS * (1.0 + abs(z) * math.log(abs(z) + 5.0))
+    value, rel_err = _gamma_with_err(z)
+    assert value == gamma(z)
+    assert abs(value - g) <= rel_err * abs(g)
+    assert rel_err <= 100.0 * 1.5 * _EPS * (1.0 + abs(z) * math.log(abs(z) + 5.0))
     for head, want in ((mellin._bose_head(z - 1.0), bose), (mellin._sinh_head(z - 1.0), sinh)):
         value, err = head
         assert abs(value - want) <= err, (z, value, want, err)
@@ -407,6 +409,32 @@ _STRIP_FORMS = {
     "bose": (mellin._bose, 1.0 / 720.0, _bose_rem),
     "sinh": (mellin._sinh_sq_integral, 1.0 / 60.0, _sinh_rem),
 }
+
+
+def test_strip_factors_cover_every_step_in_the_box(monkeypatch):
+    """Every step at which either form asks for a level's bound, at |Im s|
+    up to 60, finds its factors in _STRIP_FACTORS, which hold
+    _strip_factors' own values; a step outside the table, here h = 1, gets
+    its factors computed."""
+    steps = set()
+    real = mellin.integrate_mellin
+
+    def spy(*args, bound, **kwargs):
+        def recorded(h):
+            steps.add(h)
+            return bound(h)
+        return real(*args, bound=recorded, **kwargs)
+
+    monkeypatch.setattr(mellin, "integrate_mellin", spy)
+    for s in (1.5, 2.0 + 5j, 3.0 - 21j, 1.2 + 40j, 6.0 - 60j, 2.5 + 60j):
+        for tol in (1e-12, 1e-14):
+            mellin._bose(s, tol)
+            mellin._sinh_sq_integral(s, tol)
+    assert {0.25, 2.0 ** -5} <= steps <= set(mellin._STRIP_FACTORS)
+    for h, factors in mellin._STRIP_FACTORS.items():
+        assert factors == mellin._strip_factors(h)
+    x, log_q = mellin._strip_factors(1.0)
+    assert mellin._strip_bound(3.0)(1.0) == math.exp(math.log(2.0) + 3.0 - x - log_q)
 
 
 @pytest.mark.parametrize("form", sorted(_STRIP_FORMS))

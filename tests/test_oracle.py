@@ -1,18 +1,141 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zetaline.complex_core import cpow_principal
 from zetaline.contour import residue_partial_sum
-from zetaline.errors import DomainError, PoleAtOne
+from zetaline.errors import ContractViolation, DomainError, PoleAtOne, check_box, finite_s
 from zetaline.oracle import (
     EulerMaclaurinParams,
     _bernoulli_floats,
     default_params,
     zeta_euler_maclaurin,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_bernoulli_literals_are_the_rounded_rationals():
+    """All 17 literals, B_0, B_2, ..., B_32, are the exact rationals from the
+    recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, correctly rounded."""
+    b = [Fraction(1)]
+    for m in range(1, 33):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    assert _bernoulli_floats() == tuple(float(b[2 * k]) for k in range(17))
+
+
+def test_import_leaves_out_fractions_and_decimal():
+    """Importing the package loads neither fractions nor decimal: the
+    Bernoulli numbers are literals, so no interpreter pays for the two."""
+    code = "import sys, zetaline; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    r = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def _em_per_term(s: complex, params: EulerMaclaurinParams | None = None) -> tuple[complex, float]:
+    """zeta_euler_maclaurin as it was built term by term: each power a call
+    of cpow_principal, ln n taken where each use needs it, each Bernoulli
+    coefficient divided by math.factorial on the spot."""
+    s = finite_s(s)
+    if abs(s - 1.0) < 1e-9:
+        raise PoleAtOne(f"zeta has a pole at s = 1 (got s={s})")
+    check_box(s, "oracle")
+    if params is None:
+        params = default_params(s)
+    n_cut, m_terms = params.N, params.M
+    if not s.real > -2.0 * m_terms:
+        raise DomainError(f"need Re s > -2M = {-2 * m_terms}, got {s.real}")
+    size = abs(s.real) + abs(s.imag)
+    total = complex(0.0, 0.0)
+    scale = 1.0
+    spread = 0.0
+    for n in range(1, n_cut):
+        term = cpow_principal(n, -s)
+        total += term
+        scale = max(scale, abs(total))
+        spread += abs(term) * (3.0 + size * math.log(n))
+    n_minus_s = cpow_principal(n_cut, -s)
+    total += n_minus_s * n_cut / (s - 1.0)
+    scale = max(scale, abs(n_minus_s) * n_cut / abs(s - 1.0))
+    total += 0.5 * n_minus_s
+    from_n_cut = abs(n_minus_s) * (n_cut / abs(s - 1.0) + 0.5)
+    table = _bernoulli_floats()
+    rising = s
+    power = n_minus_s / n_cut
+    inv_n_sq = 1.0 / (n_cut * n_cut)
+    for k in range(1, m_terms + 1):
+        term = (table[k] / math.factorial(2 * k)) * rising * power
+        total += term
+        scale = max(scale, abs(term))
+        from_n_cut += abs(term)
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
+        power *= inv_n_sq
+    omitted = abs(table[m_terms + 1]) / math.factorial(2 * m_terms + 2) * abs(rising) * abs(power)
+    envelope = abs(s + (2 * m_terms + 1)) / (s.real + 2 * m_terms + 1)
+    rounding = 2.5 * 2.0 ** -52 * (n_cut + 2 * m_terms) * (1.0 + scale)
+    spread += from_n_cut * (3.0 + size * math.log(n_cut))
+    return total, omitted * envelope + rounding + 2.0 ** -52 * spread
+
+
+def _outcome(f, *args) -> str:
+    """repr of the value and bound, which tells -0.0 from 0.0, or the
+    exception's type and message."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _one_pass_cases() -> list[tuple[complex, EulerMaclaurinParams | None]]:
+    rng = random.Random(24)
+    cases: list[tuple[complex, EulerMaclaurinParams | None]] = [
+        (s, None) for s in (0.0, -0.0, complex(0.0, -0.0), 2.0, -1.0, -23.5, 0.5 - 0.0j,
+                            complex(-3.0, 0.0), complex(-3.0, -0.0), 1e-300j, 60j, -60j,
+                            2.0 + 60j, -5.0 - 60j, 1.0 + 1e-10j, 1.0, 1.0 + 2e-9j,
+                            2.0 + 60.000001j, 0.5 - 61j, -24.0, -24.0 + 3j)]
+    for i in range(400):
+        re = rng.uniform(-23.0, 12.0)
+        im = rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0), rng.uniform(-60.0, 60.0)))
+        params = None
+        if i % 3 == 0:
+            params = EulerMaclaurinParams(N=rng.randint(2, 90), M=rng.randint(1, 15))
+        cases += [(complex(re, im), params), (complex(re, -im), params)]
+    cases += [(-9.0, EulerMaclaurinParams(N=20, M=4)), (-7.99, EulerMaclaurinParams(N=2, M=4)),
+              (3.0 + 4j, EulerMaclaurinParams(N=2, M=1)), (-29.9, EulerMaclaurinParams(N=40, M=15))]
+    return cases
+
+
+def test_one_pass_matches_the_per_term_build_bitwise():
+    """Every value, bound and exception equals the per-term cpow_principal
+    build: real s, Im s = +-0.0, conjugate pairs, custom params, |Im s| up
+    to 60, s at the pole, past the box and at Re s <= -2M."""
+    cases = _one_pass_cases()
+    outcomes = [(_outcome(zeta_euler_maclaurin, s, p), _outcome(_em_per_term, s, p)) for s, p in cases]
+    for (s, p), (got, want) in zip(cases, outcomes):
+        assert got == want, (s, p)
+    raised = [got.split(":")[0] for got, _ in outcomes if not got.startswith("(")]
+    assert {"PoleAtOne", "ContractViolation", "DomainError"} <= set(raised)
+    assert len(raised) < len(cases) // 4
+
+
+def test_one_pass_raises_as_before():
+    with pytest.raises(PoleAtOne, match="pole at s = 1"):
+        zeta_euler_maclaurin(1.0 + 5e-10j)
+    with pytest.raises(ContractViolation):
+        zeta_euler_maclaurin(0.5 + 60.5j)
+    with pytest.raises(DomainError, match=r"need Re s > -2M = -30, got -30.0"):
+        zeta_euler_maclaurin(-30.0, EulerMaclaurinParams(N=30, M=15))
 
 
 def test_bernoulli_small_values_exact():
