@@ -24,6 +24,8 @@ Quick start::
 Command line: ``python -m zetaline eval --re 2``.
 """
 
+from sys import modules as _modules
+
 from .complex_core import (
     cos_pi_z,
     cpow_principal,
@@ -52,19 +54,6 @@ from .errors import (
     TruncationFailure,
     ZetalineError,
 )
-from .functional_equation import FeqReport, chi, feq_check, select_form
-from .mellin import (
-    MellinReport,
-    bose_integral,
-    exp_sq_integral,
-    mellin_check,
-    sinh_integral,
-)
-from .oracle import (
-    EulerMaclaurinParams,
-    default_params,
-    zeta_euler_maclaurin,
-)
 from .quadrature import (
     EvalResult,
     check_tol,
@@ -74,6 +63,37 @@ from .quadrature import (
 )
 
 __version__ = "0.1.0"
+
+# names whose modules load on first access, so a process that only
+# evaluates zeta never loads them (see README, "Start-up")
+_LAZY = {
+    **dict.fromkeys(("FeqReport", "select_form", "chi", "feq_check"),
+                    "zetaline.functional_equation"),
+    **dict.fromkeys(("MellinReport", "bose_integral", "exp_sq_integral",
+                     "sinh_integral", "mellin_check"), "zetaline.mellin"),
+    **dict.fromkeys(("EulerMaclaurinParams", "zeta_euler_maclaurin", "default_params"),
+                    "zetaline.oracle"),
+}
+
+
+def __getattr__(name: str):
+    """A lazy name, read from its module on every access and never bound
+    here, so a name patched on the module (a tracer's wrapper, say) is seen
+    here exactly while the patch lasts."""
+    path = _LAZY.get(name)
+    if path is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _modules.get(path)
+    if module is None:
+        from importlib import import_module
+
+        module = import_module(path)
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "__version__",

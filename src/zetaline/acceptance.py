@@ -12,23 +12,22 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 from .complex_core import log_gamma
 from .contour import entire_e_axis, entire_e_line, residue_partial_sum, zeta
 from .functional_equation import PASS_REL, chi, feq_check
 from .mellin import PASS_COMPLEX, PASS_REAL, mellin_check
 from .oracle import zeta_euler_maclaurin
+from .record import Record
 
 __all__ = ["CriterionResult", "run_criteria", "FEQ_GRID"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
+class CriterionResult(Record):
+    __slots__ = ()
+
+    def __new__(cls, number: int, name: str, passed: bool, detail: str) -> CriterionResult:
+        return tuple.__new__(cls, (number, name, passed, detail))
 
 
 # reflection-identity grid; guard disks at 0 and 1 have radius 1e-3 and

@@ -26,6 +26,10 @@ scan refuses a bad grid, --jobs, --tol or --out before it evaluates a
 point.  Diagnostics go to stderr; stdout carries results only.  There are
 no environment variables: every knob is a flag.
 
+eval, residues and scan run on the line evaluator alone; feq, lemma and
+selftest import the functional equation, the Mellin chain and the
+acceptance suite when they run, so no other command pays to load them.
+
 Repeated invocations with identical flags produce byte-identical stdout.
 A scan evaluates its points row-major (im outer, re inner) on one thread;
 --jobs must be >= 1 and changes nothing.
@@ -36,10 +40,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .acceptance import run_criteria
 from .contour import _zeta_value, entire_e_line, residue_partial_sums, zeta
 from .errors import (
     DomainError,
@@ -50,44 +52,37 @@ from .errors import (
     check_box,
     finite_s,
 )
-from .functional_equation import feq_check
-from .mellin import mellin_check
 from .quadrature import EvalResult, check_tol
+from .record import Record
 
 __all__ = ["ScanGrid", "main"]
 
 _MAX_POINTS = 1_000_000  # largest scan grid and largest --n-max
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class ScanGrid(Record):
     """Rectangular grid: steps_* points per axis, endpoints inclusive."""
 
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    steps_re: int
-    steps_im: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+    def __new__(cls, re_min: float, re_max: float, im_min: float, im_max: float,
+                steps_re: int, steps_im: int) -> ScanGrid:
+        bounds = (re_min, re_max, im_min, im_max)
         if not all(map(math.isfinite, bounds)):
             raise DomainError(f"grid bounds must be finite, got {bounds}")
-        if not (self.re_min <= self.re_max and self.im_min <= self.im_max):
+        if not (re_min <= re_max and im_min <= im_max):
             raise DomainError("grid needs re_min <= re_max and im_min <= im_max")
-        if self.steps_re < 1 or self.steps_im < 1:
+        if steps_re < 1 or steps_im < 1:
             raise DomainError("steps_re and steps_im must be >= 1")
-        if (self.steps_re == 1 and self.re_min != self.re_max) or (
-                self.steps_im == 1 and self.im_min != self.im_max):
+        if (steps_re == 1 and re_min != re_max) or (steps_im == 1 and im_min != im_max):
             raise DomainError("an axis with one step needs equal bounds")
-        if self.steps_re * self.steps_im > _MAX_POINTS:
+        if steps_re * steps_im > _MAX_POINTS:
             raise DomainError(
-                f"grid has {self.steps_re * self.steps_im} points; "
-                f"the cap is {_MAX_POINTS}"
+                f"grid has {steps_re * steps_im} points; the cap is {_MAX_POINTS}"
             )
-        for im in (self.im_min, _axis(self.im_min, self.im_max, self.steps_im)[-1]):
+        for im in (im_min, _axis(im_min, im_max, steps_im)[-1]):
             check_box(complex(0.0, im), "scan grid")  # the Im axis runs between these
+        return tuple.__new__(cls, (re_min, re_max, im_min, im_max, steps_re, steps_im))
 
     def points(self) -> list[complex]:
         """Row-major: im outer, re inner."""
@@ -206,6 +201,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_feq(args: argparse.Namespace) -> int:
+    from .functional_equation import feq_check
+
     rep = feq_check(_point(args), args.tol)
     print(f"{_fmt(rep.lhs.real)} {_fmt(rep.lhs.imag)} {_fmt(rep.rhs.real)} "
           f"{_fmt(rep.rhs.imag)} {_fmt(rep.abs_residual)} {_fmt(rep.rel_residual)} "
@@ -214,6 +211,8 @@ def _cmd_feq(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
+    from .mellin import mellin_check
+
     rep = mellin_check(_point(args), args.tol)
     print(f"{_fmt(rep.bose.real)} {_fmt(rep.bose.imag)} "
           f"{_fmt(rep.exp_sq.real)} {_fmt(rep.exp_sq.imag)} "
@@ -257,6 +256,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .acceptance import run_criteria
+
     for r in run_criteria():
         print(f"criterion {r.number} {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
         if not r.passed:

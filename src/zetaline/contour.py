@@ -86,13 +86,12 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import islice
-from typing import Callable
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
 from .errors import DomainError, PoleAtOne, TruncationFailure, check_box, finite_s
-from .mellin import _RE_MIN, _sinh_sq_integral
 from .quadrature import (
     _FIRST_STEP,
     _MAX_STEP,
@@ -500,6 +499,12 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     return EvalResult(value, err, base.n_evals, err <= tol, base.truncation_height)
 
 
+# J and the bound on its exponent are mellin's, bound here by the first axis
+# evaluation (J last, so a thread that sees J sees both): a process that
+# never takes the axis form never loads mellin
+_RE_MIN = _sinh_sq_integral = None
+
+
 def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     """E(s) = -pi sin(pi s/2) (2 pi)^{s-2} J(1 - s) for Re s <= -0.05, the
     imaginary-axis form on the scale t = 2 pi y.
@@ -518,6 +523,10 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     value is about 5e23 with err_est 5.5e24, where the prefactor puts E
     below double precision, and both say converged=True.
     """
+    global _RE_MIN, _sinh_sq_integral
+    if _sinh_sq_integral is None:
+        from .mellin import _RE_MIN, _sinh_sq_integral
+
     check_tol(tol)  # before the floor below can hide a bad value
     s = finite_s(s)
     if not 1.0 - s.real >= _RE_MIN:

@@ -30,11 +30,11 @@ fact zero) at 1-s = -2, -4, ...
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .complex_core import cos_pi_z, cpow_principal, gamma, sin_pi_z
 from .contour import zeta
 from .errors import DomainError, PoleError, finite_s
+from .record import Record
 
 __all__ = [
     "FeqReport",
@@ -49,15 +49,15 @@ _CHECK_GUARD = 1e-3  # feq_check guard disks at s = 0 and s = 1
 PASS_REL = 1e-8      # bound on rel_residual: the CLI's feq and selftest criterion 4
 
 
-@dataclass(frozen=True)
-class FeqReport:
-    s: complex
-    lhs: complex
-    rhs: complex
-    abs_residual: float
-    rel_residual: float  # abs_residual / (1 + |lhs|)
-    form: str            # "sine" | "cosine"
-    direction: str = "direct"  # "reflected" when checked as zeta(1-s) = chi(1-s) zeta(s)
+class FeqReport(Record):
+    """rel_residual is abs_residual / (1 + |lhs|); form is "sine" or "cosine";
+    direction is "reflected" when checked as zeta(1-s) = chi(1-s) zeta(s)."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: complex, lhs: complex, rhs: complex, abs_residual: float,
+                rel_residual: float, form: str, direction: str = "direct") -> FeqReport:
+        return tuple.__new__(cls, (s, lhs, rhs, abs_residual, rel_residual, form, direction))
 
     @property
     def passes(self) -> bool:

@@ -79,8 +79,7 @@ was formed where it is used, so every value and err_est keeps its bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .complex_core import _gamma_with_err, gamma
 from .errors import DomainError, TruncationFailure, finite_s
@@ -94,6 +93,7 @@ from .quadrature import (
     check_tol,
     integrate_mellin,
 )
+from .record import Record
 
 __all__ = [
     "MellinReport",
@@ -112,15 +112,17 @@ _STRIP = 1.0         # half-width d of the strip |Im u| < d of the trapezoid bou
 _LOG_COS_STRIP = math.log(math.cos(_STRIP))
 
 
-@dataclass(frozen=True)
-class MellinReport:
-    s: complex
-    bose: complex
-    exp_sq: complex
-    sinh_form: complex
-    reference: complex       # Gamma(s) zeta(s), oracle path
-    max_abs_deviation: float
-    extended: bool = False   # True when Im s != 0 (continuation beyond real s > 1)
+class MellinReport(Record):
+    """reference is Gamma(s) zeta(s) on the oracle path; extended is True when
+    Im s != 0 (continuation beyond real s > 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: complex, bose: complex, exp_sq: complex, sinh_form: complex,
+                reference: complex, max_abs_deviation: float,
+                extended: bool = False) -> MellinReport:
+        return tuple.__new__(cls, (s, bose, exp_sq, sinh_form, reference,
+                                   max_abs_deviation, extended))
 
     @property
     def passes(self) -> bool:

@@ -22,9 +22,9 @@ quadrature or contour code; it exists to cross-check them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, PoleAtOne, check_box, finite_s
+from .record import Record
 
 __all__ = [
     "EulerMaclaurinParams",
@@ -66,16 +66,15 @@ _COEFFS = tuple((b / math.factorial(2 * k), abs(b) / math.factorial(2 * k))
                 for k, b in enumerate(_bernoulli_floats()))
 
 
-@dataclass(frozen=True)
-class EulerMaclaurinParams:
-    N: int = 25
-    M: int = 12
+class EulerMaclaurinParams(Record):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N < 2:
-            raise DomainError(f"N must be >= 2, got {self.N}")
-        if not 1 <= self.M <= 15:
-            raise DomainError(f"M must be in [1, 15], got {self.M}")
+    def __new__(cls, N: int = 25, M: int = 12) -> EulerMaclaurinParams:
+        if N < 2:
+            raise DomainError(f"N must be >= 2, got {N}")
+        if not 1 <= M <= 15:
+            raise DomainError(f"M must be in [1, 15], got {M}")
+        return tuple.__new__(cls, (N, M))
 
 
 def default_params(s: complex) -> EulerMaclaurinParams:

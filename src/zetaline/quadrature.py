@@ -53,11 +53,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from .errors import DomainError, NonFiniteIntegrand, TruncationFailure
+from .record import Record
 
 __all__ = [
     "EvalResult",
@@ -87,15 +87,14 @@ _MAX_HEIGHT = 500.0  # largest truncation height
 TOL_MIN = 1e-14      # smallest tol any integrator takes
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """truncation_height is None only on a bare integrate_interval result."""
 
-    value: complex
-    err_est: float
-    n_evals: int
-    converged: bool
-    truncation_height: float | None = None
+    __slots__ = ()
+
+    def __new__(cls, value: complex, err_est: float, n_evals: int, converged: bool,
+                truncation_height: float | None = None) -> EvalResult:
+        return tuple.__new__(cls, (value, err_est, n_evals, converged, truncation_height))
 
 
 def check_tol(tol: float) -> None:

@@ -3,10 +3,11 @@ the package exports exactly the library modules' names, and the README's
 quick start runs."""
 
 import ast
-import dataclasses
+import copy
 import importlib
 import math
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import zetaline
+from zetaline import acceptance, cli
 from zetaline.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,9 +71,109 @@ def test_one_result_type():
     ]
     for r in results:
         assert type(r) is zetaline.EvalResult
-    assert [f.name for f in dataclasses.fields(zetaline.EvalResult)] == [
-        "value", "err_est", "n_evals", "converged", "truncation_height"]
+    assert zetaline.EvalResult.__match_args__ == (
+        "value", "err_est", "n_evals", "converged", "truncation_height")
     assert not hasattr(zetaline, "QuadratureResult")
+
+
+def test_lazy_names_in_a_fresh_process():
+    """The names whose modules load on first use: dir() lists them before
+    any has loaded, each in __all__ resolves to its module's object, and
+    `from zetaline import *` binds them all."""
+    code = """if True:
+        import importlib, zetaline
+        listed = set(dir(zetaline))
+        star = {}
+        exec("from zetaline import *", star)
+        wrong = [n for n in zetaline.__all__ if n not in listed or n not in star
+                 or star[n] is not getattr(zetaline, n)]
+        home = {n: importlib.import_module(zetaline._LAZY[n]) for n in zetaline._LAZY}
+        wrong += [n for n, mod in home.items() if star[n] is not getattr(mod, n)]
+        print(wrong, hasattr(zetaline, "QuadratureResult"))
+    """
+    r = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[] False"
+
+
+def test_lazy_names_follow_a_tracer():
+    """perfbench's tracer patches module attributes by identity: a lazy name
+    read while it is installed is its wrapper, and the original once it is
+    uninstalled, whichever was read first."""
+    code = f"""if True:
+        import sys
+        sys.path.insert(0, {str(ROOT / "perfbench")!r})
+        import tracing, zetaline
+        import zetaline.mellin as m
+        original = m.mellin_check
+        tracer = tracing.Tracer()
+        tracer.install()
+        during = zetaline.mellin_check
+        tracer.uninstall()
+        print(during is not original, zetaline.mellin_check is original,
+              zetaline.feq_check is zetaline.functional_equation.feq_check)
+    """
+    r = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "True True True"
+
+
+# one of each record, one that differs in a field, and its literal repr; a
+# record equals only a record of its own type with equal fields, as a frozen
+# dataclass does (the checks in __new__ are pinned by test_oracle's
+# test_params_validation and test_cli's test_scan_grid_points_order)
+RECORDS = {
+    "EvalResult": (lambda: zetaline.EvalResult(1j, 0.5, 3, True, 2.0),
+                   lambda: zetaline.EvalResult(1j, 0.5, 3, True),
+                   "EvalResult(value=1j, err_est=0.5, n_evals=3, converged=True, "
+                   "truncation_height=2.0)"),
+    "MellinReport": (lambda: zetaline.MellinReport(2 + 0j, 1.5 + 0j, 1.25 + 0j, 1.25 + 0j, 1.5 + 0j, 0.25),
+                     lambda: zetaline.MellinReport(2 + 0j, 1.5 + 0j, 1.25 + 0j, 1.25 + 0j, 1.5 + 0j, 0.25, True),
+                     "MellinReport(s=(2+0j), bose=(1.5+0j), exp_sq=(1.25+0j), sinh_form=(1.25+0j), "
+                     "reference=(1.5+0j), max_abs_deviation=0.25, extended=False)"),
+    "FeqReport": (lambda: zetaline.FeqReport(2.0, 1.0, 1.0, 0.0, 0.0, "sine"),
+                  lambda: zetaline.FeqReport(2.0, 1.0, 1.0, 0.0, 0.0, "cosine"),
+                  "FeqReport(s=2.0, lhs=1.0, rhs=1.0, abs_residual=0.0, rel_residual=0.0, "
+                  "form='sine', direction='direct')"),
+    "EulerMaclaurinParams": (lambda: zetaline.EulerMaclaurinParams(N=30),
+                             lambda: zetaline.EulerMaclaurinParams(N=30, M=11),
+                             "EulerMaclaurinParams(N=30, M=12)"),
+    "ScanGrid": (lambda: cli.ScanGrid(0.0, 1.0, 0.0, 2.0, 2, 3),
+                 lambda: cli.ScanGrid(0.0, 1.0, 0.0, 2.0, 3, 3),
+                 "ScanGrid(re_min=0.0, re_max=1.0, im_min=0.0, im_max=2.0, steps_re=2, steps_im=3)"),
+    "CriterionResult": (lambda: acceptance.CriterionResult(1, "exact", True, "ok"),
+                        lambda: acceptance.CriterionResult(1, "exact", False, "ok"),
+                        "CriterionResult(number=1, name='exact', passed=True, detail='ok')"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_behave_as_frozen_dataclasses(name):
+    make, make_changed, text = RECORDS[name]
+    rec, changed = make(), make_changed()
+    assert repr(rec) == text
+    cls = type(rec)
+    fields = [getattr(rec, f) for f in cls.__match_args__]
+    twin = cls(*fields)
+    assert rec == twin and not rec != twin and hash(rec) == hash(twin) == hash(tuple(fields))
+    assert cls(**dict(zip(cls.__match_args__, fields))) == rec
+    assert copy.copy(rec) == copy.deepcopy(rec) == pickle.loads(pickle.dumps(rec)) == rec
+    assert rec != changed and not rec == changed
+
+    class Other(cls):
+        __slots__ = ()
+
+    for other in (Other(*fields), tuple(fields), None):
+        assert rec != other and other != rec and not rec == other and not other == rec
+    for attr in (cls.__match_args__[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, 1)
+    with pytest.raises(AttributeError):
+        delattr(rec, cls.__match_args__[0])
+    with pytest.raises(TypeError):
+        rec < twin  # noqa: B015
 
 
 def test_package_imports_only_stdlib():

@@ -33,14 +33,32 @@ def test_bernoulli_literals_are_the_rounded_rationals():
     assert _bernoulli_floats() == tuple(float(b[2 * k]) for k in range(17))
 
 
+# (code run by a fresh `python -S`, modules it must not have loaded): the
+# Bernoulli numbers are literals, so no process pays for fractions or
+# decimal, and one that evaluates zeta, from the library or the command
+# line, loads the line evaluator alone
+_COLD_RUNS = [
+    ("import zetaline", {"fractions", "decimal"}),
+    ("import zetaline; zetaline.zeta(2)",
+     {"dataclasses", "inspect", "typing", "zetaline.mellin", "zetaline.oracle",
+      "zetaline.functional_equation", "zetaline.acceptance"}),
+    # what `python -S -m zetaline eval --re 2` runs
+    ("import runpy; sys.argv = ['zetaline', 'eval', '--re', '2']\n"
+     "try: runpy.run_module('zetaline', run_name='__main__', alter_sys=True)\n"
+     "except SystemExit as e: assert e.code == 0",
+     {"dataclasses", "zetaline.acceptance", "zetaline.mellin"}),
+]
+
+
 def test_import_leaves_out_fractions_and_decimal():
-    """Importing the package loads neither fractions nor decimal: the
-    Bernoulli numbers are literals, so no interpreter pays for the two."""
-    code = "import sys, zetaline; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    r = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                       capture_output=True, text=True, timeout=60)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    """Each code of _COLD_RUNS leaves out its modules."""
+    for code, absent in _COLD_RUNS:
+        r = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys\n{code}\nprint(sorted({absent!r} & set(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "[]", (code, r.stdout)
 
 
 def _em_per_term(s: complex, params: EulerMaclaurinParams | None = None) -> tuple[complex, float]:
