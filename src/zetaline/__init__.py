@@ -39,7 +39,6 @@ from .contour import (
     entire_e_axis,
     entire_e_line,
     line_integrand,
-    pole_guard,
     residue_partial_sum,
     residue_partial_sums,
     zeta,
@@ -125,7 +124,6 @@ __all__ = [
     "entire_e_axis",
     "residue_partial_sum",
     "residue_partial_sums",
-    "pole_guard",
     "zeta_from_e",
     "zeta",
     # functional equation

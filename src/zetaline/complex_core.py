@@ -13,9 +13,9 @@ package leans on:
   replaces 1/sinh^2(t/2)).
 
 The Mellin heads need Gamma(z) together with a bound on its rounding;
-_gamma_with_err forms both from one Lanczos sum and one pair of logs.  Its
-value is gamma(z) bitwise: the sum, the logs and exp run in the operations
-and order of log_gamma's Lanczos branch and gamma's exp.
+_gamma_with_err forms both from one Lanczos sum and one pair of logs, the
+ones log_gamma runs on Re z >= 1/2 (_lanczos), so its value is gamma(z)
+bitwise.
 
 Only `math`/`cmath` are used; no state, no configuration.
 """
@@ -190,19 +190,21 @@ def log_gamma(z: complex) -> complex:
             raise PoleError(f"log_gamma pole at z={z}")
         s = sin_pi_z(z)
         return cmath.log(math.pi) - cmath.log(s) - log_gamma(1.0 - z)
-    ser = _LANCZOS_C[0]
-    for k in range(1, 15):
-        ser += _LANCZOS_C[k] / (z + (k - 1))
-    base = z + (_LANCZOS_G - 0.5)
-    return (z - 0.5) * cmath.log(base) - base + _HALF_LOG_TWO_PI + cmath.log(ser)
+    return _lanczos(z)[0]
 
 
 def _gamma_with_err(z: complex) -> tuple[complex, float]:
     """(gamma(z), a bound to first order in u = 2^-53 on its relative
     error) for Re z >= 1/2, where log_gamma takes the Lanczos sum; the value
-    is gamma(z) bitwise, from the same sum and logs the bound reads, so the
-    sum and its two logs run once.  OverflowError when Gamma(z) leaves
-    doubles.
+    is gamma(z) bitwise, exp of the one Lanczos sum's log_gamma(z) that the
+    bound reads (_lanczos).  OverflowError when Gamma(z) leaves doubles."""
+    log_value, err = _lanczos(z)
+    return cmath.exp(log_value), err
+
+
+def _lanczos(z: complex) -> tuple[complex, float]:
+    """(log_gamma(z), a bound to first order in u = 2^-53 on the relative
+    error of gamma(z) = exp of it) for Re z >= 1/2, from one Lanczos sum.
 
     gamma(z) = exp(L), L = (z - 1/2) ln b - b + ln sqrt(2 pi) + ln ser with
     b = z + g - 1/2 and ser the Lanczos sum, so the relative error is L's
@@ -224,7 +226,7 @@ def _gamma_with_err(z: complex) -> tuple[complex, float]:
     """
     zm = z - 0.5
     b = z + (_LANCZOS_G - 0.5)
-    ser = _LANCZOS_C[0]  # a float, as in log_gamma
+    ser = _LANCZOS_C[0]
     err_ser = 0.0
     for k in range(1, 15):
         term = _LANCZOS_C[k] / (z + (k - 1))
@@ -233,10 +235,10 @@ def _gamma_with_err(z: complex) -> tuple[complex, float]:
     ls, lb = cmath.log(ser), cmath.log(b)
     q = zm * lb - b
     r = q + _HALF_LOG_TWO_PI
-    log_value = r + ls  # log_gamma(z)
+    log_value = r + ls
     err_l = (abs(zm) * (4.0 + (2.0 + math.sqrt(5.0)) * abs(lb)) + abs(b) + abs(q) + abs(r)
              + abs(log_value) + err_ser / abs(ser) + 2.0 + abs(ls))
-    return cmath.exp(log_value), _U * (err_l + 3.0) + 1e-15
+    return log_value, _U * (err_l + 3.0) + 1e-15
 
 
 def gamma(z: complex) -> complex:

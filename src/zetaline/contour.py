@@ -74,7 +74,8 @@ _entire_e_line).
 
 What a point pays for besides its nodes is set-up, kept to one pass each:
 the residues, their rounding and the correction's N^{-s} and (N+1)^{-s}
-come from one loop over k^{-s} (_line_residues), M_- and M_+ from one call
+come from one loop over k^{-s} (_neg_powers, which residue_partial_sums
+runs too), M_- and M_+ from one call
 (_strip_m), and the factors of the bound and the correction that depend
 on h alone, e^{2 pi a/h} - 1 and phi(h), from a table built at import
 (_LEVEL_FACTORS), so a level's bound is one division.  None of it changes
@@ -85,7 +86,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from array import array
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import islice
@@ -108,7 +108,6 @@ __all__ = [
     "entire_e_axis",
     "residue_partial_sum",
     "residue_partial_sums",
-    "pole_guard",
     "zeta_from_e",
     "zeta",
 ]
@@ -390,36 +389,40 @@ def _pole_correction(s: complex, n: int, near: complex, far: complex
     return correction
 
 
+def _neg_powers(s: complex, n: int) -> tuple[list[float], list[float]]:
+    """The real and the imaginary parts of k^{-s}, k = 1 .. n, the terms of
+    every residue sum, each formed as cpow_principal(float(k), -s) forms
+    it, bitwise: math.pow for real s, else exp(-s ln k) split into its
+    modulus and angle, the terms of arg k = 0 kept for their signed zeros."""
+    wr, wi = -s.real, -s.imag
+    if wi == 0.0:  # 1.0 at w = 0, and exact on positive reals
+        return [math.pow(k, wr) for k in range(1, n + 1)], [0.0] * n
+    a0, b0 = wi * 0.0, wr * 0.0  # w.imag arg k and w.real arg k
+    log, exp, cos, sin = math.log, math.exp, math.cos, math.sin
+    re, im = [], []
+    for k in range(1, n + 1):
+        lk = log(k)
+        m, b = exp(wr * lk - a0), b0 + wi * lk
+        re.append(m * cos(b))
+        im.append(m * sin(b))
+    return re, im
+
+
 def _line_residues(s: complex, n: int) -> tuple[complex, float, complex, complex]:
     """(s-1) sum_{k<=n} k^{-s}, the terms added with math.fsum, a bound on
-    its rounding, and n^{-s} and (n+1)^{-s} for _pole_correction, in one
-    pass over k = 1 .. n + 1.
+    its rounding, and n^{-s} and (n+1)^{-s} for _pole_correction, from one
+    pass over k = 1 .. n + 1 (_neg_powers).
 
-    k^{-s} is formed as cpow_principal(float(k), -s) forms it, bitwise:
-    math.pow for real s, else exp(-s ln k) split into its modulus and
-    angle, the angle's terms w.imag * 0.0 kept for their signed zeros.
     Each k^{-s} carries the error of its exponent, up to
     eps (|Re s| + |Im s|) ln k, on top of a few ulps, so the bound is
     eps |s-1| sum |k^{-s}| (4 + (|Re s| + |Im s|) ln k).
     """
-    wr, wi = -s.real, -s.imag
+    re, im = _neg_powers(s, n + 1)
     size = abs(s.real) + abs(s.imag)
-    log, exp, cos, sin = math.log, math.exp, math.cos, math.sin
-    re, im, spread = [], [], []
-    for k in range(1, n + 2):
-        lk = log(k)
-        if wi == 0.0:  # 1.0 at w = 0, and exact on positive reals
-            x, y = math.pow(k, wr), 0.0
-        else:
-            m = exp(wr * lk - wi * 0.0)
-            b = wr * 0.0 + wi * lk
-            x, y = m * cos(b), m * sin(b)
-        re.append(x)
-        im.append(y)
-        # complex abs, not math.hypot, which can differ in the last bit
-        spread.append(abs(complex(x, y)) * (4.0 + size * lk))
+    # complex abs, not math.hypot, which can differ in the last bit
+    spread = [abs(complex(x, y)) * (4.0 + size * math.log(k))
+              for k, x, y in zip(range(1, n + 1), re, im)]
     far = complex(re.pop(), im.pop())
-    spread.pop()
     return ((s - 1.0) * complex(math.fsum(re), math.fsum(im)),
             _EPS * abs(s - 1.0) * math.fsum(spread), complex(re[-1], im[-1]), far)
 
@@ -499,12 +502,6 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     return EvalResult(value, err, base.n_evals, err <= tol, base.truncation_height)
 
 
-# J and the bound on its exponent are mellin's, bound here by the first axis
-# evaluation (J last, so a thread that sees J sees both): a process that
-# never takes the axis form never loads mellin
-_RE_MIN = _sinh_sq_integral = None
-
-
 def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     """E(s) = -pi sin(pi s/2) (2 pi)^{s-2} J(1 - s) for Re s <= -0.05, the
     imaginary-axis form on the scale t = 2 pi y.
@@ -523,9 +520,9 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     value is about 5e23 with err_est 5.5e24, where the prefactor puts E
     below double precision, and both say converged=True.
     """
-    global _RE_MIN, _sinh_sq_integral
-    if _sinh_sq_integral is None:
-        from .mellin import _RE_MIN, _sinh_sq_integral
+    # J and the bound on its exponent are mellin's, imported here so that a
+    # process that never takes the axis form never loads mellin
+    from .mellin import _RE_MIN, _sinh_sq_integral
 
     check_tol(tol)  # before the floor below can hide a bad value
     s = finite_s(s)
@@ -544,16 +541,6 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     return EvalResult(pref * cpow_principal(_TWO_PI, s - 2.0) * j.value,
                       amp * scale * j.err_est, j.n_evals, j.converged,
                       j.truncation_height / _TWO_PI)
-
-
-def _residue_terms(s: complex, n_terms: int) -> tuple[array, array]:
-    """The real and the imaginary parts of n^{-s}, n = 1 .. n_terms."""
-    re, im = array("d"), array("d")
-    for n in range(1, n_terms + 1):
-        z = cpow_principal(float(n), -s)
-        re.append(z.real)
-        im.append(z.imag)
-    return re, im
 
 
 def residue_partial_sum(s: complex, n_terms: int) -> tuple[complex, float]:
@@ -576,25 +563,9 @@ def residue_partial_sums(s: complex, sizes: list[int]) -> list[tuple[complex, fl
         raise DomainError(f"residue sum converges only for Re s > 1, got Re s = {s.real}")
     if not (sizes and sizes[0] >= 1 and all(a < b for a, b in zip(sizes, sizes[1:]))):
         raise DomainError(f"sizes must be increasing integers >= 1, got {sizes}")
-    re, im = _residue_terms(s, sizes[-1])
+    re, im = _neg_powers(s, sizes[-1])
     return [((s - 1.0) * complex(math.fsum(islice(re, n)), math.fsum(islice(im, n))),
              abs(s - 1.0) * float(n) ** (1.0 - s.real) / (s.real - 1.0)) for n in sizes]
-
-
-def _off_pole(s: complex) -> complex:
-    """s - 1 for a finite s; PoleAtOne inside the guard disk |s - 1| < 1e-6."""
-    sm1 = s - 1.0
-    if abs(sm1) < _POLE_RADIUS:
-        raise PoleAtOne(
-            f"zeta has a simple pole at s = 1 and |s-1| = {abs(sm1):.3e} is "
-            f"inside the {_POLE_RADIUS} guard disk; evaluate entire_e_line instead"
-        )
-    return sm1
-
-
-def pole_guard(s: complex) -> None:
-    """Raise PoleAtOne inside the guard disk |s - 1| < 1e-6 around the pole of zeta."""
-    _off_pole(finite_s(s))
 
 
 def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
@@ -606,8 +577,14 @@ def zeta_from_e(s: complex, e: EvalResult) -> EvalResult:
 
 def _zeta_value(s: complex, e: complex) -> complex:
     """zeta(s) = e/(s-1) from the value e of E at a finite s; PoleAtOne
-    inside the guard disk.  The one place E turns into zeta."""
-    return e / _off_pole(s)
+    inside the guard disk |s - 1| < 1e-6.  The one place E turns into zeta."""
+    sm1 = s - 1.0
+    if abs(sm1) < _POLE_RADIUS:
+        raise PoleAtOne(
+            f"zeta has a simple pole at s = 1 and |s-1| = {abs(sm1):.3e} is "
+            f"inside the {_POLE_RADIUS} guard disk; evaluate entire_e_line instead"
+        )
+    return e / sm1
 
 
 def zeta(s: complex, tol: float = 1e-12) -> EvalResult:

@@ -33,14 +33,16 @@ A caller that knows the poles nearest the real axis can pass their exact
 contribution C(h) to the error T(h) - I, and each level becomes
 T(h) - C(h) (the line contour subtracts the kernel's two nearest double
 poles, whose residues it already sums).  Every caller passes a bound
-B(h) >= |I - T(h) + C(h)|: the theorem's 2M / (e^{2 pi d/h} - 1) for a
+on the trapezoid error, the theorem's 2M / (e^{2 pi d/h} - 1) for a
 strip |Im u| < d free of the remaining poles, M bounding the integral of
-|g(u + ib)| over u for every |b| < d, plus the tails the front end cut.
-B is the one stopping rule.  A level whose T(h) lies within B(h) + B(2h)
-plus the sum's rounding of T(2h), as the theorem implies, is certified
-when B(h) plus that rounding meets tol, and is the round-off floor when
-B(h) is below the rounding; otherwise the budget runs out.  converged is
-err_est <= tol at every exit (see integrate_interval).
+|g(u + ib)| over u for every |b| < d, and a front end passes the tails it
+cut as a number, which integrate_interval adds to that bound and to tol:
+their sum B(h) >= |I - T(h) + C(h)| is the one stopping rule.  A level
+whose T(h) lies within B(h) + B(2h) plus the sum's rounding of T(2h), as
+the theorem implies, is certified when B(h) plus that rounding meets tol,
+and is the round-off floor when B(h) is below the rounding; otherwise the
+budget runs out.  converged is err_est <= tol at every exit (see
+integrate_interval).
 Every integrator returns an EvalResult, the package's one result type.
 
 Everything is sequential-deterministic: nodes are summed level by level in
@@ -114,7 +116,7 @@ def _step_schedule(step: float) -> tuple[float, ...]:
 
 def integrate_interval(
     level: Level, a: float, b: float, tol: float = 1e-12, *, bound: Bound,
-    step: float = _FIRST_STEP, correction: Correction | None = None,
+    step: float = _FIRST_STEP, correction: Correction | None = None, tails: float = 0.0,
 ) -> EvalResult:
     """Nested trapezoid rule T(h) = h (g(a)/2 + sum_{k >= 1, k h <= b - a} g(a + k h))
     for an integral over [a, inf) whose integrand g is negligible beyond b,
@@ -125,20 +127,25 @@ def integrate_interval(
     no larger than 1/2, and halves 6 times or down to 2^-8 if that is
     further; a halving adds only the odd nodes of the finer grid.  With
     `correction`, each level T(h) below is T(h) - correction(h).
-    bound(h) >= |I - T(h)| must hold for every h, the nodes left out past b
-    included.  From the first halving on, a level with |T(h) - T(2h)| <=
-    bound(h) + bound(2h) + noise, noise being the sum's rounding, stops the
-    rule when bound(h) + noise <= tol (certified, err_est bound(h) + noise)
-    or when bound(h) <= noise (round-off floor); the floor and a spent
-    budget return err_est max(|T(h) - T(2h)|, bound(h)) + noise.
-    `converged` is err_est <= tol.
+    B(h) = bound(h) + tails, tails >= 0 the part of the error that the
+    caller's cuts leave out, must bound |I - T(h)| for every h, the nodes
+    left out past b included, and the rule runs at tol + tails.  From the
+    first halving on, a level with |T(h) - T(2h)| <= B(h) + B(2h) + noise,
+    noise being the sum's rounding, stops the rule when
+    B(h) + noise <= tol + tails (certified, err_est B(h) + noise) or when
+    B(h) <= noise (round-off floor); the floor and a spent budget return
+    err_est max(|T(h) - T(2h)|, B(h)) + noise.  `converged` is
+    err_est <= tol + tails.
     """
     check_tol(tol)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b, got a={a}, b={b}")
     if not (0.0 < step <= _MAX_STEP and math.frexp(step)[0] == 0.5):
         raise DomainError(f"step must be a power of two <= {_MAX_STEP}, got {step}")
-    bound_h = bound(step)
+    if not 0.0 <= tails < math.inf:
+        raise DomainError(f"tails must be finite and >= 0, got {tails}")
+    tol += tails
+    bound_h = bound(step) + tails
     # level 0 takes the node at a and every node k >= 1, each halving only the new odd k
     values = level(step, range(int((b - a) / step) + 1))
     acc = complex(0.5 * values[0])
@@ -158,7 +165,7 @@ def integrate_interval(
         noise = 4.0 * _EPS * h * l1  # rounding of the sum
         if halving:
             diff = abs(refined - value)
-            bound_prev, bound_h = bound_h, bound(h)
+            bound_prev, bound_h = bound_h, bound(h) + tails
             # T(h) and T(2h) lie within their bounds of I, unless the bound is wrong
             if diff <= bound_h + bound_prev + noise:
                 if bound_h + noise <= tol:
@@ -257,16 +264,15 @@ def integrate_line_decaying(
     nodes left out lie at |y| = Y + h, Y + 2h, ...; log_tail(Y) must then
     also bound h times the sum of |f| there, as it does when it bounds the
     integral of an envelope of |f| that decreases beyond Y.  Both tails, a
-    tenth of tol, are added to the bound integrate_interval judges each
-    level by, and to its tol: err_est covers them, and `converged` is
-    err_est <= 1.1 tol.
+    tenth of tol, are integrate_interval's tails, added to the bound it
+    judges each level by and to its tol: err_est covers them, and
+    `converged` is err_est <= 1.1 tol.
     """
     check_tol(tol)
     step = _MAX_STEP if correction else _FIRST_STEP
     height = _truncation_height(log_tail, 0.05 * tol, grid=0.5 * step)
-    tails = 0.1 * tol
-    base = integrate_interval(level, 0.0, height, tol + tails, step=step,
-                              bound=lambda h: bound(h) + tails, correction=correction)
+    base = integrate_interval(level, 0.0, height, tol, step=step, bound=bound,
+                              correction=correction, tails=0.1 * tol)
     return EvalResult(base.value, base.err_est, 2 * base.n_evals, base.converged, height)
 
 
@@ -325,7 +331,9 @@ def integrate_mellin(
 ) -> EvalResult:
     """Integral of t^alpha kernel(t) over (0, inf), for a real kernel with
     |kernel(t)| <= origin_coeff on (0, 1] and |t^alpha kernel(t)| <=
-    bound_const t^growth e^{-t} on [1, inf) (alpha complex, Re alpha > -1).
+    bound_const t^growth e^{-t} on [1, inf) (alpha complex, Re alpha > -1);
+    DomainError unless alpha, growth and the two constants are finite and
+    the constants positive.
 
     Substitutes t = e^u and integrates g(u) = e^{(alpha+1)u} kernel(e^u)
     with integrate_interval, a level at a time.  The level reads
@@ -350,16 +358,20 @@ def integrate_mellin(
 
     bound(h) bounds |I - h sum_k g(u_left + k h)| over all integers k, the
     trapezoid error on the whole line.  Both tails, a fifth of tol, are
-    added to it and to tol for integrate_interval, so err_est covers them
-    and `converged` is err_est <= 1.2 tol.  g oscillates like
+    integrate_interval's tails, added to it and to tol, so err_est covers
+    them and `converged` is err_est <= 1.2 tol.  g oscillates like
     e^{i Im(alpha) u}, which shrinks the strip where the trapezoid rule
     converges fast, so the first step is the largest h = 2^-k <= 1/4 with
     h (|Im alpha| + 4) <= pi.
     """
     check_tol(tol)
     alpha = complex(alpha)
-    if not alpha.real > -1.0:
-        raise DomainError(f"integrate_mellin needs Re alpha > -1, got {alpha}")
+    if not (alpha.real > -1.0 and cmath.isfinite(alpha)):
+        raise DomainError(f"integrate_mellin needs a finite alpha with Re alpha > -1, got {alpha}")
+    if not (0.0 < origin_coeff < math.inf and 0.0 < bound_const < math.inf
+            and math.isfinite(growth)):
+        raise DomainError(f"integrate_mellin needs finite origin_coeff, bound_const > 0 and "
+                          f"growth, got {origin_coeff}, {bound_const}, {growth}")
     step = _FIRST_STEP
     while step * (abs(alpha.imag) + 4.0) > math.pi:
         step *= 0.5
@@ -400,7 +412,6 @@ def integrate_mellin(
                 f"t^(alpha+1) overflows double range on (0, {math.exp(u_right):.6g}] "
                 f"for alpha = {alpha}") from None
 
-    tails = 0.2 * tol
-    base = integrate_interval(level, u_left, u_right, tol + tails, step=step,
-                              bound=lambda h: bound(h) + tails)
+    base = integrate_interval(level, u_left, u_right, tol, step=step, bound=bound,
+                              tails=0.2 * tol)
     return EvalResult(base.value, base.err_est, base.n_evals, base.converged, math.exp(u_right))

@@ -77,17 +77,17 @@ def test_zeta_error_estimate_covers_truth():
 def test_pole_guard():
     with pytest.raises(PoleAtOne):
         zeta(1.0)
-    with pytest.raises(PoleAtOne):
-        zeta(1.0 + 1e-8j)
     # just outside the guard disk the evaluation stands
     r = zeta(1.0 + 1e-5j)
     assert math.isfinite(r.value.real)
-    # pole_guard and the scan's zeta value share the one disk test
+    # zeta, zeta_from_e and the scan's zeta value share the one disk test
     with pytest.raises(PoleAtOne, match="guard disk") as guard:
-        contour.pole_guard(1.0 + 1e-8j)
-    with pytest.raises(PoleAtOne) as value:
-        contour._zeta_value(1.0 + 1e-8j, 1.0)
-    assert str(value.value) == str(guard.value)
+        zeta(1.0 + 1e-8j)
+    for convert in (lambda s: contour._zeta_value(s, 1.0),
+                    lambda s: zeta_from_e(s, quadrature.EvalResult(1.0, 0.0, 1, True, 1.0))):
+        with pytest.raises(PoleAtOne) as value:
+            convert(1.0 + 1e-8j)
+        assert str(value.value) == str(guard.value)
     assert contour._zeta_value(1.0 + 1e-5j, 1.0) == 1.0 / 1e-5j
 
 
@@ -236,18 +236,26 @@ def test_residue_sum_guards():
 
 
 def test_residue_table_matches_each_size():
-    """Each prefix of one table of terms equals that size's own sum, bitwise."""
-    s = 4.75 + 1.5j
+    """Each prefix of one table of terms equals that size's own sum of
+    per-term cpow_principal(float(k), -s), bit for bit and zero sign for
+    zero sign: at real s, Im s = +-0.0 and conjugate pairs, among them
+    1.6 +- 57.5i (the points of test_line_residues_match_cpow_bitwise with
+    Re s > 1, where the sum converges), and a pair just right of Re s = 1."""
     sizes = [1, 2, 7, 64, 4000]
+    points = [2.0, 3.5, 2.0 + 0j, complex(2.0, -0.0), complex(7.25, 1e-300)]
+    for a, b in ((4.75, 1.5), (6.75, 59.5), (1.6, 57.5), (1.0 + 2.0 ** -52, 14.134725)):
+        points += [complex(a, b), complex(a, b).conjugate()]
+    for s in points:
+        sc = complex(s)
 
-    def own_sum(n):
-        terms = [contour.cpow_principal(float(k), -s) for k in range(1, n + 1)]
-        return (s - 1.0) * complex(math.fsum(z.real for z in terms),
-                                   math.fsum(z.imag for z in terms))
+        def own_sum(n):
+            terms = [cpow_principal(float(k), -sc) for k in range(1, n + 1)]
+            return (sc - 1.0) * complex(math.fsum(z.real for z in terms),
+                                        math.fsum(z.imag for z in terms))
 
-    table = residue_partial_sums(s, sizes)
-    assert [value for value, _ in table] == [own_sum(n) for n in sizes]
-    assert table[-1] == residue_partial_sum(s, sizes[-1])
+        table = residue_partial_sums(s, sizes)
+        assert [repr(value) for value, _ in table] == [repr(own_sum(n)) for n in sizes], s
+        assert table[-1] == residue_partial_sum(s, sizes[-1])
 
 
 def test_axis_agrees_with_line():

@@ -11,7 +11,7 @@ import pytest
 from zetaline import mellin
 from zetaline.complex_core import _gamma_with_err, gamma
 from zetaline.contour import entire_e_axis
-from zetaline.errors import DomainError, TruncationFailure
+from zetaline.errors import ContractViolation, DomainError, TruncationFailure
 from zetaline.mellin import bose_integral, exp_sq_integral, mellin_check, sinh_integral
 from zetaline.oracle import zeta_euler_maclaurin
 from zetaline.quadrature import KernelTable, integrate_mellin
@@ -80,6 +80,16 @@ def test_domain_guard():
             fn(1.05)
         with pytest.raises(DomainError):
             fn(0.5 + 10.0j)
+
+
+def test_check_outside_the_box_runs_no_integral(monkeypatch):
+    """mellin_check forms its oracle reference first, so a point past
+    |Im s| <= 60 raises ContractViolation before either integral runs."""
+    calls = []
+    monkeypatch.setattr(mellin, "integrate_mellin", lambda *a, **k: calls.append(a))
+    with pytest.raises(ContractViolation):
+        mellin_check(2.0 + 61.0j)
+    assert calls == []
 
 
 def test_termwise_mellin_factors():

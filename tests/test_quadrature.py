@@ -235,6 +235,44 @@ def test_err_est_includes_cut_tails():
     assert r.err_est >= 0.2 * tol
 
 
+def _sech(x):
+    q = math.exp(-x)
+    return 2.0 * q / (1.0 + q * q)
+
+
+def _corrected_sech_bound(h):
+    """B(h) of the sech rule with the poles at +-i pi/2 taken out (see
+    test_line_correction_takes_out_the_nearest_poles)."""
+    return 4.0 * math.pi * math.exp(-2.0 * math.pi ** 2 / h) / (1.0 - math.exp(-math.pi ** 2 / h))
+
+
+@pytest.mark.parametrize("level, b, bound, kwargs", [
+    (_level(lambda y: complex(2.0 * _sech(y))), 40.0,
+     _strip(math.pi / math.cos(1.5), 1.5), {}),
+    (_level(lambda y: complex(2.0 * _sech(y))), 40.0, _corrected_sech_bound,
+     {"step": 0.5, "correction": lambda h: 2.0 * math.pi * _sech(math.pi ** 2 / h)}),
+    (_level(lambda y: complex(2e6 * _sech(y))), 40.0,
+     _strip(1e6 * math.pi / math.cos(0.25), 0.25), {}),
+    (lambda h, ks: [1.0] * len(ks), 1.0, lambda h: 0.5 * h, {}),
+], ids=["plain", "corrected", "round-off-floor", "budget"])
+def test_tails_fold_into_bound_and_tol(level, b, bound, kwargs):
+    """integrate_interval with tails=t returns, bit for bit, what it returns
+    for the bound bound(h) + t at tol + t, with t = 0 and tails far below,
+    near and above the bound: on 2 sech(y) over [0, 40], without and with
+    the correction of its nearest poles, on 1e6 times it, where tol lies
+    below the sum's rounding, and on a constant cut at 1, which no level
+    meets.  A negative or non-finite tails is a DomainError."""
+    for tol in (1e-14, 1e-12, 1e-8):
+        for t in (0.0, 1e-30, 1e-16, 1e-13, 0.1 * tol, 3e-9, 1e-3):
+            folded = integrate_interval(level, 0.0, b, tol, bound=bound, tails=t, **kwargs)
+            wrapped = integrate_interval(level, 0.0, b, tol + t,
+                                         bound=lambda h: bound(h) + t, **kwargs)
+            assert repr(folded) == repr(wrapped), (tol, t)
+    for t in (-1e-12, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            integrate_interval(level, 0.0, b, bound=bound, tails=t, **kwargs)
+
+
 def test_line_certified_by_strip_bound():
     """sech(8y) is analytic for |Im y| < pi/16, and |sech(8(x + ib))| <=
     sech(8x) / cos(8b), so M = pi / (8 cos(8d)) and B(h) = 2M / (e^{2 pi d/h}
@@ -263,17 +301,12 @@ def test_line_correction_takes_out_the_nearest_poles():
     each level the rule certifies h = 1/4, the first halving from 1/2,
     within err_est of pi, where the rule without C, bounded on the strip
     |Im y| < 3/2 short of the poles, needs more levels."""
-    def sech(x):
-        q = math.exp(-x)
-        return 2.0 * q / (1.0 + q * q)
-
-    level = _level(lambda y: complex(2.0 * sech(y)))
+    level = _level(lambda y: complex(2.0 * _sech(y)))
     log_tail = lambda y: math.log(2.0) - y  # noqa: E731
     plain = integrate_line_decaying(level, log_tail, bound=_strip(math.pi / math.cos(1.5), 1.5))
     r = integrate_line_decaying(
-        level, log_tail, correction=lambda h: 2.0 * math.pi * sech(math.pi ** 2 / h),
-        bound=lambda h: 4.0 * math.pi * math.exp(-2.0 * math.pi ** 2 / h)
-        / (1.0 - math.exp(-math.pi ** 2 / h)))
+        level, log_tail, correction=lambda h: 2.0 * math.pi * _sech(math.pi ** 2 / h),
+        bound=_corrected_sech_bound)
     h = 0.25
     assert r.converged and r.n_evals == 2 * (int(r.truncation_height / h) + 1)
     assert r.n_evals < plain.n_evals
@@ -282,19 +315,21 @@ def test_line_correction_takes_out_the_nearest_poles():
 
 def _spy_levels(monkeypatch) -> list:
     """Record each integrate_interval call as (its levels' (h, values) in
-    order, its tol, its bound, its correction, its result)."""
+    order, the tol and the bound it judges them by, tails included, its
+    correction, its result)."""
     calls = []
     real = quadrature.integrate_interval
 
-    def spy(level, *args, bound, **kwargs):
+    def spy(level, *args, bound, tails=0.0, **kwargs):
         levels = []
 
         def recorded(h: float, ks: range) -> list[complex]:
             levels.append((h, level(h, ks)))
             return levels[-1][1]
 
-        r = real(recorded, *args, bound=bound, **kwargs)
-        calls.append((levels, args[2], bound, kwargs.get("correction"), r))
+        r = real(recorded, *args, bound=bound, tails=tails, **kwargs)
+        calls.append((levels, args[2] + tails, lambda h: bound(h) + tails,
+                      kwargs.get("correction"), r))
         return r
 
     monkeypatch.setattr(quadrature, "integrate_interval", spy)
@@ -454,8 +489,20 @@ def test_mellin_decay_cut_covers_the_exact_tail():
 
 
 def test_mellin_rejects_nonintegrable_origin():
+    """Re alpha <= -1, a non-finite alpha, and constants that are not
+    finite and positive are DomainErrors, not a ZeroDivisionError, a plain
+    ValueError or a cut placed from a NaN."""
     with pytest.raises(DomainError):
         integrate_mellin(lambda t: complex(1.0 / t), alpha=-1.0, bound=_no_bound)
+    kernel = lambda t: math.exp(-t)  # noqa: E731
+    for alpha in (complex(0.5, math.inf), complex(0.5, math.nan), complex(math.nan, 0.0)):
+        with pytest.raises(DomainError):
+            integrate_mellin(kernel, alpha, bound=_mellin_bound(0.5))
+    bad = [{name: v} for name in ("origin_coeff", "bound_const")
+           for v in (0.0, -1.0, math.nan, math.inf)]
+    for kwargs in bad + [{"growth": math.nan}, {"growth": math.inf}]:
+        with pytest.raises(DomainError):
+            integrate_mellin(kernel, 0.5, bound=_mellin_bound(0.5), **kwargs)
 
 
 def test_plan_validation():
