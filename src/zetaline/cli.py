@@ -26,6 +26,11 @@ scan refuses a bad grid, --jobs, --tol or --out before it evaluates a
 point.  Diagnostics go to stderr; stdout carries results only.  There are
 no environment variables: every knob is a flag.
 
+lemma's bounds are absolute.  |Gamma(s) zeta(s)| falls below 1e-8 above
+|Im s| = 13.0 at Re s = 1.06 and above 23.4 at Re s = 6, and from there on
+lemma passes whatever the integrals return: at 3+60i they are 3.5e-14 off
+a reference of 7e-37, and lemma exits 0.
+
 eval, residues and scan run on the line evaluator alone; feq, lemma and
 selftest import the functional equation, the Mellin chain and the
 acceptance suite when they run, so no other command pays to load them.

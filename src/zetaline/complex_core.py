@@ -13,9 +13,9 @@ package leans on:
   replaces 1/sinh^2(t/2)).
 
 The Mellin heads need Gamma(z) together with a bound on its rounding;
-_gamma_with_err forms both from one Lanczos sum and one pair of logs, the
-ones log_gamma runs on Re z >= 1/2 (_lanczos), so its value is gamma(z)
-bitwise.
+_lanczos forms log_gamma(z) and that bound from one Lanczos sum and one
+pair of logs, the ones log_gamma runs on Re z >= 1/2, so exp of its log is
+gamma(z) bitwise.
 
 Only `math`/`cmath` are used; no state, no configuration.
 """
@@ -191,15 +191,6 @@ def log_gamma(z: complex) -> complex:
         s = sin_pi_z(z)
         return cmath.log(math.pi) - cmath.log(s) - log_gamma(1.0 - z)
     return _lanczos(z)[0]
-
-
-def _gamma_with_err(z: complex) -> tuple[complex, float]:
-    """(gamma(z), a bound to first order in u = 2^-53 on its relative
-    error) for Re z >= 1/2, where log_gamma takes the Lanczos sum; the value
-    is gamma(z) bitwise, exp of the one Lanczos sum's log_gamma(z) that the
-    bound reads (_lanczos).  OverflowError when Gamma(z) leaves doubles."""
-    log_value, err = _lanczos(z)
-    return cmath.exp(log_value), err
 
 
 def _lanczos(z: complex) -> tuple[complex, float]:

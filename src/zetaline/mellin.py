@@ -26,9 +26,9 @@ As Riemann continued Gamma(s) zeta(s) (Titchmarsh, The Theory of the
 Riemann Zeta-Function, ch. II), the code subtracts the kernel's expansion
 at the origin and integrates that part in closed form: the heads
 e^{-t}(1 + t/2 + t^2/12) and 4 e^{-t}(1 + t + 5t^2/12 + t^3/12) integrate
-term by term to Gamma functions (_bose_head, _sinh_head), and the
-remainders r(t), O(t^4) at the origin, go to quadrature.integrate_mellin
-as t^{s+2} r(t)/t^4, a level at a time in u = ln t.  The origin exponent
+term by term to Gamma functions (_head), and the remainders r(t),
+O(t^4) at the origin, go to quadrature.integrate_mellin as
+t^{s+2} r(t)/t^4, a level at a time in u = ln t.  The origin exponent
 Re s + 2 > 3 cuts the left tail a few units below u = 0, where without the
 heads the exponent Re s - 2 put it near ln(tol/10) / (Re s - 1), hundreds
 of units out for Re s near 1; the guard Re s > 1.05 (_RE_MIN) now only
@@ -68,7 +68,7 @@ B(h) = 2M(d) / (e^{2 pi d/h} - 1) is taken at the one strip d = 1
 cancellation to the quadrature's (_remainder).
 
 Each quantity of a check is formed once.  A head's Gamma and the bound on
-its rounding come from one Lanczos sum (complex_core._gamma_with_err); one
+its rounding come from one Lanczos sum (complex_core._lanczos); one
 pass over the strip terms gives M(0), which sizes the cancellation, and
 M(d); the s-free part of B(h), 2 pi d/h and log(1 - e^{-2 pi d/h}), is
 tabled at import for the steps integrate_mellin takes (_STRIP_FACTORS).
@@ -78,10 +78,11 @@ was formed where it is used, so every value and err_est keeps its bits.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
 
-from .complex_core import _gamma_with_err, gamma
+from .complex_core import _lanczos, gamma
 from .errors import DomainError, TruncationFailure, finite_s
 from .oracle import zeta_euler_maclaurin
 from .quadrature import (
@@ -209,7 +210,7 @@ _BOSE_TABLE = KernelTable(_bose_rem)
 _SINH_TABLE = KernelTable(_sinh_rem)
 
 
-def _log_ms(sigma: float, tau: float, log_kernel_m: float, kernel_power: float,
+def _log_ms(sigma: float, tau: float, shift: float, log_c: float,
             head: tuple[float, ...]) -> tuple[float, float]:
     """(log M(0), log M(d)), d = _STRIP, for a remainder g(w) = e^{(sigma-1+i tau) w}
     (kernel(e^w) - e^{-e^w} sum_j a_j e^{jw}), from one pass over its terms:
@@ -217,13 +218,16 @@ def _log_ms(sigma: float, tau: float, log_kernel_m: float, kernel_power: float,
         M(d) = e^{|tau| d} sum_i e^{log_m_i} / cos(d)^{power_i},
 
     summed in log space so that no term overflows, over the kernel's own
-    term (log_kernel_m, kernel_power) and, for each head term,
-    (log |a_j| + log Gamma(sigma-1+j), sigma-1+j), since along Im w = b,
-    |b| < pi/2, the integral over u of |e^{(s-1)w} e^{-e^w} e^{jw}| is
-    e^{-tau b} Gamma(sigma-1+j) / cos(b)^{sigma-1+j} exactly.  At d = 0
-    every cos(d)^{power_i} is 1, so each term enters M(0) as log_m_i."""
+    term, whose M(d) is e^{log_c} e^{|tau| d} cos(d)^{-(sigma+shift)}
+    Gamma(sigma+shift) zeta(sigma) with zeta(sigma) <= sigma/(sigma-1) (see
+    the module), and, for each head term, (log |a_j| + log Gamma(sigma-1+j),
+    sigma-1+j), since along Im w = b, |b| < pi/2, the integral over u of
+    |e^{(s-1)w} e^{-e^w} e^{jw}| is e^{-tau b} Gamma(sigma-1+j) /
+    cos(b)^{sigma-1+j} exactly.  At d = 0 every cos(d)^{power_i} is 1, so
+    each term enters M(0) as log_m_i."""
+    log_kernel_m = log_c + (math.lgamma(sigma + shift) + math.log(sigma / (sigma - 1.0)))
     at_0 = [log_kernel_m]
-    at_d = [log_kernel_m - kernel_power * _LOG_COS_STRIP]
+    at_d = [log_kernel_m - (sigma + shift) * _LOG_COS_STRIP]
     for j, a in enumerate(head):
         power = sigma - 1.0 + j
         log_m = math.log(a) + math.lgamma(power)
@@ -271,12 +275,6 @@ def _strip_bound(log_m: float) -> Callable[[float], float]:
     return bound
 
 
-def _log_gamma_zeta_bound(sigma: float, shift: float) -> float:
-    """log of Gamma(sigma + shift) (1 + 1/(sigma - 1)), which bounds
-    Gamma(sigma + shift) zeta(sigma) for real sigma > 1."""
-    return math.lgamma(sigma + shift) + math.log(sigma / (sigma - 1.0))
-
-
 def _remainder(table: KernelTable, s: complex, tol: float, head: complex, head_err: float,
                log_ms: tuple[float, float], cancel: float, **kwargs) -> EvalResult:
     """head plus the integral of t^{s+2} table.kernel(t) over (0, inf).
@@ -305,44 +303,33 @@ def _remainder(table: KernelTable, s: complex, tol: float, head: complex, head_e
     return EvalResult(value, err, base.n_evals, err <= 1.2 * tol, base.truncation_height)
 
 
-def _head_gamma(z: complex) -> tuple[complex, float]:
-    """gamma(z) for a head and a bound on its relative rounding, from one
-    Lanczos sum (complex_core._gamma_with_err); TruncationFailure where it
-    leaves double range, as far left on the axis form, where the integral
-    does too."""
+def _head(z: complex, den: complex) -> tuple[complex, float]:
+    """A head Gamma(z+1)(z+2)(z+3) / den, from Gamma(z+1) so that the
+    Lanczos sum stays off log_gamma's reflection branch, and a bound on its
+    rounding: Gamma's own relative err (complex_core._lanczos) and that of
+    the factors, at most eight roundings of u per real part, sqrt(5) u per
+    complex product and 8u for the quotient, 20u = 10 eps in all.
+    TruncationFailure where Gamma(z+1) leaves double range, as far left on
+    the axis form, where the integral does too."""
     try:
-        return _gamma_with_err(z)
+        log_g, err = _lanczos(z + 1.0)
+        g = cmath.exp(log_g)
     except OverflowError:
-        raise TruncationFailure(f"Gamma({z}) in the integral's head overflows double range") from None
-
-
-def _head_err(head: complex, gamma_err: float) -> float:
-    """A bound on the rounding of a head Gamma(z) R, R a product of a few
-    linear factors over another: gamma's own relative gamma_err
-    (_head_gamma) and R's, at most eight roundings of u per real part,
-    sqrt(5) u per complex product and 8u for the quotient, 20u = 10 eps in
-    all."""
-    return abs(head) * (gamma_err + 10.0 * _EPS)
-
-
-def _bose_head(s: complex) -> tuple[complex, float]:
-    """The integral of t^{s-2} e^{-t}(1 + t/2 + t^2/12), Gamma(s-1)(1 + (s-1)/2
-    + (s-1)s/12) = Gamma(s+1)(s+2)(s+3) / (12 s (s-1)), from Gamma(s+1) so
-    that log_gamma stays off its reflection branch, and a bound on its
-    rounding (_head_err)."""
-    g, g_err = _head_gamma(s + 1.0)
-    head = g * ((s + 2.0) * (s + 3.0)) / (12.0 * (s * (s - 1.0)))
-    return head, _head_err(head, g_err)
+        raise TruncationFailure(
+            f"Gamma({z + 1.0}) in the integral's head overflows double range") from None
+    head = g * ((z + 2.0) * (z + 3.0)) / den
+    return head, abs(head) * (err + 10.0 * _EPS)
 
 
 def _bose(s: complex, tol: float) -> EvalResult:
     """Integral of t^{s-1}/(e^t - 1) over (0, inf), for bose_integral: the
-    head _bose_head plus the remainder, O(t^4) at the origin, run as
-    t^{s+2} _bose_rem(t)."""
-    head, head_err = _bose_head(s)
+    head plus the remainder, O(t^4) at the origin, run as t^{s+2} _bose_rem(t)."""
+    # the integral of t^{s-2} e^{-t}(1 + t/2 + t^2/12) is
+    # Gamma(s-1)(1 + (s-1)/2 + (s-1)s/12) = Gamma(s+1)(s+2)(s+3) / (12 s (s-1))
+    head, head_err = _head(s, 12.0 * (s * (s - 1.0)))
     # with w = u + ib, |b| <= d: |e^{e^w} - 1| >= e^{e^u cos d} - 1, so the
     # kernel's M(d) = e^{|Im s| d} cos(d)^{-Re s} Gamma(Re s) zeta(Re s)
-    log_ms = _log_ms(s.real, s.imag, _log_gamma_zeta_bound(s.real, 0.0), s.real, _BOSE_HEAD)
+    log_ms = _log_ms(s.real, s.imag, 0.0, 0.0, _BOSE_HEAD)
     # |remainder| <= t^4/720 and <= t^2 e^{-t}/12 (see the module)
     return _remainder(_BOSE_TABLE, s, tol, head, head_err, log_ms, _BOSE_CANCEL,
                       growth=s.real, origin_coeff=1.0 / 720.0, bound_const=1.0 / 12.0)
@@ -368,26 +355,17 @@ def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
     return _exp_sq(s, tol).value / s
 
 
-def _sinh_head(sigma: complex) -> tuple[complex, float]:
-    """The integral of t^{sigma-2} 4 e^{-t}(1 + t + 5t^2/12 + t^3/12),
-    4 Gamma(sigma-1)(1 + (sigma-1) + 5(sigma-1)sigma/12
-    + (sigma-1)sigma(sigma+1)/12) = Gamma(sigma+1)(sigma+2)(sigma+3) / (3 (sigma-1)),
-    from Gamma(sigma+1), and a bound on its rounding (_head_err)."""
-    g, g_err = _head_gamma(sigma + 1.0)
-    head = g * ((sigma + 2.0) * (sigma + 3.0)) / (3.0 * (sigma - 1.0))
-    return head, _head_err(head, g_err)
-
-
 def _sinh_sq_integral(sigma: complex, tol: float) -> EvalResult:
     """J(sigma) = Integral of t^sigma/sinh^2(t/2) over (0, inf), for sinh_integral
-    and the axis form, as the head _sinh_head plus the remainder, run as
+    and the axis form, as the head plus the remainder, run as
     t^{sigma+2} _sinh_rem(t); the callers guard Re sigma against _RE_MIN."""
-    head, head_err = _sinh_head(sigma)
+    # the integral of t^{sigma-2} 4 e^{-t}(1 + t + 5t^2/12 + t^3/12) is
+    # 4 Gamma(sigma-1)(1 + (sigma-1) + 5(sigma-1)sigma/12 + (sigma-1)sigma(sigma+1)/12)
+    # = Gamma(sigma+1)(sigma+2)(sigma+3) / (3 (sigma-1))
+    head, head_err = _head(sigma, 3.0 * (sigma - 1.0))
     # |sinh(w/2)|^2 >= sinh^2(Re w/2), so the kernel's M(d) = 4 e^{|Im s| d}
     # cos(d)^{-(Re s+1)} Gamma(Re s+1) zeta(Re s)
-    log_ms = _log_ms(sigma.real, sigma.imag,
-                     math.log(4.0) + _log_gamma_zeta_bound(sigma.real, 1.0),
-                     sigma.real + 1.0, _SINH_HEAD)
+    log_ms = _log_ms(sigma.real, sigma.imag, 1.0, math.log(4.0), _SINH_HEAD)
     # |remainder| <= t^4/60 and <= t^3 e^{-t}/3 (see the module)
     return _remainder(_SINH_TABLE, sigma, tol, head, head_err, log_ms, _SINH_CANCEL,
                       growth=sigma.real + 1.0, origin_coeff=1.0 / 60.0, bound_const=1.0 / 3.0)

@@ -11,7 +11,9 @@ the result has them.  The other three were taken before the Mellin check's
 repeated work was taken out (the Euler-Maclaurin reference in one pass,
 one Lanczos sum per head Gamma, one pass for the strip bound's M): feq_check
 and entire_e_axis on verify seed 1's feq and axis points, and
-zeta_euler_maclaurin's value and bound on its Mellin and feq points.
+zeta_euler_maclaurin's value and bound on its Mellin and feq points.  The
+seventh was taken before the Mellin heads' Gamma chain was folded into one
+function: every field of bose and J on the Mellin points at two tols.
 
 The bits are those of CPython 3.11's float arithmetic and of x86-64 glibc's
 libm: CPython 3.12 adds compensation to sum() over floats, which the line's
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from zetaline import entire_e_axis, feq_check, mellin_check, zeta
+from zetaline import entire_e_axis, feq_check, mellin, mellin_check, zeta
 from zetaline.cli import ScanGrid, scan_csv_lines
 from zetaline.oracle import zeta_euler_maclaurin
 
@@ -106,3 +108,16 @@ def test_verify_oracle_bits():
     pairs = [zeta_euler_maclaurin(s) for s in points["mellin"] + points["feq"]]
     assert _sha("".join("%r %r\n" % pair for pair in pairs)) == (
         "6133cb6abddf87568be8a661769b29a7f39f24882a00f08bf39442b8f9592055")
+
+
+def test_verify_mellin_integrals_bits():
+    """Every field of mellin._bose and mellin._sinh_sq_integral at verify
+    seed 1's 48 Mellin points, at tol 1e-12 and 1e-8: the value and err_est
+    of the heads and the remainders, not only mellin_check's values."""
+    points = _points("verify-seed1.json", "gamma_zeta")
+    assert len(points) == 48
+    results = [f(s, tol) for tol in (1e-12, 1e-8) for s in points
+               for f in (mellin._bose, mellin._sinh_sq_integral)]
+    assert _sha("".join(f"{r.value!r} {r.err_est!r} {r.n_evals} {r.converged} "
+                        f"{r.truncation_height!r}\n" for r in results)) == (
+        "a39c328af7a7e5b5499e49679c683b747c1945d5517da8c2817cde74bc611b11")
