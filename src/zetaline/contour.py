@@ -77,9 +77,9 @@ the residues, their rounding and the correction's N^{-s} and (N+1)^{-s}
 come from one loop over k^{-s} (_neg_powers, which residue_partial_sums
 runs too), M_- and M_+ from one call
 (_strip_m), and the factors of the bound and the correction that depend
-on h alone, e^{2 pi a/h} - 1 and phi(h), from a table built at import
-(_LEVEL_FACTORS), so a level's bound is one division.  None of it changes
-a bit of the result.
+on h alone, e^{2 pi a/h} - 1 and phi(h), once per step in the process, on
+first use (_level_factors), so a level's bound is one division.  None of
+it changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -92,15 +92,7 @@ from itertools import islice
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
 from .errors import DomainError, PoleAtOne, TruncationFailure, check_box, finite_s
-from .quadrature import (
-    _FIRST_STEP,
-    _MAX_STEP,
-    TOL_MIN,
-    EvalResult,
-    _step_schedule,
-    check_tol,
-    integrate_line_decaying,
-)
+from .quadrature import TOL_MIN, EvalResult, check_tol, integrate_line_decaying
 
 __all__ = [
     "line_integrand",
@@ -324,6 +316,7 @@ def _strip_m(s: complex, envelopes: list[_Table]) -> list[float]:
     return ms
 
 
+@lru_cache(maxsize=None)
 def _level_factors(h: float) -> tuple[float, float, float, float]:
     """The factors of the line's bound and correction at step h that do not
     depend on s: e^{2 pi a/h} - 1 for a = _STRIP and a = 1, its exponent
@@ -334,11 +327,6 @@ def _level_factors(h: float) -> tuple[float, float, float, float]:
     phi = q / (1.0 - q)
     return (math.expm1(min(_TWO_PI * _STRIP / h, 700.0)), math.expm1(min(_TWO_PI / h, 700.0)),
             (_TWO_PI / h) * phi / (1.0 - q), phi)
-
-
-# _level_factors at every step the line's rule takes, from either first step; never written
-_LEVEL_FACTORS = {h: _level_factors(h) for first in (_MAX_STEP, _FIRST_STEP)
-                  for h in _step_schedule(first)}
 
 
 def _line_bound(s: complex, n: int) -> Callable[[float], float]:
@@ -353,12 +341,11 @@ def _line_bound(s: complex, n: int) -> Callable[[float], float]:
     the two poles at Im y = +-1/2, and a = 1 puts the lines on
     Re z = n - 1/2 and n + 3/2, so the bound is (M_- + M_+) / (e^{2 pi/h} - 1),
     M_- and M_+ the integrals of |f| there.  The denominators come from
-    _LEVEL_FACTORS, so a level's bound is one division.
+    _level_factors, so a level's bound is one division.
     """
     ms = _strip_m(s, _line(n)[1])
     m, col = (2.0 * ms[0], 0) if n == 0 else (ms[0] + ms[1], 1)
-    factors = _LEVEL_FACTORS
-    return lambda h: m / factors[h][col]
+    return lambda h: m / _level_factors(h)[col]
 
 
 def _pole_correction(s: complex, n: int, near: complex, far: complex
@@ -375,15 +362,14 @@ def _pole_correction(s: complex, n: int, near: complex, far: complex
     Thm 5.1, from f's Laurent terms k^{1-s} / (z-k)^2 + (1-s) k^{-s} / (z-k)
     at z = k, where the proof's factor 1/(e^{-+2 pi i y/h} - 1) and its
     derivative give phi(h) and phi'(h) at y = +-i/2.  phi and phi' are
-    real, read from _LEVEL_FACTORS, so C(conj s) is conj C(s) bitwise;
+    real, read from _level_factors, so C(conj s) is conj C(s) bitwise;
     near and far are n^{-s} and (n+1)^{-s} as _line_residues gives them.
     """
     double = n * near + (n + 1) * far
     single = (1.0 - s) * (near - far)
-    factors = _LEVEL_FACTORS
 
     def correction(h: float) -> complex:
-        _, _, dphi, phi = factors[h]
+        _, _, dphi, phi = _level_factors(h)
         return _TWO_PI * (dphi * double + phi * single)
 
     return correction

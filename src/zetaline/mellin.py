@@ -71,7 +71,7 @@ Each quantity of a check is formed once.  A head's Gamma and the bound on
 its rounding come from one Lanczos sum (complex_core._lanczos); one
 pass over the strip terms gives M(0), which sizes the cancellation, and
 M(d); the s-free part of B(h), 2 pi d/h and log(1 - e^{-2 pi d/h}), is
-tabled at import for the steps integrate_mellin takes (_STRIP_FACTORS).
+formed once per step in the process, on first use (_strip_factors).
 Each is the same floating-point operations in the same order as when it
 was formed where it is used, so every value and err_est keeps its bits.
 """
@@ -81,19 +81,12 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
+from functools import lru_cache
 
 from .complex_core import _lanczos, gamma
 from .errors import DomainError, TruncationFailure, finite_s
 from .oracle import zeta_euler_maclaurin
-from .quadrature import (
-    _FIRST_STEP,
-    TOL_MIN,
-    EvalResult,
-    KernelTable,
-    _step_schedule,
-    check_tol,
-    integrate_mellin,
-)
+from .quadrature import TOL_MIN, EvalResult, KernelTable, check_tol, integrate_mellin
 from .record import Record
 
 __all__ = [
@@ -246,17 +239,11 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+@lru_cache(maxsize=None)
 def _strip_factors(h: float) -> tuple[float, float]:
     """x = 2 pi d/h and log(1 - e^{-x}), d = _STRIP: log(e^x - 1) is their sum."""
     x = 2.0 * math.pi * _STRIP / h
     return x, math.log(-math.expm1(-x))
-
-
-# _strip_factors at every step integrate_mellin takes from a first step of
-# 1/4 down to 1/32, which it halves to as |Im s| grows: 1/32 serves
-# |Im s| <= 96, past the box |Im s| <= 60; a step outside it is computed
-_STRIP_FACTORS = {h: _strip_factors(h) for k in range(4)
-                  for h in _step_schedule(_FIRST_STEP * 0.5 ** k)}
 
 
 def _strip_bound(log_m: float) -> Callable[[float], float]:
@@ -264,12 +251,11 @@ def _strip_bound(log_m: float) -> Callable[[float], float]:
     log_m = log M(d) (_log_ms), M(d) bounding the integral of |g(u + ib)|
     over u for every |b| <= d (Trefethen & Weideman, SIAM Rev. 56 (2014),
     Thm 5.1); inf where it leaves double range, as far left on the axis
-    form at coarse h.  The denominator's factors come from _STRIP_FACTORS."""
+    form at coarse h.  The denominator's factors come from _strip_factors."""
     log_2m = math.log(2.0) + log_m
-    factors = _STRIP_FACTORS
 
     def bound(h: float) -> float:
-        x, log_q = factors.get(h) or _strip_factors(h)
+        x, log_q = _strip_factors(h)
         return _exp(log_2m - x - log_q)
 
     return bound

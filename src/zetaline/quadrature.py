@@ -16,12 +16,11 @@ converges like e^{-2 pi d / h} for an integrand analytic in the strip
 |Im u| < d and negligible at both ends (Trefethen & Weideman, SIAM Rev. 56
 (2014), Thm 5.1).  h starts at a power of two no larger than 1/2 (1/4 by
 default; the line contour starts its corrected lines at 1/2) and halves 6
-times, or down to 2^-8 if that is further (_step_schedule, from which the
-line contour tables its bound's factors), and each halving reuses every
-earlier node.  The integrand comes as a level evaluator, level(h, ks) ->
-the values at a + k h for k in the range ks, in ascending order, so a
-caller can evaluate a whole level in one pass; the first level's ks starts
-at 0, the node at a, and each halving's at 1.
+times, or down to 2^-8 if that is further (_step_schedule), and each
+halving reuses every earlier node.  The integrand comes as a level
+evaluator, level(h, ks) -> the values at a + k h for k in the range ks, in
+ascending order, so a caller can evaluate a whole level in one pass; the
+first level's ks starts at 0, the node at a, and each halving's at 1.
 
 Both front ends that cut a decay tail, integrate_line_decaying and
 integrate_mellin, place the cut with one search (_truncation_height): the

@@ -162,6 +162,17 @@ def test_lazy_names_follow_a_tracer():
     assert r.stdout.strip() == "True True True"
 
 
+def test_import_computes_no_step_factor():
+    """Importing contour and mellin computes no factor of their strip
+    bounds: each step's factors are formed when a level first needs them."""
+    code = ("import zetaline.contour as c, zetaline.mellin as m\n"
+            "print(c._level_factors.cache_info().currsize, m._strip_factors.cache_info().currsize)")
+    r = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0 0"
+
+
 # one of each record, one that differs in a field, and its literal repr; a
 # record equals only a record of its own type with equal fields, as a frozen
 # dataclass does (the checks in __new__ are pinned by test_oracle's

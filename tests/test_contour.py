@@ -592,9 +592,9 @@ def test_strip_m_is_inf_where_the_envelope_overflows():
 
 
 def test_level_factors_cover_every_step_of_the_rule():
-    """The line's bound and correction read the factors that depend on h
-    alone from _LEVEL_FACTORS at every step integrate_interval takes from
-    either first step the line uses (1/2 with a correction, 1/4 without)."""
+    """The line's bound and correction are finite at every step
+    integrate_interval takes from either first step the line uses (1/2 with
+    a correction, 1/4 without)."""
     s = 0.5 + 3.0j
     residues, rounding, near, far = contour._line_residues(s, 1)
     for n, first in ((0, quadrature._FIRST_STEP), (1, quadrature._MAX_STEP)):

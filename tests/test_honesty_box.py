@@ -13,14 +13,15 @@ so are those of them that say converged=True.  The test fails when a point
 joins either list, and when a listed point leaves it: a change that mends
 a point shortens the list.  A point that raises is plainly flagged and is
 in neither list.  Errors are measured in Decimal against the reference
-itself, as in tests/test_err_est_honesty.py.
+itself, with tests/test_err_est_honesty.py's helper.
 """
 
 import json
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from test_err_est_honesty import _abs_error
 
 from zetaline import contour
 from zetaline.errors import ZetalineError
@@ -40,26 +41,17 @@ OUTSIDE = {
 CONVERGED_OUTSIDE = {"critical": [], "far-left": [1, 3, 8, 30, 76], "axis": [], "box": [269]}
 
 
-def _abs_error(value: complex, ref: list[str]) -> Decimal:
-    """|value - ref| in 60-digit decimal arithmetic."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        dr = Decimal(value.real) - Decimal(ref[0])
-        di = Decimal(value.imag) - Decimal(ref[1])
-        return (dr * dr + di * di).sqrt()
-
-
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_points_outside_err_est_are_the_listed_ones(name):
     sample = SAMPLES[name]
     evaluate = getattr(contour, sample["evaluator"])
     outside, converged = [], []
-    for i, ((re, im), ref) in enumerate(zip(sample["points"], sample["E"])):
+    for i, ((re, im), (ref_re, ref_im)) in enumerate(zip(sample["points"], sample["E"])):
         try:
             r = evaluate(complex(float(re), float(im)), sample["tol"])
         except ZetalineError:
             continue
-        if _abs_error(r.value, ref) > Decimal(r.err_est):
+        if _abs_error(r.value, (Decimal(ref_re), Decimal(ref_im))) > Decimal(r.err_est):
             outside.append(i)
             if r.converged:
                 converged.append(i)

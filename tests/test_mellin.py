@@ -427,9 +427,9 @@ _STRIP_FORMS = {
 
 def test_strip_factors_cover_every_step_in_the_box(monkeypatch):
     """Every step at which either form asks for a level's bound, at |Im s|
-    up to 60, finds its factors in _STRIP_FACTORS, which hold
-    _strip_factors' own values; a step outside the table, here h = 1, gets
-    its factors computed."""
+    up to 60, and a step no form takes, here h = 1, get from _strip_factors
+    the values 2 pi d/h and log(1 - e^{-2 pi d/h}), d = 1, bitwise, and the
+    bound is formed from them."""
     steps = set()
     real = mellin.integrate_mellin
 
@@ -444,9 +444,10 @@ def test_strip_factors_cover_every_step_in_the_box(monkeypatch):
         for tol in (1e-12, 1e-14):
             mellin._bose(s, tol)
             mellin._sinh_sq_integral(s, tol)
-    assert {0.25, 2.0 ** -5} <= steps <= set(mellin._STRIP_FACTORS)
-    for h, factors in mellin._STRIP_FACTORS.items():
-        assert factors == mellin._strip_factors(h)
+    assert {0.25, 2.0 ** -5} <= steps
+    for h in steps | {1.0}:
+        x = 2.0 * math.pi / h
+        assert mellin._strip_factors(h) == (x, math.log(-math.expm1(-x))), h
     x, log_q = mellin._strip_factors(1.0)
     assert mellin._strip_bound(3.0)(1.0) == math.exp(math.log(2.0) + 3.0 - x - log_q)
 
