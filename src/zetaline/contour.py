@@ -132,7 +132,7 @@ def line_integrand(y: float, s: complex, n: int = 0) -> complex:
     is computed as cpow * sech_sq_pi without complex division.
     """
     _check_line(n)
-    if abs(y) > _Y_MAX:
+    if not abs(y) <= _Y_MAX:
         raise DomainError(f"line kernel is specified for |y| <= {_Y_MAX:g}, got y = {y}")
     s = finite_s(s)
     return _PI_SQ * cpow_principal(complex(n + 0.5, y), 1.0 - s) * sech_sq_pi(y)
@@ -498,12 +498,13 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
     err_est is J's err_est times |pi sin(pi s/2) (2 pi)^{s-2}|.
     truncation_height is J's over 2 pi, on the y scale.  At the negative
     even integers the prefactor vanishes identically and E(s) = 0 is
-    returned exactly.
+    returned exactly.  Far left, where J or (2 pi)^{s-2} leaves double
+    range, TruncationFailure.
 
     `converged` is J's flag, that J met its own target above, and not
     err_est <= tol, so it can be True with err_est above tol: at
-    -3.53-7.82i err_est is 6.8e-10 at tol 1e-12, and at -2.8+57.5i the
-    value is about 5e23 with err_est 5.5e24, where the prefactor puts E
+    -3.53-7.82i err_est is 6.9e-10 at tol 1e-12, and at -2.8+57.5i the
+    value is about -5.4e23 with err_est 5.4e24, where the prefactor puts E
     below double precision, and both say converged=True.
     """
     # J and the bound on its exponent are mellin's, imported here so that a
@@ -523,6 +524,8 @@ def entire_e_axis(s: complex, tol: float = 1e-12) -> EvalResult:
         return EvalResult(complex(0.0, 0.0), 0.0, 0, True, 0.0)
     amp = abs(pref)
     scale = _TWO_PI ** (s.real - 2.0)  # |(2 pi)^{s-2}|
+    if not scale:
+        raise TruncationFailure(f"(2 pi)^(s-2) underflows double range at s = {s}")
     j = _sinh_sq_integral(1.0 - s, max(TOL_MIN, tol / max(1.0, amp)) / scale)
     return EvalResult(pref * cpow_principal(_TWO_PI, s - 2.0) * j.value,
                       amp * scale * j.err_est, j.n_evals, j.converged,
@@ -547,7 +550,8 @@ def residue_partial_sums(s: complex, sizes: list[int]) -> list[tuple[complex, fl
     s = finite_s(s)
     if not s.real > 1.0:
         raise DomainError(f"residue sum converges only for Re s > 1, got Re s = {s.real}")
-    if not (sizes and sizes[0] >= 1 and all(a < b for a, b in zip(sizes, sizes[1:]))):
+    if not (sizes and all(isinstance(n, int) and not isinstance(n, bool) for n in sizes)
+            and sizes[0] >= 1 and all(a < b for a, b in zip(sizes, sizes[1:]))):
         raise DomainError(f"sizes must be increasing integers >= 1, got {sizes}")
     re, im = _neg_powers(s, sizes[-1])
     return [((s - 1.0) * complex(math.fsum(islice(re, n)), math.fsum(islice(im, n))),

@@ -276,11 +276,16 @@ def _remainder(table: KernelTable, s: complex, tol: float, head: complex, head_e
     none goes into the bound the levels are judged by: the quadrature runs
     at the tol that leaves them room in the budget 1.2 tol, but never below
     the kernel's rounding, which would only reach the round-off floor, and
-    `converged` is err_est <= 1.2 tol.
+    `converged` is err_est <= 1.2 tol.  TruncationFailure where M(0) leaves
+    double range, as on J from Re s = 169.82 on, where the integral does
+    too.
     """
     check_tol(tol)  # before the floor below can hide a bad value
     log_m0, log_md = log_ms
     rounding = cancel * _EPS * _exp(log_m0)
+    if rounding == math.inf:
+        raise TruncationFailure(
+            f"the kernel's M(0) at Re s = {s.real} overflows double range")
     extra = head_err + rounding
     quad_tol = max(TOL_MIN, tol - extra / 1.2, rounding)
     base = integrate_mellin(table, s + 2.0, quad_tol, bound=_strip_bound(log_md), **kwargs)

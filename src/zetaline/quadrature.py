@@ -99,10 +99,10 @@ class EvalResult(Record):
 
 
 def check_tol(tol: float) -> None:
-    """Raise DomainError if the absolute tolerance tol is below TOL_MIN or NaN;
-    every public integrator checks its tol here."""
-    if not tol >= TOL_MIN:
-        raise DomainError(f"tol must be >= {TOL_MIN:g}, got {tol}")
+    """Raise DomainError unless the absolute tolerance tol is finite and at
+    least TOL_MIN; every public integrator checks its tol here."""
+    if not TOL_MIN <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= {TOL_MIN:g}, got {tol}")
 
 
 @lru_cache(maxsize=None)

@@ -418,7 +418,29 @@ def test_nonfinite_s_exits_two(cmd, tmp_path):
 ])
 def test_zero_tol_exits_two(cmd, tmp_path):
     r = _assert_domain_error(f"{cmd} --tol 0", tmp_path)
-    assert r.stderr == "error: tol must be >= 1e-14, got 0.0\n"
+    assert r.stderr == "error: tol must be finite and >= 1e-14, got 0.0\n"
+
+
+@pytest.mark.parametrize("cmd", [
+    "eval --re 2",
+    "feq --re -3",
+    "lemma --re 2",
+    f"{_SCAN_2X2} --im-max 1",
+])
+def test_infinite_tol_exits_two(cmd, tmp_path):
+    """--tol inf is refused by name, not as an internal tolerance."""
+    r = _assert_domain_error(f"{cmd} --tol inf", tmp_path)
+    assert r.stderr == "error: tol must be finite and >= 1e-14, got inf\n"
+
+
+def test_scan_refusing_tol_leaves_the_out_file(tmp_path):
+    """A scan that refuses its --tol leaves an existing --out as it was."""
+    out = tmp_path / "o.csv"
+    out.write_bytes(b"re_s,im_s\n1,2\n")
+    for tol in ("inf", "0"):
+        r = run_cli(*_SCAN_2X2.split(), "--im-max", "1", "--tol", tol, "--out", str(out))
+        assert r.returncode == 2 and r.stderr.startswith("error: tol must be finite")
+        assert out.read_bytes() == b"re_s,im_s\n1,2\n"
 
 
 def test_scan_jobs_zero_exits_two(tmp_path):

@@ -146,8 +146,9 @@ def test_line_integrand_guards():
         line_integrand(0.0, 2.0, -1)
     with pytest.raises(DomainError):
         line_integrand(0.0, 2.0, 1.5)
-    with pytest.raises(DomainError):
-        line_integrand(301.0, 2.0)
+    for y in (301.0, math.nan):
+        with pytest.raises(DomainError):
+            line_integrand(y, 2.0)
 
 
 def test_large_re_s_within_err_est():
@@ -230,9 +231,12 @@ def test_residue_sum_guards():
         residue_partial_sum(1.0, 10)
     with pytest.raises(DomainError):
         residue_partial_sum(3.0, 0)
-    for sizes in ([], [0, 1], [2, 2], [4, 2]):
-        with pytest.raises(DomainError):
-            residue_partial_sums(3.0, sizes)
+    for sizes in ([], [0, 1], [2, 2], [4, 2], [1, 2.5], [2.0], [True], [1, True]):
+        with pytest.raises(DomainError, match="sizes must be increasing integers"):
+            residue_partial_sums(2.0 + 3.0j, sizes)
+    for n_terms in (2.0, True):
+        with pytest.raises(DomainError, match="sizes must be increasing integers"):
+            residue_partial_sum(2.0 + 3.0j, n_terms)
 
 
 def test_residue_table_matches_each_size():

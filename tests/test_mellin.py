@@ -317,6 +317,27 @@ def test_far_left_axis_overflow_is_a_truncation_failure():
         entire_e_axis(-300.0 + 10.0j)
 
 
+def test_past_double_range_is_a_truncation_failure():
+    """Where J's M(0), which sizes the kernel's rounding, overflows (J from
+    Re s = 169.82 on) and where (2 pi)^(s-2) underflows (the axis form from
+    Re s = -403.5 on), both forms say so, not a DomainError about an
+    internal tolerance or a ZeroDivisionError."""
+    for s in (169.85, 170.0, 170.6):
+        with pytest.raises(TruncationFailure, match=r"M\(0\) .* overflows"):
+            sinh_integral(s)
+    with pytest.raises(TruncationFailure, match=r"M\(0\) .* overflows"):
+        entire_e_axis(-168.85 + 0.0j)
+    for s in (-403.5 + 0.5j, -1000.5 + 0.5j):
+        with pytest.raises(TruncationFailure, match=r"\(2 pi\)\^\(s-2\) underflows"):
+            entire_e_axis(s)
+    for k in range(271):
+        for im in (0.0, 0.3, -7.0):
+            s = complex(-171.55 + k / 100.0, im)
+            if s != -170.0:  # a trivial zero, returned exactly
+                with pytest.raises(TruncationFailure):
+                    entire_e_axis(s)
+
+
 def test_kernel_tables_give_the_inline_kernel_bits(monkeypatch):
     """The shared tables return kernel(e^u) bitwise, on any lattice and
     however filled: the same integrals through the package's tables (cold,

@@ -506,8 +506,8 @@ def test_mellin_rejects_nonintegrable_origin():
 
 
 def test_plan_validation():
-    """Every integrator rejects a tolerance below 1e-14, or NaN."""
-    for tol in (0.0, 1e-15, math.nan):
+    """Every integrator rejects a tolerance below 1e-14, infinite or NaN."""
+    for tol in (0.0, 1e-15, math.inf, math.nan):
         with pytest.raises(DomainError):
             integrate_interval(_level(math.exp), 0.0, 1.0, tol, bound=_no_bound)
         with pytest.raises(DomainError):
