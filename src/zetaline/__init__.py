@@ -26,40 +26,11 @@ Command line: ``python -m zetaline eval --re 2``.
 
 from sys import modules as _modules
 
-from .complex_core import (
-    cos_pi_z,
-    cpow_principal,
-    gamma,
-    log_gamma,
-    sech_sq_pi,
-    sin_pi_z,
-    sinhc_half,
-)
-from .contour import (
-    entire_e_axis,
-    entire_e_line,
-    line_integrand,
-    residue_partial_sum,
-    residue_partial_sums,
-    zeta,
-    zeta_from_e,
-)
-from .errors import (
-    ContractViolation,
-    DomainError,
-    NonFiniteIntegrand,
-    PoleAtOne,
-    PoleError,
-    TruncationFailure,
-    ZetalineError,
-)
-from .quadrature import (
-    EvalResult,
-    check_tol,
-    integrate_interval,
-    integrate_line_decaying,
-    integrate_mellin,
-)
+from . import complex_core, contour, errors, quadrature
+from .complex_core import *
+from .contour import *
+from .errors import *
+from .quadrature import *
 
 __version__ = "0.1.0"
 
@@ -70,8 +41,7 @@ _LAZY = {
                     "zetaline.functional_equation"),
     **dict.fromkeys(("MellinReport", "bose_integral", "exp_sq_integral",
                      "sinh_integral", "mellin_check"), "zetaline.mellin"),
-    **dict.fromkeys(("EulerMaclaurinParams", "zeta_euler_maclaurin", "default_params"),
-                    "zetaline.oracle"),
+    "zeta_euler_maclaurin": "zetaline.oracle",
 }
 
 
@@ -94,51 +64,5 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "__version__",
-    # errors
-    "ZetalineError",
-    "DomainError",
-    "ContractViolation",
-    "PoleError",
-    "PoleAtOne",
-    "NonFiniteIntegrand",
-    "TruncationFailure",
-    # complex helpers
-    "cpow_principal",
-    "sin_pi_z",
-    "cos_pi_z",
-    "sech_sq_pi",
-    "sinhc_half",
-    "log_gamma",
-    "gamma",
-    # quadrature
-    "EvalResult",
-    "check_tol",
-    "integrate_interval",
-    "integrate_line_decaying",
-    "integrate_mellin",
-    # contour
-    "line_integrand",
-    "entire_e_line",
-    "entire_e_axis",
-    "residue_partial_sum",
-    "residue_partial_sums",
-    "zeta_from_e",
-    "zeta",
-    # functional equation
-    "FeqReport",
-    "select_form",
-    "chi",
-    "feq_check",
-    # Mellin chain
-    "MellinReport",
-    "bose_integral",
-    "exp_sq_integral",
-    "sinh_integral",
-    "mellin_check",
-    # Euler-Maclaurin oracle
-    "EulerMaclaurinParams",
-    "zeta_euler_maclaurin",
-    "default_params",
-]
+__all__ = ["__version__", *errors.__all__, *complex_core.__all__, *quadrature.__all__,
+           *contour.__all__, *_LAZY]

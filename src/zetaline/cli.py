@@ -18,10 +18,11 @@ Subcommands and their stdout formats (space-separated tokens, floats with
 
 Exit codes: 0 pass/success; 1 usage error; 2 domain error (non-finite s or
 grid bounds, guards, poles, contract boxes, --tol below 1e-14 or infinite,
---jobs below 1, --n-max outside [1, 10^6], unwritable scan paths); 3 convergence or check failure (eval, or
-any scan cell, whose err_est exceeds its tolerance; feq residual above 1e-8;
-lemma deviation not below 1e-9 at real s or 1e-8 at complex s; failed
-selftest criterion; truncation failure, non-finite integrand, overflow).
+--jobs below 1, --n-max outside [1, 10^6], unwritable scan paths); 3
+convergence or check failure (eval, or any scan cell, whose err_est exceeds
+its tolerance; feq residual above 1e-8; lemma deviation not below 1e-9 at
+real s or 1e-8 at complex s; failed selftest criterion; truncation failure,
+non-finite integrand, overflow).
 scan refuses a bad grid, --jobs, --tol or --out before it evaluates a
 point.  Diagnostics go to stderr; stdout carries results only.  There are
 no environment variables: every knob is a flag.

@@ -550,7 +550,7 @@ def residue_partial_sums(s: complex, sizes: list[int]) -> list[tuple[complex, fl
     s = finite_s(s)
     if not s.real > 1.0:
         raise DomainError(f"residue sum converges only for Re s > 1, got Re s = {s.real}")
-    if not (sizes and all(isinstance(n, int) and not isinstance(n, bool) for n in sizes)
+    if not (sizes and all(type(n) is int for n in sizes)  # bool is not a size
             and sizes[0] >= 1 and all(a < b for a, b in zip(sizes, sizes[1:]))):
         raise DomainError(f"sizes must be increasing integers >= 1, got {sizes}")
     re, im = _neg_powers(s, sizes[-1])

@@ -277,8 +277,7 @@ def _remainder(table: KernelTable, s: complex, tol: float, head: complex, head_e
     at the tol that leaves them room in the budget 1.2 tol, but never below
     the kernel's rounding, which would only reach the round-off floor, and
     `converged` is err_est <= 1.2 tol.  TruncationFailure where M(0) leaves
-    double range, as on J from Re s = 169.82 on, where the integral does
-    too.
+    double range, as on J from Re s = 169.82 on.
     """
     check_tol(tol)  # before the floor below can hide a bad value
     log_m0, log_md = log_ms

@@ -5,7 +5,8 @@ Euler-Maclaurin continuation of the Dirichlet series:
     zeta(s) = sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2
             + sum_{k=1}^{M} B_{2k}/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}
 
-with the classical remainder bound |first omitted term| * |s+2M+1|/(Re s+2M+1).
+with the classical remainder bound |first omitted term| * |s+2M+1|/(Re s+2M+1),
+at N = 25 + ceil(|Im s|) and M = 12, so valid for Re s > -2M = -24.
 The Bernoulli numbers are literals, each the exact rational correctly
 rounded (tests recompute them in rational arithmetic).
 
@@ -24,21 +25,15 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, PoleAtOne, check_box, finite_s
-from .record import Record
 
-__all__ = [
-    "EulerMaclaurinParams",
-    "zeta_euler_maclaurin",
-    "default_params",
-]
+__all__ = ["zeta_euler_maclaurin"]
 
 _EPS = 2.0 ** -52
 
 
 def _bernoulli_floats() -> tuple[float, ...]:
-    """(B_0, B_2, B_4, ..., B_32), each the exact rational correctly rounded:
-    M is at most 15 (B_30), and the error term of an M = 15 evaluation
-    needs B_32."""
+    """(B_0, B_2, B_4, ..., B_26), each the exact rational correctly rounded:
+    the M = 12 terms read B_2 .. B_24, and the error term B_26."""
     return (
         1.0,                   # 1
         0.16666666666666666,   # 1/6
@@ -54,37 +49,17 @@ def _bernoulli_floats() -> tuple[float, ...]:
         6192.123188405797,     # 854513/138
         -86580.25311355312,    # -236364091/2730
         1425517.1666666667,    # 8553103/6
-        -27298231.067816094,   # -23749461029/870
-        601580873.9006424,     # 8615841276005/14322
-        -15116315767.092157,   # -7709321041217/510
     )
 
 
-# (B_2k/(2k)!, |B_2k|/(2k)!), k = 0 .. 16: the series' coefficients and the
+# (B_2k/(2k)!, |B_2k|/(2k)!), k = 0 .. 13: the series' coefficients and the
 # omitted term's, each one rounded division of a float by (2k)! as a float
 _COEFFS = tuple((b / math.factorial(2 * k), abs(b) / math.factorial(2 * k))
                 for k, b in enumerate(_bernoulli_floats()))
 
 
-class EulerMaclaurinParams(Record):
-    __slots__ = ()
-
-    def __new__(cls, N: int = 25, M: int = 12) -> EulerMaclaurinParams:
-        if N < 2:
-            raise DomainError(f"N must be >= 2, got {N}")
-        if not 1 <= M <= 15:
-            raise DomainError(f"M must be in [1, 15], got {M}")
-        return tuple.__new__(cls, (N, M))
-
-
-def default_params(s: complex) -> EulerMaclaurinParams:
-    return EulerMaclaurinParams(N=25 + math.ceil(abs(finite_s(s).imag)), M=12)
-
-
-def zeta_euler_maclaurin(
-    s: complex, params: EulerMaclaurinParams | None = None
-) -> tuple[complex, float]:
-    """(zeta(s), error bound).  Valid for Re s > -2M, |Im s| <= 60, s != 1.
+def zeta_euler_maclaurin(s: complex) -> tuple[complex, float]:
+    """(zeta(s), error bound).  Valid for Re s > -24, |Im s| <= 60, s != 1.
 
     The reported bound is the classical truncation envelope plus a
     round-off allowance: one part proportional to the number of accumulated
@@ -99,13 +74,12 @@ def zeta_euler_maclaurin(
     if abs(s - 1.0) < 1e-9:
         raise PoleAtOne(f"zeta has a pole at s = 1 (got s={s})")
     check_box(s, "oracle")
-    if params is None:
-        params = default_params(s)
-    n_cut, m_terms = params.N, params.M
-    if not s.real > -2.0 * m_terms:
-        raise DomainError(f"need Re s > -2M = {-2 * m_terms}, got {s.real}")
+    if not s.real > -24.0:
+        raise DomainError(f"need Re s > -24, got {s.real}")
+    n_cut, m_terms = 25 + math.ceil(abs(s.imag)), 12
 
-    size = abs(s.real) + abs(s.imag)
+    # capped where every n^{-s}, n >= 2, is 0, so that 0 * size ln n stays 0
+    size = min(abs(s.real) + abs(s.imag), 1e300)
     wr, wi = -s.real, -s.imag  # n^{-s}, as cpow_principal(n, -s) forms it
     log, exp, cos, sin = math.log, math.exp, math.cos, math.sin
     total = complex(0.0, 0.0)
@@ -136,6 +110,8 @@ def zeta_euler_maclaurin(
     power = n_minus_s / n_cut  # N^{-s-2k+1}, here k = 1
     inv_n_sq = 1.0 / (n_cut * n_cut)
     for k in range(1, m_terms + 1):
+        if not power:  # the terms left are 0, and rising may overflow (Re s > 2e12)
+            break
         term = _COEFFS[k][0] * rising * power
         total += term
         scale = max(scale, abs(term))

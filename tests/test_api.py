@@ -175,8 +175,8 @@ def test_import_computes_no_step_factor():
 
 # one of each record, one that differs in a field, and its literal repr; a
 # record equals only a record of its own type with equal fields, as a frozen
-# dataclass does (the checks in __new__ are pinned by test_oracle's
-# test_params_validation and test_cli's test_scan_grid_points_order)
+# dataclass does (the checks in ScanGrid.__new__ are pinned by test_cli's
+# test_scan_grid_points_order)
 RECORDS = {
     "EvalResult": (lambda: zetaline.EvalResult(1j, 0.5, 3, True, 2.0),
                    lambda: zetaline.EvalResult(1j, 0.5, 3, True),
@@ -190,9 +190,6 @@ RECORDS = {
                   lambda: zetaline.FeqReport(2.0, 1.0, 1.0, 0.0, 0.0, "cosine"),
                   "FeqReport(s=2.0, lhs=1.0, rhs=1.0, abs_residual=0.0, rel_residual=0.0, "
                   "form='sine', direction='direct')"),
-    "EulerMaclaurinParams": (lambda: zetaline.EulerMaclaurinParams(N=30),
-                             lambda: zetaline.EulerMaclaurinParams(N=30, M=11),
-                             "EulerMaclaurinParams(N=30, M=12)"),
     "ScanGrid": (lambda: cli.ScanGrid(0.0, 1.0, 0.0, 2.0, 2, 3),
                  lambda: cli.ScanGrid(0.0, 1.0, 0.0, 2.0, 3, 3),
                  "ScanGrid(re_min=0.0, re_max=1.0, im_min=0.0, im_max=2.0, steps_re=2, steps_im=3)"),
@@ -273,7 +270,6 @@ ENTRY_POINTS = {
     "sinh_integral": zetaline.sinh_integral,
     "mellin_check": zetaline.mellin_check,
     "zeta_euler_maclaurin": zetaline.zeta_euler_maclaurin,
-    "default_params": zetaline.default_params,
     # the scalar kernels run a few times per evaluation; those run once per
     # quadrature node are pinned in test_complex_core instead
     "gamma": zetaline.gamma,

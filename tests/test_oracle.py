@@ -1,36 +1,34 @@
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_err_est_honesty import _abs_error
 
 from zetaline.complex_core import cpow_principal
 from zetaline.contour import residue_partial_sum
 from zetaline.errors import ContractViolation, DomainError, PoleAtOne, check_box, finite_s
-from zetaline.oracle import (
-    EulerMaclaurinParams,
-    _bernoulli_floats,
-    default_params,
-    zeta_euler_maclaurin,
-)
+from zetaline.oracle import _bernoulli_floats, zeta_euler_maclaurin
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_bernoulli_literals_are_the_rounded_rationals():
-    """All 17 literals, B_0, B_2, ..., B_32, are the exact rationals from the
+    """All 14 literals, B_0, B_2, ..., B_26, are the exact rationals from the
     recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, correctly rounded."""
     b = [Fraction(1)]
-    for m in range(1, 33):
+    for m in range(1, 27):
         b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    assert _bernoulli_floats() == tuple(float(b[2 * k]) for k in range(17))
+    assert _bernoulli_floats() == tuple(float(b[2 * k]) for k in range(14))
 
 
 # (code run by a fresh `python -S`, modules it must not have loaded): the
@@ -61,7 +59,7 @@ def test_import_leaves_out_fractions_and_decimal():
         assert r.stdout.splitlines()[-1] == "[]", (code, r.stdout)
 
 
-def _em_per_term(s: complex, params: EulerMaclaurinParams | None = None) -> tuple[complex, float]:
+def _em_per_term(s: complex) -> tuple[complex, float]:
     """zeta_euler_maclaurin as it was built term by term: each power a call
     of cpow_principal, ln n taken where each use needs it, each Bernoulli
     coefficient divided by math.factorial on the spot."""
@@ -69,12 +67,10 @@ def _em_per_term(s: complex, params: EulerMaclaurinParams | None = None) -> tupl
     if abs(s - 1.0) < 1e-9:
         raise PoleAtOne(f"zeta has a pole at s = 1 (got s={s})")
     check_box(s, "oracle")
-    if params is None:
-        params = default_params(s)
-    n_cut, m_terms = params.N, params.M
+    n_cut, m_terms = 25 + math.ceil(abs(s.imag)), 12
     if not s.real > -2.0 * m_terms:
-        raise DomainError(f"need Re s > -2M = {-2 * m_terms}, got {s.real}")
-    size = abs(s.real) + abs(s.imag)
+        raise DomainError(f"need Re s > -24, got {s.real}")
+    size = min(abs(s.real) + abs(s.imag), 1e300)
     total = complex(0.0, 0.0)
     scale = 1.0
     spread = 0.0
@@ -93,6 +89,8 @@ def _em_per_term(s: complex, params: EulerMaclaurinParams | None = None) -> tupl
     power = n_minus_s / n_cut
     inv_n_sq = 1.0 / (n_cut * n_cut)
     for k in range(1, m_terms + 1):
+        if not power:
+            break
         term = (table[k] / math.factorial(2 * k)) * rising * power
         total += term
         scale = max(scale, abs(term))
@@ -115,33 +113,27 @@ def _outcome(f, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _one_pass_cases() -> list[tuple[complex, EulerMaclaurinParams | None]]:
+def _one_pass_cases() -> list[complex]:
     rng = random.Random(24)
-    cases: list[tuple[complex, EulerMaclaurinParams | None]] = [
-        (s, None) for s in (0.0, -0.0, complex(0.0, -0.0), 2.0, -1.0, -23.5, 0.5 - 0.0j,
-                            complex(-3.0, 0.0), complex(-3.0, -0.0), 1e-300j, 60j, -60j,
-                            2.0 + 60j, -5.0 - 60j, 1.0 + 1e-10j, 1.0, 1.0 + 2e-9j,
-                            2.0 + 60.000001j, 0.5 - 61j, -24.0, -24.0 + 3j)]
-    for i in range(400):
+    cases = [0.0, -0.0, complex(0.0, -0.0), 2.0, -1.0, -23.5, 0.5 - 0.0j, complex(-3.0, 0.0),
+             complex(-3.0, -0.0), 1e-300j, 60j, -60j, 2.0 + 60j, -5.0 - 60j, 1.0 + 1e-10j, 1.0,
+             1.0 + 2e-9j, 2.0 + 60.000001j, 0.5 - 61j, -24.0, -24.0 + 3j, -29.9, 210.0 + 3j,
+             1e13, 1e300 + 60j]
+    for _ in range(400):
         re = rng.uniform(-23.0, 12.0)
         im = rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0), rng.uniform(-60.0, 60.0)))
-        params = None
-        if i % 3 == 0:
-            params = EulerMaclaurinParams(N=rng.randint(2, 90), M=rng.randint(1, 15))
-        cases += [(complex(re, im), params), (complex(re, -im), params)]
-    cases += [(-9.0, EulerMaclaurinParams(N=20, M=4)), (-7.99, EulerMaclaurinParams(N=2, M=4)),
-              (3.0 + 4j, EulerMaclaurinParams(N=2, M=1)), (-29.9, EulerMaclaurinParams(N=40, M=15))]
+        cases += [complex(re, im), complex(re, -im)]
     return cases
 
 
 def test_one_pass_matches_the_per_term_build_bitwise():
     """Every value, bound and exception equals the per-term cpow_principal
-    build: real s, Im s = +-0.0, conjugate pairs, custom params, |Im s| up
-    to 60, s at the pole, past the box and at Re s <= -2M."""
+    build: real s, Im s = +-0.0, conjugate pairs, |Im s| up to 60, s at the
+    pole, past the box, at Re s <= -2M and far right, where N^{-s} underflows."""
     cases = _one_pass_cases()
-    outcomes = [(_outcome(zeta_euler_maclaurin, s, p), _outcome(_em_per_term, s, p)) for s, p in cases]
-    for (s, p), (got, want) in zip(cases, outcomes):
-        assert got == want, (s, p)
+    outcomes = [(_outcome(zeta_euler_maclaurin, s), _outcome(_em_per_term, s)) for s in cases]
+    for s, (got, want) in zip(cases, outcomes):
+        assert got == want, s
     raised = [got.split(":")[0] for got, _ in outcomes if not got.startswith("(")]
     assert {"PoleAtOne", "ContractViolation", "DomainError"} <= set(raised)
     assert len(raised) < len(cases) // 4
@@ -152,8 +144,8 @@ def test_one_pass_raises_as_before():
         zeta_euler_maclaurin(1.0 + 5e-10j)
     with pytest.raises(ContractViolation):
         zeta_euler_maclaurin(0.5 + 60.5j)
-    with pytest.raises(DomainError, match=r"need Re s > -2M = -30, got -30.0"):
-        zeta_euler_maclaurin(-30.0, EulerMaclaurinParams(N=30, M=15))
+    with pytest.raises(DomainError, match=r"need Re s > -24, got -24.0"):
+        zeta_euler_maclaurin(-24.0 + 3j)
 
 
 def test_bernoulli_small_values_exact():
@@ -168,19 +160,19 @@ def test_bernoulli_small_values_exact():
 
 def test_bernoulli_large_value():
     b = _bernoulli_floats()
-    # B_30 = 8615841276005/14322 = 601580873.90064236838...
-    assert b[15] == float(Fraction(8615841276005, 14322))
-    # B_32 = -7709321041217/510, needed by the error term at M = 15
-    assert len(b) == 17 and b[16] == float(Fraction(-7709321041217, 510))
+    # B_24 = -236364091/2730 = -86580.253113553113...
+    assert b[12] == float(Fraction(-236364091, 2730))
+    # B_26 = 8553103/6, needed by the error term at M = 12
+    assert len(b) == 14 and b[13] == float(Fraction(8553103, 6))
 
 
 def test_bernoulli_satisfy_recurrence():
     """sum_{j=0}^{m} C(m+1, j) B_j == 0 with B_odd = 0 except B_1 = -1/2."""
     b = {0: 1.0, 1: -0.5}
-    for k in range(1, 17):
+    for k in range(1, 14):
         b[2 * k] = _bernoulli_floats()[k]
         b[2 * k + 1] = 0.0
-    for m in (4, 10, 20, 30, 32):
+    for m in (4, 10, 20, 24, 26):
         acc = math.fsum(math.comb(m + 1, j) * b[j] for j in range(m + 1))
         # the exact sum is 0; each float B_j carries up to 1/2 ulp, so the
         # residual is bounded by eps times the sum of term magnitudes
@@ -222,38 +214,38 @@ def test_pole_and_box_guards():
         zeta_euler_maclaurin(1.0 + 1e-10j)
     with pytest.raises(DomainError):
         zeta_euler_maclaurin(2.0 + 61.0j)
-    with pytest.raises(DomainError):
-        # Re s deeper than -2M is outside the continuation's validity
-        zeta_euler_maclaurin(-9.0, EulerMaclaurinParams(N=20, M=4))
+    for s in (-24.0, -24.5 + 2j, -30.0):
+        with pytest.raises(DomainError):
+            # Re s at or below -2M = -24 is outside the continuation's validity
+            zeta_euler_maclaurin(s)
 
 
-def test_params_validation():
-    with pytest.raises(DomainError):
-        EulerMaclaurinParams(N=1)
-    with pytest.raises(DomainError):
-        EulerMaclaurinParams(M=0)
-    with pytest.raises(DomainError):
-        EulerMaclaurinParams(M=16)
+def test_bound_is_finite_far_right():
+    """Where N^{-s} underflows to 0 and s(s+1)...(s+2M) overflows, from
+    Re s about 2.14e12 on, the value is 1 and the bound finite, not NaN."""
+    for s in (2.2e12, 1e13, 1e13 + 60j, 1e300, 1e300 + 60j, 1.7e308 - 60j):
+        value, bound = zeta_euler_maclaurin(s)
+        assert value == 1.0 and 0.0 < bound < 1e-12, s
 
 
-def test_default_params_scale_with_height():
-    assert default_params(2.0).N == 25
-    assert default_params(2.0 + 40.0j).N == 65
-
-
-@given(
-    x=st.floats(min_value=-5.0, max_value=8.0),
-    y=st.floats(min_value=-20.0, max_value=20.0),
-)
-@settings(max_examples=100, deadline=None)
-def test_self_consistency_across_params(x, y):
-    """Doubling N must move the value by at most the sum of both bounds."""
-    s = complex(x, y)
-    if abs(s - 1.0) < 1e-2:
-        return
-    v1, e1 = zeta_euler_maclaurin(s, EulerMaclaurinParams(N=30 + math.ceil(abs(y)), M=12))
-    v2, e2 = zeta_euler_maclaurin(s, EulerMaclaurinParams(N=60 + math.ceil(abs(y)), M=12))
-    assert abs(v1 - v2) <= e1 + e2
+def test_bound_covers_the_frozen_references():
+    """The bound holds against (s-1) zeta(s) at 34 digits at every point of
+    tests/honesty_refs.json's four samples (critical line, far left, axis
+    form, box) that the oracle takes; it refuses only Re s <= -24."""
+    samples = json.loads((Path(__file__).resolve().parent / "honesty_refs.json").read_text())
+    evaluated = refused = 0
+    for sample in samples["samples"].values():
+        for (re, im), (ref_re, ref_im) in zip(sample["points"], sample["E"]):
+            s = complex(float(re), float(im))
+            try:
+                value, bound = zeta_euler_maclaurin(s)
+            except DomainError:
+                assert s.real <= -24.0, s
+                refused += 1
+                continue
+            assert _abs_error(value, (Decimal(ref_re), Decimal(ref_im)), s - 1.0) <= Decimal(bound), s
+            evaluated += 1
+    assert (evaluated, refused) == (2851, 30)
 
 
 @given(x=st.floats(min_value=1.3, max_value=10.0), y=st.floats(min_value=-30.0, max_value=30.0))
