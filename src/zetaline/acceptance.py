@@ -14,7 +14,7 @@ import math
 import time
 
 from .complex_core import log_gamma
-from .contour import entire_e_axis, entire_e_line, residue_partial_sum, zeta
+from .contour import entire_e_axis, entire_e_line, residue_partial_sums, zeta
 from .functional_equation import PASS_REL, chi, feq_check
 from .mellin import PASS_COMPLEX, PASS_REAL, mellin_check
 from .oracle import zeta_euler_maclaurin
@@ -68,7 +68,7 @@ def _check_residue_identity() -> CriterionResult:
     worst = -math.inf
     for s in (2.0 + 0.0j, 3.0 + 0.0j, 2.5 + 2.0j):
         e = entire_e_line(s)
-        v, tail = residue_partial_sum(s, 10_000)
+        v, tail = residue_partial_sums(s, [10_000])[0]
         excess = abs(e.value - v) - (tail + 1e-10)
         worst = max(worst, excess)
     return CriterionResult(
@@ -132,13 +132,14 @@ def _z_oracle(t: float) -> float:
     return (ph * v).real
 
 
-def locate_first_zero(lo: float = 14.0, hi: float = 14.3) -> float:
-    """Bisect the sign change of the oracle's rotated zeta on [lo, hi].
+def locate_first_zero() -> float:
+    """Bisect the sign change of the oracle's rotated zeta on [14, 14.3].
 
     The rotation e^{i theta(t)} makes zeta(1/2+it) real up to round-off, so
     a sign change brackets a zero of the modulus; 60 halvings pin it to
     float resolution deterministically.
     """
+    lo, hi = 14.0, 14.3  # about the first zero, at t = 14.1347...
     flo = _z_oracle(lo)
     fhi = _z_oracle(hi)
     if not flo * fhi < 0.0:

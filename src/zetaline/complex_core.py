@@ -13,17 +13,19 @@ package leans on:
   replaces 1/sinh^2(t/2)).
 
 The Mellin heads need Gamma(z) together with a bound on its rounding;
-_lanczos forms log_gamma(z) and that bound from one Lanczos sum and one
-pair of logs, the ones log_gamma runs on Re z >= 1/2, so exp of its log is
-gamma(z) bitwise.
+_lanczos forms that bound from the terms and partial sums of the one
+Lanczos sum and pair of logs that log_gamma runs on Re z >= 1/2
+(_lanczos_sum), so exp of its log is gamma(z) bitwise, and log_gamma
+itself forms no bound.
 
-Only `math`/`cmath` are used; no state, no configuration.
+Only `math`, `cmath` and `itertools` are used; no state, no configuration.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
 
 from .errors import DomainError, PoleError, finite_s
 
@@ -61,6 +63,7 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:]))  # (k - 1, c_k), k = 1 .. 14
 
 
 def cpow_principal(z: complex, w: complex) -> complex:
@@ -190,12 +193,27 @@ def log_gamma(z: complex) -> complex:
             raise PoleError(f"log_gamma pole at z={z}")
         s = sin_pi_z(z)
         return cmath.log(math.pi) - cmath.log(s) - log_gamma(1.0 - z)
-    return _lanczos(z)[0]
+    return _lanczos_sum(z)[0]
+
+
+def _lanczos_sum(z: complex) -> tuple:
+    """log Gamma(z) = (z - 1/2) ln b - b + ln sqrt(2 pi) + ln ser on
+    Re z >= 1/2, b = z + g - 1/2 and ser = c_0 + sum_{k=1}^{14} c_k / (z + k - 1)
+    added from c_0 in order, with what _lanczos bounds its rounding by:
+    (log Gamma(z), the terms, the partial sums from c_0 on, b, ln b,
+    ln ser, q = (z - 1/2) ln b - b and r = q + ln sqrt(2 pi))."""
+    terms = [c / (z + k) for k, c in _LANCZOS_TERMS]
+    partials = list(accumulate(terms, initial=_LANCZOS_C[0]))
+    b = z + (_LANCZOS_G - 0.5)
+    lb, ls = cmath.log(b), cmath.log(partials[-1])
+    q = (z - 0.5) * lb - b
+    r = q + _HALF_LOG_TWO_PI
+    return r + ls, terms, partials, b, lb, ls, q, r
 
 
 def _lanczos(z: complex) -> tuple[complex, float]:
     """(log_gamma(z), a bound to first order in u = 2^-53 on the relative
-    error of gamma(z) = exp of it) for Re z >= 1/2, from one Lanczos sum.
+    error of gamma(z) = exp of it) for Re z >= 1/2, from _lanczos_sum.
 
     gamma(z) = exp(L), L = (z - 1/2) ln b - b + ln sqrt(2 pi) + ln ser with
     b = z + g - 1/2 and ser the Lanczos sum, so the relative error is L's
@@ -215,20 +233,13 @@ def _lanczos(z: complex) -> tuple[complex, float]:
     Against 30-digit Gamma values at 600 points with Re z in [2, 9],
     |Im z| <= 61, the bound is at least 3.4 times the error, 16 in the median.
     """
-    zm = z - 0.5
-    b = z + (_LANCZOS_G - 0.5)
-    ser = _LANCZOS_C[0]
+    log_value, terms, partials, b, lb, ls, q, r = _lanczos_sum(z)
     err_ser = 0.0
-    for k in range(1, 15):
-        term = _LANCZOS_C[k] / (z + (k - 1))
-        ser += term
-        err_ser += 7.0 * abs(term) + abs(ser)
-    ls, lb = cmath.log(ser), cmath.log(b)
-    q = zm * lb - b
-    r = q + _HALF_LOG_TWO_PI
-    log_value = r + ls
+    for term, partial in zip(terms, partials[1:]):
+        err_ser += 7.0 * abs(term) + abs(partial)
+    zm = z - 0.5
     err_l = (abs(zm) * (4.0 + (2.0 + math.sqrt(5.0)) * abs(lb)) + abs(b) + abs(q) + abs(r)
-             + abs(log_value) + err_ser / abs(ser) + 2.0 + abs(ls))
+             + abs(log_value) + err_ser / abs(partials[-1]) + 2.0 + abs(ls))
     return log_value, _U * (err_l + 3.0) + 1e-15
 
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_FORM_GUARD = 1e-6   # evaluation guard around each form's degenerate set
+_POLE_GUARD = 1e-6   # chi's guard around its poles at the positive odd integers
 _CHECK_GUARD = 1e-3  # feq_check guard disks at s = 0 and s = 1
 PASS_REL = 1e-8      # bound on rel_residual: the CLI's feq and selftest criterion 4
 
@@ -83,25 +83,25 @@ def select_form(s: complex) -> str:
     return "sine" if _dist_even_positive(s) > _dist_odd(s) else "cosine"
 
 
-def chi(s: complex, form: str = "auto") -> complex:
-    """The multiplier chi(s) with zeta(s) = chi(s) zeta(1-s).
+def _chi_sine(s: complex) -> complex:
+    """chi(s) in the sine form."""
+    return 2.0 * cpow_principal(_TWO_PI, s - 1.0) * sin_pi_z(0.5 * s) * gamma(1.0 - s)
 
-    form "auto" selects per select_form(); "sine" or "cosine" forces one
-    expression (which may be degenerate at the requested point -- forcing is
-    for cross-checking the two forms against each other, not for coverage).
-    """
+
+def _chi_cosine(s: complex) -> complex:
+    """chi(s) in the cosine form."""
+    return cpow_principal(_TWO_PI, s) / (2.0 * gamma(s) * cos_pi_z(0.5 * s))
+
+
+def chi(s: complex) -> complex:
+    """The multiplier chi(s) with zeta(s) = chi(s) zeta(1-s), in the form
+    select_form picks; PoleError at the positive odd integers."""
     s = finite_s(s)
-    if form == "auto":
-        form = select_form(s)
-    elif form not in ("sine", "cosine"):
-        raise DomainError(f"form must be auto, sine, or cosine, got {form!r}")
     d_odd = _dist_odd(s)
-    if d_odd < _FORM_GUARD and s.real > 0.0:
+    if d_odd < _POLE_GUARD and s.real > 0.0:
         # zeta(1-s) = 0 (or s = 1): a genuine pole of the multiplier itself
         raise PoleError(f"chi has a pole at the positive odd integers; |s - odd| = {d_odd:.2e}")
-    if form == "sine":
-        return 2.0 * cpow_principal(_TWO_PI, s - 1.0) * sin_pi_z(0.5 * s) * gamma(1.0 - s)
-    return cpow_principal(_TWO_PI, s) / (2.0 * gamma(s) * cos_pi_z(0.5 * s))
+    return _chi_sine(s) if select_form(s) == "sine" else _chi_cosine(s)
 
 
 def feq_check(s: complex, tol: float = 1e-12) -> FeqReport:
@@ -123,7 +123,7 @@ def feq_check(s: complex, tol: float = 1e-12) -> FeqReport:
     base = 1.0 - s if reflected else s
     form = select_form(base)
     lhs = zeta(base, tol).value
-    rhs = chi(base, form) * zeta(1.0 - base, tol).value
+    rhs = chi(base) * zeta(1.0 - base, tol).value
     abs_residual = abs(lhs - rhs)
     return FeqReport(
         s=s,

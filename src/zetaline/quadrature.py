@@ -68,7 +68,6 @@ __all__ = [
     "integrate_mellin",
 ]
 
-Kernel = Callable[[float], float]
 Level = Callable[[float, range], list[complex]]
 Bound = Callable[[float], float]
 Correction = Callable[[float], complex]
@@ -290,13 +289,12 @@ class KernelTable:
     thread only ever reads a complete list.  Threads that race store equal
     values, each entry computed from its own u, so no result depends on
     the order of filling.  The package keeps one table per kernel it
-    integrates (mellin); integrate_mellin wraps any other kernel in a
-    table of its own, which lives for one call.
+    integrates (mellin).
     """
 
     __slots__ = ("kernel", "_lattices")
 
-    def __init__(self, kernel: Kernel) -> None:
+    def __init__(self, kernel: Callable[[float], float]) -> None:
         self.kernel = kernel
         self._lattices: dict[tuple[float, float], tuple[int, list[float]]] = {}
 
@@ -319,7 +317,7 @@ class KernelTable:
 
 
 def integrate_mellin(
-    kernel: Kernel | KernelTable,
+    table: KernelTable,
     alpha: complex,
     tol: float = 1e-12,
     *,
@@ -328,20 +326,19 @@ def integrate_mellin(
     bound_const: float = 1.0,
     bound: Bound,
 ) -> EvalResult:
-    """Integral of t^alpha kernel(t) over (0, inf), for a real kernel with
-    |kernel(t)| <= origin_coeff on (0, 1] and |t^alpha kernel(t)| <=
-    bound_const t^growth e^{-t} on [1, inf) (alpha complex, Re alpha > -1);
-    DomainError unless alpha, growth and the two constants are finite and
-    the constants positive.
+    """Integral of t^alpha kernel(t) over (0, inf), for the real kernel of a
+    KernelTable with |kernel(t)| <= origin_coeff on (0, 1] and
+    |t^alpha kernel(t)| <= bound_const t^growth e^{-t} on [1, inf)
+    (alpha complex, Re alpha > -1); DomainError unless alpha, growth and
+    the two constants are finite and the constants positive.
 
     Substitutes t = e^u and integrates g(u) = e^{(alpha+1)u} kernel(e^u)
     with integrate_interval, a level at a time.  The level reads
-    kernel(e^u) from `kernel` when it is a KernelTable, which keeps the
-    values for every later call, and otherwise from a table that lives for
-    this call; either way each value is kernel(math.exp(u)) at the node's
-    own u, so a result does not depend on what the table held before.  A
-    kernel whose expansion at the origin the caller has subtracted (as
-    mellin does) has a large Re alpha and a short origin tail.
+    kernel(e^u) from the table, which keeps the values for every later
+    call; each value is kernel(math.exp(u)) at the node's own u, so a
+    result does not depend on what the table held before.  A kernel whose
+    expansion at the origin the caller has subtracted (as mellin does) has
+    a large Re alpha and a short origin tail.
 
     The origin side is cut where the nodes left out, h |g(u_left)|/2 plus
     h sum_{k >= 1} |g(u_left - k h)| <= origin_coeff e^{(Re alpha+1) u_left}
@@ -398,7 +395,6 @@ def integrate_mellin(
         target, math.ceil((growth + 1.0) * 8.0) / 8.0)
     u_right = math.ceil(max(1.0, math.log(height)) / step) * step
     ap1c = alpha + 1.0
-    table = kernel if isinstance(kernel, KernelTable) else KernelTable(kernel)
     exp = cmath.exp
 
     def level(h: float, ks: range) -> list[complex]:

@@ -19,6 +19,7 @@ import pytest
 import zetaline
 from zetaline import acceptance, cli
 from zetaline.errors import DomainError
+from zetaline.quadrature import KernelTable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,7 +109,7 @@ def test_one_result_type():
                                          lambda y: 1.0 - y, bound=_gauss_bound),
         # e^{-e^w} along Im w = b integrates to 1 / cos(b) in modulus: M(1) = 1 / cos(1)
         zetaline.integrate_mellin(
-            lambda t: complex(math.exp(-t)), 0.0,
+            KernelTable(lambda t: complex(math.exp(-t))), 0.0,
             bound=lambda h: 2.0 / math.cos(1.0) / math.expm1(2.0 * math.pi / h)),
     ]
     for r in results:
@@ -260,7 +261,6 @@ ENTRY_POINTS = {
     "entire_e_axis": zetaline.entire_e_axis,
     "zeta_from_e": lambda s: zetaline.zeta_from_e(s, zetaline.EvalResult(1j, 0.0, 1, True, 1.0)),
     "line_integrand": lambda s: zetaline.line_integrand(0.5, s),
-    "residue_partial_sum": lambda s: zetaline.residue_partial_sum(s, 2),
     "residue_partial_sums": lambda s: zetaline.residue_partial_sums(s, [1, 2]),
     "select_form": zetaline.select_form,
     "chi": zetaline.chi,

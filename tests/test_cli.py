@@ -1,5 +1,6 @@
 """End-to-end CLI checks, mostly via subprocess: formats, exit codes, determinism."""
 
+import hashlib
 import math
 import re
 import subprocess
@@ -193,18 +194,44 @@ def test_residues_n_max_cap(monkeypatch, capsys):
 
 
 def test_residues_builds_each_term_once(monkeypatch, capsys):
-    """The doubling table builds each n^{-s} once, not once per row."""
-    calls = []
-    cpow = contour.cpow_principal
+    """The doubling table builds each n^{-s} once, not once per row, in
+    chunks that cover k = 1 .. N in order."""
+    chunks = []
+    neg_powers = contour._neg_powers
 
-    def counted(z, w):
-        calls.append(z)
-        return cpow(z, w)
+    def chunked(s, ks):
+        chunks.append(ks)
+        return neg_powers(s, ks)
 
-    monkeypatch.setattr(contour, "cpow_principal", counted)
-    assert cli.main(["residues", "--re", "3", "--n-max", "1000"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 11
-    assert len(calls) <= 1000
+    monkeypatch.setattr(contour, "_neg_powers", chunked)
+    assert cli.main(["residues", "--re", "3", "--im", "2", "--n-max", "40000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 17
+    assert [k for ks in chunks for k in ks] == list(range(1, 40001))
+    assert len(chunks) > 1
+
+
+# sha256 of `zetaline residues --re 2 --im 3 --n-max 4096`, from the
+# revision that kept the terms in lists of floats
+RESIDUES_4096_SHA256 = "cf465b8df807840764c6b44000cab08660b085ca90d54c9ba3551cbfd323f679"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_residues_table_bytes_and_peak_memory():
+    """The residue table keeps its bytes, and the table to N = 10^6 peaks
+    below 40 MB resident (its terms packed, 16 bytes each), read from
+    RUSAGE_CHILDREN in a process whose one child is that table."""
+    r = run_cli("residues", "--re", "2", "--im", "3", "--n-max", "4096")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == RESIDUES_4096_SHA256
+    code = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'zetaline', 'residues', '--re', '2', '--im', '3',\n"
+        "                '--n-max', '1000000'], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    peak = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=600)
+    assert int(peak.stdout) <= 40 * 1024, f"{int(peak.stdout) / 1024:.1f} MB"
 
 
 def test_scan_csv_shape(tmp_path):

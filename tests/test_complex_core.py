@@ -246,6 +246,19 @@ def _gamma_rel_err(z: complex) -> float:
     return 2.0 ** -53 * (err_l + 3.0) + 1e-15
 
 
+def test_log_gamma_is_the_lanczos_log_bitwise():
+    """log_gamma forms no rounding bound, yet returns _lanczos's log bit
+    for bit and zero sign for zero sign, on seeded z with Re z in [0.5, 12]
+    and |Im z| <= 65, their conjugates, real z and Im z = -0.0."""
+    rng = random.Random(30)
+    zs = [complex(rng.uniform(0.5, 12.0), rng.uniform(-65.0, 65.0)) for _ in range(4000)]
+    zs += [z.conjugate() for z in zs]
+    zs += [complex(x, 0.0) for x in (0.5, 1.0, 2.0, 3.5, 7.0, 12.0)]
+    zs += [complex(x, -0.0) for x in (0.5, 2.5, 11.0)]
+    for z in zs:
+        assert repr(log_gamma(z)) == repr(_lanczos(z)[0]), z
+
+
 def test_gamma_with_err_is_gamma_and_its_bound_bitwise():
     """One Lanczos sum (_lanczos) gives log_gamma(z), whose exp is gamma(z),
     and the bound bit for bit, on seeded z with Re z in [0.5, 12] and

@@ -16,7 +16,6 @@ from zetaline.contour import (
     entire_e_axis,
     entire_e_line,
     line_integrand,
-    residue_partial_sum,
     residue_partial_sums,
     zeta,
     zeta_from_e,
@@ -208,35 +207,32 @@ def test_schwarz_reflection_bitwise_every_line():
 
 def test_residue_values():
     """The partial sums add up minus the residues (1-s) n^{-s} at z = n."""
-    assert residue_partial_sum(3.0, 1)[0] == 2.0
-    assert residue_partial_sum(3.0, 2)[0] == pytest.approx(2.25, rel=1e-15)
+    assert residue_partial_sums(3.0, [1])[0][0] == 2.0
+    assert residue_partial_sums(3.0, [2])[0][0] == pytest.approx(2.25, rel=1e-15)
 
 
 def test_residue_sum_approaches_line_value():
     for s in (2.5 + 0.0j, 3.0 + 2.0j, 4.0 - 1.0j):
         e = entire_e_line(s)
         for n in (10, 100, 1000):
-            value, tail = residue_partial_sum(s, n)
+            value, tail = residue_partial_sums(s, [n])[0]
             assert abs(e.value - value) <= tail + e.err_est + 1e-10
 
 
 def test_residue_sum_tail_bound_monotone():
-    _, t1 = residue_partial_sum(3.0, 10)
-    _, t2 = residue_partial_sum(3.0, 100)
+    _, t1 = residue_partial_sums(3.0, [10])[0]
+    _, t2 = residue_partial_sums(3.0, [100])[0]
     assert t2 < t1
 
 
 def test_residue_sum_guards():
     with pytest.raises(DomainError):
-        residue_partial_sum(1.0, 10)
+        residue_partial_sums(1.0, [10])
     with pytest.raises(DomainError):
-        residue_partial_sum(3.0, 0)
+        residue_partial_sums(3.0, [0])
     for sizes in ([], [0, 1], [2, 2], [4, 2], [1, 2.5], [2.0], [True], [1, True]):
         with pytest.raises(DomainError, match="sizes must be increasing integers"):
             residue_partial_sums(2.0 + 3.0j, sizes)
-    for n_terms in (2.0, True):
-        with pytest.raises(DomainError, match="sizes must be increasing integers"):
-            residue_partial_sum(2.0 + 3.0j, n_terms)
 
 
 def test_residue_table_matches_each_size():
@@ -259,7 +255,7 @@ def test_residue_table_matches_each_size():
 
         table = residue_partial_sums(s, sizes)
         assert [repr(value) for value, _ in table] == [repr(own_sum(n)) for n in sizes], s
-        assert table[-1] == residue_partial_sum(s, sizes[-1])
+        assert table[-1] == residue_partial_sums(s, sizes[-1:])[0]
 
 
 def test_axis_agrees_with_line():

@@ -4,8 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaline.acceptance import FEQ_GRID, STRIP_POINTS
 from zetaline.errors import DomainError, PoleError
-from zetaline.functional_equation import PASS_REL, FeqReport, chi, feq_check, select_form
+from zetaline.functional_equation import (
+    PASS_REL,
+    FeqReport,
+    _chi_cosine,
+    _chi_sine,
+    chi,
+    feq_check,
+    select_form,
+)
 from zetaline.oracle import zeta_euler_maclaurin
 
 CHI_HALF_5I = complex(0.80444518280051772243, 0.59402689153694180677)
@@ -14,8 +23,8 @@ CHI_4_1I = complex(50.17262302424900875, 32.068617117575933822)
 
 def test_chi_at_half_is_one():
     assert abs(chi(0.5) - 1.0) <= 1e-12
-    assert abs(chi(0.5, "sine") - 1.0) <= 1e-12
-    assert abs(chi(0.5, "cosine") - 1.0) <= 1e-12
+    assert abs(_chi_sine(0.5) - 1.0) <= 1e-12
+    assert abs(_chi_cosine(0.5) - 1.0) <= 1e-12
 
 
 def test_chi_closed_forms():
@@ -46,8 +55,8 @@ def test_form_selection():
 @settings(max_examples=150, deadline=None)
 def test_forms_agree_off_the_real_axis(x, y):
     s = complex(x, y)
-    a = chi(s, "sine")
-    b = chi(s, "cosine")
+    a = _chi_sine(s)
+    b = _chi_cosine(s)
     assert abs(a - b) <= 1e-10 * (abs(a) + abs(b))
 
 
@@ -75,9 +84,20 @@ def test_chi_pole_at_positive_odd_integers():
     assert math.isfinite(chi(-3.0).real)
 
 
-def test_chi_form_argument_validation():
-    with pytest.raises(DomainError):
-        chi(2.0, "tangent")
+def test_chi_is_the_selected_form_bitwise():
+    """chi(s) is, bit for bit, the form select_form(s) names, on the
+    reflection grid and the strip points, the positive odd integers (poles
+    of chi) left out."""
+    forms = {"sine": _chi_sine, "cosine": _chi_cosine}
+    checked = 0
+    for s in FEQ_GRID + STRIP_POINTS:
+        if s.imag == 0.0 and s.real > 0.0 and s.real % 2.0 == 1.0:
+            continue
+        want = forms[select_form(s)](s)
+        got = chi(s)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), s
+        checked += 1
+    assert checked == len(FEQ_GRID) + len(STRIP_POINTS) - 1
 
 
 def test_chi_against_oracle():

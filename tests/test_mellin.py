@@ -102,7 +102,7 @@ def test_termwise_mellin_factors():
     for n in range(1, 51):
         m = 1.0 / (n * math.cos(1.0)) ** 2
         r = integrate_mellin(
-            lambda t, n=n: math.exp(-n * t),
+            KernelTable(lambda t, n=n: math.exp(-n * t)),
             alpha=1.0,
             growth=1.0,
             bound=lambda h, m=m: 2.0 * m / math.expm1(2.0 * math.pi / h),
@@ -341,15 +341,16 @@ def test_past_double_range_is_a_truncation_failure():
 def test_kernel_tables_give_the_inline_kernel_bits(monkeypatch):
     """The shared tables return kernel(e^u) bitwise, on any lattice and
     however filled: the same integrals through the package's tables (cold,
-    then warm) and through a plain kernel, which integrate_mellin reads
-    through a table of its own for one call, agree bit for bit."""
+    then warm) and through a table of their own for each call agree bit
+    for bit."""
     pts = [1.06 + 4j, 2.5 - 0.3j, 5.9 + 5j, 3.0, 7.5 - 21.0j]
     monkeypatch.setattr(mellin, "_BOSE_TABLE", KernelTable(mellin._bose_rem))
     monkeypatch.setattr(mellin, "_SINH_TABLE", KernelTable(mellin._sinh_rem))
     runs = [[(mellin._bose(s, tol), mellin._sinh_sq_integral(s, tol))
              for s in pts for tol in (1e-12, 1e-6)] for _ in range(2)]
-    monkeypatch.setattr(mellin, "_BOSE_TABLE", mellin._BOSE_TABLE.kernel)
-    monkeypatch.setattr(mellin, "_SINH_TABLE", mellin._SINH_TABLE.kernel)
+    real = mellin.integrate_mellin
+    monkeypatch.setattr(mellin, "integrate_mellin",
+                        lambda table, *a, **k: real(KernelTable(table.kernel), *a, **k))
     inline = [(mellin._bose(s, tol), mellin._sinh_sq_integral(s, tol))
               for s in pts for tol in (1e-12, 1e-6)]
     assert runs[0] == runs[1] == inline

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_err_est_honesty import _abs_error
 
 from zetaline.complex_core import cpow_principal
-from zetaline.contour import residue_partial_sum
+from zetaline.contour import residue_partial_sums
 from zetaline.errors import ContractViolation, DomainError, PoleAtOne, check_box, finite_s
 from zetaline.oracle import _bernoulli_floats, zeta_euler_maclaurin
 
@@ -255,16 +255,16 @@ def test_agrees_with_residue_partial_sum(x, y):
     """(s-1) zeta(s) from the oracle matches the residue sum within both bounds."""
     s = complex(x, y)
     em, em_err = zeta_euler_maclaurin(s)
-    rs, tail = residue_partial_sum(s, 4000)
+    rs, tail = residue_partial_sums(s, [4000])[0]
     assert abs((s - 1.0) * em - rs) <= abs(s - 1.0) * em_err + tail
 
 
 def test_dirichlet_partial_guards():
     """The partial Dirichlet sum behind the cross-check refuses Re s <= 1 and no terms."""
     with pytest.raises(DomainError):
-        residue_partial_sum(1.0, 100)
+        residue_partial_sums(1.0, [100])
     with pytest.raises(DomainError):
-        residue_partial_sum(2.0, 0)
+        residue_partial_sums(2.0, [0])
 
 
 def test_conjugation_symmetry():

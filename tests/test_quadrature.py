@@ -11,6 +11,7 @@ from zetaline import contour, mellin, quadrature
 from zetaline.contour import entire_e_line
 from zetaline.errors import DomainError, NonFiniteIntegrand, TruncationFailure
 from zetaline.quadrature import (
+    KernelTable,
     integrate_interval,
     integrate_line_decaying,
     integrate_mellin,
@@ -231,7 +232,8 @@ def test_err_est_includes_cut_tails():
                                 lambda y: math.log(2.0) - y, tol,
                                 bound=_strip(math.pi / math.cos(1.0), 1.0))
     assert r.err_est >= 0.1 * tol
-    r = integrate_mellin(lambda t: complex(math.exp(-t)), 0.0, tol, bound=_mellin_bound(0.0))
+    r = integrate_mellin(KernelTable(lambda t: complex(math.exp(-t))), 0.0, tol,
+                         bound=_mellin_bound(0.0))
     assert r.err_est >= 0.2 * tol
 
 
@@ -370,7 +372,7 @@ def _floor_exit(calls) -> None:
 
 def _gamma_integral(alpha: float, tol: float):
     """integrate_mellin on t^alpha e^{-t}, whose integral is Gamma(alpha + 1)."""
-    return integrate_mellin(lambda t: math.exp(-t), alpha, tol, growth=alpha,
+    return integrate_mellin(KernelTable(lambda t: math.exp(-t)), alpha, tol, growth=alpha,
                             bound=_mellin_bound(alpha))
 
 
@@ -455,7 +457,7 @@ def test_mellin_gamma_integral():
     # integral of t^{s-1} e^{-t} = Gamma(s): kernel e^{-t}, alpha = s - 1
     for s, want in ((2.0, 1.0), (3.5, 3.32335097044784255)):
         r = integrate_mellin(
-            lambda t: math.exp(-t),
+            KernelTable(lambda t: math.exp(-t)),
             alpha=s - 1.0,
             growth=s - 1.0,
             bound=_mellin_bound(s - 1.0),
@@ -467,7 +469,7 @@ def test_mellin_gamma_integral():
 def test_mellin_origin_singularity_integrable():
     # integral of t^{-1/2} e^{-t} = Gamma(1/2) = sqrt(pi): kernel e^{-t}
     r = integrate_mellin(
-        lambda t: math.exp(-t),
+        KernelTable(lambda t: math.exp(-t)),
         alpha=-0.5,
         bound=_mellin_bound(-0.5),
     )
@@ -481,8 +483,8 @@ def test_mellin_decay_cut_covers_the_exact_tail():
     for g in range(2, 7):
         for k in range(2, 29):
             tol = 10.0 ** (-k / 2)
-            t = integrate_mellin(lambda t: math.exp(-t), float(g), tol, growth=float(g),
-                                 bound=_mellin_bound(float(g))).truncation_height
+            t = integrate_mellin(KernelTable(lambda t: math.exp(-t)), float(g), tol,
+                                 growth=float(g), bound=_mellin_bound(float(g))).truncation_height
             tail = math.factorial(g) * math.exp(-t) * sum(
                 t ** j / math.factorial(j) for j in range(g + 1))
             assert tail <= 0.1 * tol, (g, tol, t)
@@ -493,8 +495,8 @@ def test_mellin_rejects_nonintegrable_origin():
     finite and positive are DomainErrors, not a ZeroDivisionError, a plain
     ValueError or a cut placed from a NaN."""
     with pytest.raises(DomainError):
-        integrate_mellin(lambda t: complex(1.0 / t), alpha=-1.0, bound=_no_bound)
-    kernel = lambda t: math.exp(-t)  # noqa: E731
+        integrate_mellin(KernelTable(lambda t: complex(1.0 / t)), alpha=-1.0, bound=_no_bound)
+    kernel = KernelTable(lambda t: math.exp(-t))
     for alpha in (complex(0.5, math.inf), complex(0.5, math.nan), complex(math.nan, 0.0)):
         with pytest.raises(DomainError):
             integrate_mellin(kernel, alpha, bound=_mellin_bound(0.5))
@@ -514,7 +516,8 @@ def test_plan_validation():
             integrate_line_decaying(_level(lambda y: complex(math.exp(-y * y))), lambda y: -y,
                                     tol, bound=_no_bound)
         with pytest.raises(DomainError):
-            integrate_mellin(lambda t: complex(math.exp(-t)), 0.0, tol, bound=_no_bound)
+            integrate_mellin(KernelTable(lambda t: complex(math.exp(-t))), 0.0, tol,
+                             bound=_no_bound)
 
 
 def _grid_scan_height(log_tail, tail, start=1.0, grid=0.125):

@@ -13,7 +13,14 @@ Each side runs its own perfbench/ and its own src/.
 Writes BENCH_<n>.json at the repository root: every run's accuracy line
 (the first JSON line run.py prints: failed operations and the worst error
 against the mpmath references) next to its metrics, and per workload the
-median of each end-to-end metric on either side.  Standard library only.
+median of each end-to-end metric on either side.  For each end-to-end
+metric that BENCHMARK.json declares, the summary also gives the two rules a
+change is judged by: the pairs the change won, by the metric's `better`
+with ties counting for neither side, and the parent's interquartile range
+(a claimed gain must win nine pairs of ten, its median ahead by more than
+that range); and whether the change's median is worse than the parent's by
+more than the metric's `bound`, a fraction of the parent's median (a
+regression).  Standard library only.
 """
 
 from __future__ import annotations
@@ -79,6 +86,31 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def judge(runs: list[dict], summary: dict, end_to_end: list[dict]) -> None:
+    """Add to summary[workload][metric], for each end-to-end metric of
+    BENCHMARK.json that the workload reports: won_pairs (pairs whose change
+    run reads better than its parent run), parent_iqr (the distance
+    between the quartiles of the parent's runs) and worse_than_bound."""
+    for spec in end_to_end:
+        name, lower = spec["name"], spec["better"] == "lower"
+        for workload, metrics in summary.items():
+            if name not in metrics:
+                continue
+            by_pair: dict = {}
+            for run in runs:
+                m = run["result"]["metrics"].get(name)
+                if run["workload"] == workload and m is not None:
+                    by_pair.setdefault(run["pair"], {})[run["side"]] = m["value"]
+            won = sum(1 for v in by_pair.values() if len(v) == 2 and v["change"] != v["parent"]
+                      and (v["change"] < v["parent"]) == lower)
+            parent = [v["parent"] for v in by_pair.values() if "parent" in v]
+            q1, _, q3 = statistics.quantiles(parent, n=4)
+            was, now = metrics[name]["parent"]["median"], metrics[name]["change"]["median"]
+            limit = was * (1.0 + spec["bound"] if lower else 1.0 - spec["bound"])
+            metrics[name].update(won_pairs=won, parent_iqr=q3 - q1,
+                                 worse_than_bound=now > limit if lower else now < limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
@@ -100,6 +132,9 @@ def main(argv: list[str] | None = None) -> int:
                                  "first": side == order[0], **rec})
                     print(f"{workload} {side} pair {pair}: "
                           f"{json.dumps(rec['result']['metrics'].get('ops_per_s'))}", file=sys.stderr)
+    summary = summarize(runs)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        judge(runs, summary, json.load(fh)["end_to_end"])
     doc = {
         "parent": sha,
         "change": f"working tree at {head}" + (" with changes under src/ or perfbench/" if dirty else ""),
@@ -107,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": PAIRS,
         "machine": {"python": platform.python_version(), "system": platform.platform(),
                     "cpus": os.cpu_count()},
-        "summary": summarize(runs),
+        "summary": summary,
         "runs": runs,
     }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
