@@ -16,6 +16,12 @@ chi(s) zeta(1-s) in two multiplier forms, a chain of Mellin integrals
 equal to Gamma(s) zeta(s), and an independent Euler-Maclaurin evaluator
 used as a cross-check.  The supported box is |Im s| <= 60.
 
+The package exports those objects: zeta, zeta_from_e and the two forms
+of E, the integrand and the residue sums, chi and feq_check, the three
+Mellin integrals and mellin_check, the oracle, the records they return
+and the errors.  The quadrature rule and the scalar kernels under them
+stay in their modules (zetaline.quadrature, zetaline.complex_core).
+
 Quick start::
 
     from zetaline import zeta
@@ -26,8 +32,7 @@ Command line: ``python -m zetaline eval --re 2``.
 
 from sys import modules as _modules
 
-from . import complex_core, contour, errors, quadrature
-from .complex_core import *
+from . import contour, errors, quadrature
 from .contour import *
 from .errors import *
 from .quadrature import *
@@ -37,7 +42,7 @@ __version__ = "0.1.0"
 # names whose modules load on first access, so a process that only
 # evaluates zeta never loads them (see README, "Start-up")
 _LAZY = {
-    **dict.fromkeys(("FeqReport", "select_form", "chi", "feq_check"),
+    **dict.fromkeys(("FeqReport", "chi", "feq_check"),
                     "zetaline.functional_equation"),
     **dict.fromkeys(("MellinReport", "bose_integral", "exp_sq_integral",
                      "sinh_integral", "mellin_check"), "zetaline.mellin"),
@@ -64,5 +69,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = ["__version__", *errors.__all__, *complex_core.__all__, *quadrature.__all__,
-           *contour.__all__, *_LAZY]
+__all__ = ["__version__", *errors.__all__, *quadrature.__all__, *contour.__all__, *_LAZY]

@@ -78,8 +78,9 @@ class ScanGrid(Record):
             raise DomainError(f"grid bounds must be finite, got {bounds}")
         if not (re_min <= re_max and im_min <= im_max):
             raise DomainError("grid needs re_min <= re_max and im_min <= im_max")
-        if steps_re < 1 or steps_im < 1:
-            raise DomainError("steps_re and steps_im must be >= 1")
+        if not (type(steps_re) is int and type(steps_im) is int  # bool is not a count
+                and steps_re >= 1 and steps_im >= 1):
+            raise DomainError("steps_re and steps_im must be integers >= 1")
         if (steps_re == 1 and re_min != re_max) or (steps_im == 1 and im_min != im_max):
             raise DomainError("an axis with one step needs equal bounds")
         if steps_re * steps_im > _MAX_POINTS:

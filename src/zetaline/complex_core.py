@@ -29,15 +29,7 @@ from itertools import accumulate
 
 from .errors import DomainError, PoleError, finite_s
 
-__all__ = [
-    "cpow_principal",
-    "sin_pi_z",
-    "cos_pi_z",
-    "sech_sq_pi",
-    "sinhc_half",
-    "log_gamma",
-    "gamma",
-]
+__all__: list[str] = []  # the kernels serve the package; none is the paper's object
 
 _TWO_PI = 2.0 * math.pi
 _HALF_LOG_TWO_PI = 0.5 * math.log(_TWO_PI)

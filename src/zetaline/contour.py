@@ -122,7 +122,7 @@ _CHUNK = 1 << 14      # residue_partial_sums forms its terms this many at a time
 
 
 def _check_line(n: int) -> None:
-    if not (isinstance(n, int) and n >= 0):
+    if not (type(n) is int and n >= 0):  # bool is not a line
         raise DomainError(f"the line Re z = n + 1/2 needs an integer n >= 0, got {n!r}")
 
 
@@ -459,7 +459,7 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     each level, so that h = 1/4 can already be certified; the residues and
     the correction share one pass over k^{-s}, k = 1 .. n + 1
     (_line_residues).  s and tol are the caller's to check, as
-    entire_e_line does; the quadrature checks only the tol derived here.
+    entire_e_line does.
 
     err_est, on the scale of the integral of 2 pi E, adds the rounding of
     the residues, which comes off the top of the budget 2 pi tol, to the

@@ -38,7 +38,6 @@ from .record import Record
 
 __all__ = [
     "FeqReport",
-    "select_form",
     "chi",
     "feq_check",
 ]

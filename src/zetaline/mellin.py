@@ -325,14 +325,6 @@ def _bose(s: complex, tol: float) -> EvalResult:
                       growth=s.real, origin_coeff=1.0 / 720.0, bound_const=1.0 / 12.0)
 
 
-def _exp_sq(s: complex, tol: float) -> EvalResult:
-    """Integral of e^t t^s/(e^t - 1)^2 over (0, inf), for exp_sq_integral:
-    the integrand is t^s/(4 sinh^2(t/2)), so this is J(s)/4, J run at tol."""
-    j = _sinh_sq_integral(s, tol)
-    return EvalResult(j.value / 4.0, j.err_est / 4.0, j.n_evals, j.converged,
-                      j.truncation_height)
-
-
 def bose_integral(s: complex, tol: float = 1e-12) -> complex:
     """Integral of t^{s-1}/(e^t - 1) over (0, inf); equals Gamma(s) zeta(s)."""
     return _bose(_require_domain(s, "bose_integral"), tol).value
@@ -342,13 +334,14 @@ def exp_sq_integral(s: complex, tol: float = 1e-12) -> complex:
     """(1/s) Integral of e^t t^s/(e^t - 1)^2 over (0, inf); equals Gamma(s) zeta(s).
     The integrand is t^s/(4 sinh^2(t/2)), so this is sinh_integral(s, tol)."""
     s = _require_domain(s, "exp_sq_integral")
-    return _exp_sq(s, tol).value / s
+    return _sinh_sq_integral(s, tol).value / (4.0 * s)
 
 
 def _sinh_sq_integral(sigma: complex, tol: float) -> EvalResult:
-    """J(sigma) = Integral of t^sigma/sinh^2(t/2) over (0, inf), for sinh_integral
-    and the axis form, as the head plus the remainder, run as
-    t^{sigma+2} _sinh_rem(t); the callers guard Re sigma against _RE_MIN."""
+    """J(sigma) = Integral of t^sigma/sinh^2(t/2) over (0, inf), for the two
+    integrals that equal J(s)/4s and the axis form, as the head plus the
+    remainder, run as t^{sigma+2} _sinh_rem(t); the callers guard Re sigma
+    against _RE_MIN."""
     # the integral of t^{sigma-2} 4 e^{-t}(1 + t + 5t^2/12 + t^3/12) is
     # 4 Gamma(sigma-1)(1 + (sigma-1) + 5(sigma-1)sigma/12 + (sigma-1)sigma(sigma+1)/12)
     # = Gamma(sigma+1)(sigma+2)(sigma+3) / (3 (sigma-1))

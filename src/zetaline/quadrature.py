@@ -14,8 +14,8 @@ not depend on alpha, so a table serves every integral of one kernel).
 All three run on integrate_interval: the trapezoid rule on a + k h, which
 converges like e^{-2 pi d / h} for an integrand analytic in the strip
 |Im u| < d and negligible at both ends (Trefethen & Weideman, SIAM Rev. 56
-(2014), Thm 5.1).  h starts at a power of two no larger than 1/2 (1/4 by
-default; the line contour starts its corrected lines at 1/2) and halves 6
+(2014), Thm 5.1).  h starts at a power of two no larger than 1/2 (1/2 on
+the line contour's corrected lines, else 1/4 or below) and halves 6
 times, or down to 2^-8 if that is further (_step_schedule), and each
 halving reuses every earlier node.  The integrand comes as a level
 evaluator, level(h, ks) -> the values at a + k h for k in the range ks, in
@@ -60,13 +60,7 @@ from functools import lru_cache
 from .errors import DomainError, NonFiniteIntegrand, TruncationFailure
 from .record import Record
 
-__all__ = [
-    "EvalResult",
-    "check_tol",
-    "integrate_interval",
-    "integrate_line_decaying",
-    "integrate_mellin",
-]
+__all__ = ["EvalResult"]
 
 Level = Callable[[float, range], list[complex]]
 Bound = Callable[[float], float]
@@ -78,7 +72,7 @@ _MELLIN_U_MIN = -740.0
 
 _EPS = math.ulp(1.0)
 
-_FIRST_STEP = 0.25   # default first trapezoid step
+_FIRST_STEP = 0.25   # first trapezoid step without a correction
 _MAX_STEP = 0.5      # largest first step; powers of two keep every node
 _HALVINGS = 6        # a + k h exact and shared across levels; at least
 _H_MIN = 2.0 ** -8   # 6 halvings, and down to this step
@@ -99,7 +93,9 @@ class EvalResult(Record):
 
 def check_tol(tol: float) -> None:
     """Raise DomainError unless the absolute tolerance tol is finite and at
-    least TOL_MIN; every public integrator checks its tol here."""
+    least TOL_MIN: each place a caller's tol enters the package checks it
+    here (entire_e_line, entire_e_axis, the Mellin integrals and the CLI),
+    and the integrators take the tols derived from it unchecked."""
     if not TOL_MIN <= tol < math.inf:
         raise DomainError(f"tol must be finite and >= {TOL_MIN:g}, got {tol}")
 
@@ -113,18 +109,19 @@ def _step_schedule(step: float) -> tuple[float, ...]:
 
 
 def integrate_interval(
-    level: Level, a: float, b: float, tol: float = 1e-12, *, bound: Bound,
-    step: float = _FIRST_STEP, correction: Correction | None = None, tails: float = 0.0,
+    level: Level, a: float, b: float, tol: float, *, bound: Bound, step: float,
+    correction: Correction | None = None, tails: float,
 ) -> EvalResult:
     """Nested trapezoid rule T(h) = h (g(a)/2 + sum_{k >= 1, k h <= b - a} g(a + k h))
     for an integral over [a, inf) whose integrand g is negligible beyond b,
     read a level at a time: level(h, ks) returns [g(a + k h) for k in ks].
 
     The weight 1/2 at a suits an integrand negligible at a as well, or a
-    whole-line integrand folded onto a.  h starts at `step`, a power of two
-    no larger than 1/2, and halves 6 times or down to 2^-8 if that is
-    further; a halving adds only the odd nodes of the finer grid.  With
-    `correction`, each level T(h) below is T(h) - correction(h).
+    whole-line integrand folded onto a.  The two front ends pass finite
+    a < b, tol >= TOL_MIN and finite tails >= 0.  h starts at `step`, a
+    power of two no larger than 1/2, and halves 6 times or down to 2^-8 if
+    that is further; a halving adds only the odd nodes of the finer grid.
+    With `correction`, each level T(h) below is T(h) - correction(h).
     B(h) = bound(h) + tails, tails >= 0 the part of the error that the
     caller's cuts leave out, must bound |I - T(h)| for every h, the nodes
     left out past b included, and the rule runs at tol + tails.  From the
@@ -135,13 +132,6 @@ def integrate_interval(
     err_est max(|T(h) - T(2h)|, B(h)) + noise.  `converged` is
     err_est <= tol + tails.
     """
-    check_tol(tol)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got a={a}, b={b}")
-    if not (0.0 < step <= _MAX_STEP and math.frexp(step)[0] == 0.5):
-        raise DomainError(f"step must be a power of two <= {_MAX_STEP}, got {step}")
-    if not 0.0 <= tails < math.inf:
-        raise DomainError(f"tails must be finite and >= 0, got {tails}")
     tol += tails
     bound_h = bound(step) + tails
     # level 0 takes the node at a and every node k >= 1, each halving only the new odd k
@@ -240,7 +230,7 @@ def _truncation_height(
 
 
 def integrate_line_decaying(
-    level: Level, log_tail: Callable[[float], float], tol: float = 1e-12, *,
+    level: Level, log_tail: Callable[[float], float], tol: float, *,
     bound: Bound, correction: Correction | None = None,
 ) -> EvalResult:
     """Integral over the whole real line of f, given the level evaluator of
@@ -266,7 +256,6 @@ def integrate_line_decaying(
     judges each level by and to its tol: err_est covers them, and
     `converged` is err_est <= 1.1 tol.
     """
-    check_tol(tol)
     step = _MAX_STEP if correction else _FIRST_STEP
     height = _truncation_height(log_tail, 0.05 * tol, grid=0.5 * step)
     base = integrate_interval(level, 0.0, height, tol, step=step, bound=bound,
@@ -317,20 +306,14 @@ class KernelTable:
 
 
 def integrate_mellin(
-    table: KernelTable,
-    alpha: complex,
-    tol: float = 1e-12,
-    *,
-    growth: float = 0.0,
-    origin_coeff: float = 1.0,
-    bound_const: float = 1.0,
-    bound: Bound,
+    table: KernelTable, alpha: complex, tol: float, *, growth: float,
+    origin_coeff: float, bound_const: float, bound: Bound,
 ) -> EvalResult:
     """Integral of t^alpha kernel(t) over (0, inf), for the real kernel of a
     KernelTable with |kernel(t)| <= origin_coeff on (0, 1] and
     |t^alpha kernel(t)| <= bound_const t^growth e^{-t} on [1, inf)
-    (alpha complex, Re alpha > -1); DomainError unless alpha, growth and
-    the two constants are finite and the constants positive.
+    (alpha finite, Re alpha > -1, growth >= 0 and the constants positive,
+    as mellin's remainders pass them: alpha = s + 2 with Re s >= 1.05).
 
     Substitutes t = e^u and integrates g(u) = e^{(alpha+1)u} kernel(e^u)
     with integrate_interval, a level at a time.  The level reads
@@ -360,14 +343,6 @@ def integrate_mellin(
     converges fast, so the first step is the largest h = 2^-k <= 1/4 with
     h (|Im alpha| + 4) <= pi.
     """
-    check_tol(tol)
-    alpha = complex(alpha)
-    if not (alpha.real > -1.0 and cmath.isfinite(alpha)):
-        raise DomainError(f"integrate_mellin needs a finite alpha with Re alpha > -1, got {alpha}")
-    if not (0.0 < origin_coeff < math.inf and 0.0 < bound_const < math.inf
-            and math.isfinite(growth)):
-        raise DomainError(f"integrate_mellin needs finite origin_coeff, bound_const > 0 and "
-                          f"growth, got {origin_coeff}, {bound_const}, {growth}")
     step = _FIRST_STEP
     while step * (abs(alpha.imag) + 4.0) > math.pi:
         step *= 0.5
@@ -385,7 +360,6 @@ def integrate_mellin(
             )
         u_left = _MELLIN_U_MIN
     u_left = math.floor(u_left / step) * step
-    growth = max(0.0, growth)
     log_c = math.log(bound_const)
     # the integral of C t^g e^{-t} beyond T > g is below C T^g e^{-T} T/(T - g);
     # from T = g + 1 on the envelope decreases in u, so h times the sum of

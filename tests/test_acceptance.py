@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from zetaline import acceptance
 from zetaline.acceptance import run_criteria
 
 
@@ -31,6 +32,17 @@ def test_criterion(number, criteria, capsys):
     r = criteria[number]
     _emit(capsys, r.number, r.passed, r.name, r.detail)
     assert r.passed, f"criterion {r.number} ({r.name}): {r.detail}"
+
+
+def test_criterion_7_fails_off_the_first_zero(monkeypatch):
+    """Criterion 7 compares the located zero with the first zero's frozen
+    ordinate: 5e-5 off, where |zeta(1/2 + it)| is still below its 1e-4,
+    it fails."""
+    t = acceptance._FIRST_ZERO + 5e-5
+    monkeypatch.setattr(acceptance, "locate_first_zero", lambda: t)
+    r = acceptance._check_oracle_agreement()
+    assert abs(acceptance.zeta(complex(0.5, t)).value) < 1e-4
+    assert not r.passed and "5.0e-05 from the first zero" in r.detail
 
 
 def _cli(*args: str) -> subprocess.CompletedProcess:

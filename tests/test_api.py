@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import zetaline
-from zetaline import acceptance, cli
+from zetaline import acceptance, cli, complex_core, functional_equation, quadrature
 from zetaline.errors import DomainError
 from zetaline.quadrature import KernelTable
 
@@ -44,13 +44,28 @@ def test_all_lists_match_exports():
         assert hasattr(zetaline, name), name
 
 
+def test_public_surface_is_the_papers_objects():
+    """zetaline.__all__ names the construction's objects, their records and
+    the errors; the quadrature rule and the scalar kernels stay internal."""
+    assert sorted(zetaline.__all__) == sorted([
+        "__version__",
+        "ZetalineError", "DomainError", "ContractViolation", "PoleError", "PoleAtOne",
+        "NonFiniteIntegrand", "TruncationFailure",
+        "EvalResult",
+        "line_integrand", "entire_e_line", "entire_e_axis", "residue_partial_sums",
+        "zeta_from_e", "zeta",
+        "FeqReport", "chi", "feq_check",
+        "MellinReport", "bose_integral", "exp_sq_integral", "sinh_integral", "mellin_check",
+        "zeta_euler_maclaurin",
+    ])
+
+
 # the names of zetaline.__all__ that no code in the package uses, each with
 # the reason it stays public
 UNREFERENCED = {
     "__version__": "the package's version, for code outside it",
     "line_integrand": "the paper's integrand, and the tests' reference for the line",
     "exp_sq_integral": "the lemma's middle integral, whose time the benchmark traces",
-    "sinhc_half": "a scalar kernel whose calls the benchmark traces",
 }
 
 
@@ -103,13 +118,15 @@ def test_one_result_type():
     results = [
         zetaline.zeta(2.0),
         zetaline.entire_e_axis(-1.5),
-        zetaline.integrate_interval(_level(lambda x: complex(math.exp(-x * x)), -10.0),
-                                    -10.0, 10.0, bound=_gauss_bound),
-        zetaline.integrate_line_decaying(_level(lambda y: complex(2.0 * math.exp(-y * y))),
-                                         lambda y: 1.0 - y, bound=_gauss_bound),
+        quadrature.integrate_interval(_level(lambda x: complex(math.exp(-x * x)), -10.0),
+                                      -10.0, 10.0, 1e-12, bound=_gauss_bound, step=0.25,
+                                      tails=0.0),
+        quadrature.integrate_line_decaying(_level(lambda y: complex(2.0 * math.exp(-y * y))),
+                                           lambda y: 1.0 - y, 1e-12, bound=_gauss_bound),
         # e^{-e^w} along Im w = b integrates to 1 / cos(b) in modulus: M(1) = 1 / cos(1)
-        zetaline.integrate_mellin(
-            KernelTable(lambda t: complex(math.exp(-t))), 0.0,
+        quadrature.integrate_mellin(
+            KernelTable(lambda t: complex(math.exp(-t))), 0.0, 1e-12, growth=0.0,
+            origin_coeff=1.0, bound_const=1.0,
             bound=lambda h: 2.0 / math.cos(1.0) / math.expm1(2.0 * math.pi / h)),
     ]
     for r in results:
@@ -254,7 +271,8 @@ def test_readme_quick_start_runs():
     assert r.returncode == 0, r.stderr
 
 
-# every public function that takes s, called with s and defaults otherwise
+# every public function that takes s, called with s and defaults otherwise,
+# and the internal functions that take s or z from a caller outside their module
 ENTRY_POINTS = {
     "zeta": zetaline.zeta,
     "entire_e_line": zetaline.entire_e_line,
@@ -262,7 +280,7 @@ ENTRY_POINTS = {
     "zeta_from_e": lambda s: zetaline.zeta_from_e(s, zetaline.EvalResult(1j, 0.0, 1, True, 1.0)),
     "line_integrand": lambda s: zetaline.line_integrand(0.5, s),
     "residue_partial_sums": lambda s: zetaline.residue_partial_sums(s, [1, 2]),
-    "select_form": zetaline.select_form,
+    "select_form": functional_equation.select_form,
     "chi": zetaline.chi,
     "feq_check": zetaline.feq_check,
     "bose_integral": zetaline.bose_integral,
@@ -272,10 +290,10 @@ ENTRY_POINTS = {
     "zeta_euler_maclaurin": zetaline.zeta_euler_maclaurin,
     # the scalar kernels run a few times per evaluation; those run once per
     # quadrature node are pinned in test_complex_core instead
-    "gamma": zetaline.gamma,
-    "log_gamma": zetaline.log_gamma,
-    "sin_pi_z": zetaline.sin_pi_z,
-    "cos_pi_z": zetaline.cos_pi_z,
+    "gamma": complex_core.gamma,
+    "log_gamma": complex_core.log_gamma,
+    "sin_pi_z": complex_core.sin_pi_z,
+    "cos_pi_z": complex_core.cos_pi_z,
 }
 
 

@@ -498,6 +498,11 @@ def test_scan_grid_points_order():
         ScanGrid(1.0, 0.0, 0.0, 1.0, 2, 2)
     with pytest.raises(DomainError):
         ScanGrid(0.0, 1.0, 0.0, 1.0, 0, 2)
+    for steps in (2.5, 2.0, True):  # a step count is an int, and bool is not one
+        with pytest.raises(DomainError, match="must be integers"):
+            ScanGrid(0.0, 1.0, 0.0, 1.0, steps, 2)
+        with pytest.raises(DomainError, match="must be integers"):
+            ScanGrid(0.0, 1.0, 0.0, 1.0, 2, steps)
     # one step keeps one point, so it cannot span two bounds
     with pytest.raises(DomainError):
         ScanGrid(0.0, 5.0, 1.0, 2.0, 1, 2)

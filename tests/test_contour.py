@@ -117,8 +117,6 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         contour._entire_e_line(2.0 + 0.0j, 1e-12, 0.5)
     with pytest.raises(DomainError):
-        contour._entire_e_line(2.0 + 0.0j, 0.0, 0)
-    with pytest.raises(DomainError):
         entire_e_line(2.0 + 0.0j, tol=0.0)
     with pytest.raises(DomainError):
         zeta(2.0 + 0.0j, tol=0.0)
@@ -141,10 +139,9 @@ def test_line_integrand_matches_reduced_form():
 
 
 def test_line_integrand_guards():
-    with pytest.raises(DomainError):
-        line_integrand(0.0, 2.0, -1)
-    with pytest.raises(DomainError):
-        line_integrand(0.0, 2.0, 1.5)
+    for n in (-1, 1.5, True, False):  # bool is not a line
+        with pytest.raises(DomainError):
+            line_integrand(0.0, 2.0, n)
     for y in (301.0, math.nan):
         with pytest.raises(DomainError):
             line_integrand(y, 2.0)

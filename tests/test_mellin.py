@@ -104,7 +104,10 @@ def test_termwise_mellin_factors():
         r = integrate_mellin(
             KernelTable(lambda t, n=n: math.exp(-n * t)),
             alpha=1.0,
+            tol=1e-12,
             growth=1.0,
+            origin_coeff=1.0,
+            bound_const=1.0,
             bound=lambda h, m=m: 2.0 * m / math.expm1(2.0 * math.pi / h),
         )
         assert r.converged

@@ -56,12 +56,12 @@ def _mellin_bound(alpha):
 
 def test_interval_known_integrals():
     # integral over R of sech(x) = pi; of e^{-x^2} = sqrt(pi)
-    r = integrate_interval(_level(lambda x: 1.0 / math.cosh(x), -40.0), -40.0, 40.0,
-                           bound=_SECH)
+    r = integrate_interval(_level(lambda x: 1.0 / math.cosh(x), -40.0), -40.0, 40.0, 1e-12,
+                           bound=_SECH, step=0.25, tails=0.0)
     assert r.converged
     assert r.value.real == pytest.approx(math.pi, rel=1e-14)
-    r = integrate_interval(_level(lambda x: math.exp(-x * x), -10.0), -10.0, 10.0,
-                           bound=_GAUSS)
+    r = integrate_interval(_level(lambda x: math.exp(-x * x), -10.0), -10.0, 10.0, 1e-12,
+                           bound=_GAUSS, step=0.25, tails=0.0)
     assert r.converged
     assert r.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
@@ -69,23 +69,10 @@ def test_interval_known_integrals():
 def test_interval_complex_integrand():
     # integral over R of e^{-x^2 + ix} = sqrt(pi) e^{-1/4}
     r = integrate_interval(_level(lambda x: math.exp(-x * x) * complex(math.cos(x), math.sin(x)),
-                                  -10.0), -10.0, 10.0, bound=_GAUSS_OSC)
+                                  -10.0), -10.0, 10.0, 1e-12, bound=_GAUSS_OSC,
+                           step=0.25, tails=0.0)
     assert r.converged
     assert r.value == pytest.approx(math.sqrt(math.pi) * math.exp(-0.25), abs=1e-13)
-
-
-def test_interval_rejects_bad_bounds():
-    for a, b in ((1.0, 0.0), (0.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(DomainError):
-            integrate_interval(_level(math.exp, a), a, b, bound=_no_bound)
-
-
-def test_interval_rejects_bad_step():
-    """The first step must be a power of two no larger than 1/2, so every
-    node a + k h is exact and shared by the finer levels."""
-    for step in (1.0, 0.3, 0.0, -0.25, math.nan):
-        with pytest.raises(DomainError):
-            integrate_interval(_level(math.exp), 0.0, 1.0, step=step, bound=_no_bound)
 
 
 def test_interval_halves_down_to_the_finest_step():
@@ -102,16 +89,16 @@ def test_interval_halves_down_to_the_finest_step():
 
     for step, finest in ((0.5, 2.0 ** -8), (0.25, 2.0 ** -8), (0.125, 2.0 ** -9)):
         seen.clear()
-        r = integrate_interval(level, 0.0, 1.0, 1e-14, step=step, bound=lambda h: 0.5 * h)
+        r = integrate_interval(level, 0.0, 1.0, 1e-14, step=step, bound=lambda h: 0.5 * h,
+                               tails=0.0)
         assert seen[0] == step and seen[-1] == finest and not r.converged
         assert tuple(seen) == quadrature._step_schedule(step)  # the schedule others read
 
 
 def test_interval_nonfinite_integrand():
-    with pytest.raises(NonFiniteIntegrand):
-        integrate_interval(_level(lambda x: complex(math.nan, 0.0)), 0.0, 1.0, bound=_no_bound)
-    with pytest.raises(NonFiniteIntegrand):
-        integrate_interval(_level(lambda x: complex(0.0, math.inf)), 0.0, 1.0, bound=_no_bound)
+    for g in (lambda x: complex(math.nan, 0.0), lambda x: complex(0.0, math.inf)):
+        with pytest.raises(NonFiniteIntegrand):
+            integrate_interval(_level(g), 0.0, 1.0, 1e-12, bound=_no_bound, step=0.25, tails=0.0)
 
 
 @given(
@@ -128,10 +115,13 @@ def test_interval_linearity(a, c1, c2):
         return math.exp(-x * x) * complex(math.cos(x), math.sin(x))
 
     lo, hi = a - 40.0, a + 40.0
-    combined = integrate_interval(_level(lambda x: c1 * f1(x) + c2 * f2(x), lo), lo, hi,
-                                  bound=lambda h: abs(c1) * _SECH(h) + abs(c2) * _GAUSS_OSC(h))
-    separate = (c1 * integrate_interval(_level(f1, lo), lo, hi, bound=_SECH).value
-                + c2 * integrate_interval(_level(f2, lo), lo, hi, bound=_GAUSS_OSC).value)
+    plan = {"step": 0.25, "tails": 0.0}
+    combined = integrate_interval(_level(lambda x: c1 * f1(x) + c2 * f2(x), lo), lo, hi, 1e-12,
+                                  bound=lambda h: abs(c1) * _SECH(h) + abs(c2) * _GAUSS_OSC(h),
+                                  **plan)
+    separate = (c1 * integrate_interval(_level(f1, lo), lo, hi, 1e-12, bound=_SECH, **plan).value
+                + c2 * integrate_interval(_level(f2, lo), lo, hi, 1e-12, bound=_GAUSS_OSC,
+                                          **plan).value)
     assert combined.value == pytest.approx(separate, abs=1e-12)
 
 
@@ -142,8 +132,8 @@ def test_interval_conjugation_bitwise():
     # |1 + i z sin z| <= 1 + (|x| + d) cosh d at z = x + ib, |b| <= d = 1
     bound = _strip(math.e * (math.sqrt(math.pi) + (1.0 + math.sqrt(math.pi)) * math.cosh(1.0)),
                    1.0, 1e-40)
-    r1 = integrate_interval(_level(lambda x: f(x).conjugate(), -10.0), -10.0, 10.0, bound=bound)
-    r2 = integrate_interval(_level(f, -10.0), -10.0, 10.0, bound=bound)
+    r1, r2 = (integrate_interval(_level(g, -10.0), -10.0, 10.0, 1e-12, bound=bound, step=0.25,
+                                 tails=0.0) for g in (lambda x: f(x).conjugate(), f))
     assert r1.value == r2.value.conjugate()
 
 
@@ -154,6 +144,7 @@ def test_line_gaussian():
     r = integrate_line_decaying(
         _level(lambda y: complex(2.0 * math.exp(-y * y))),
         log_tail=lambda y: 1.0 - y,
+        tol=1e-12,
         bound=_strip(math.sqrt(math.pi) * math.e, 1.0),
     )
     assert r.converged
@@ -164,7 +155,7 @@ def test_line_gaussian():
 def test_line_truncation_error_within_estimate():
     # sech integral: integral over R of 1/cosh(y) = pi
     r = integrate_line_decaying(
-        _level(lambda y: complex(2.0 / math.cosh(y))), lambda y: math.log(2.0) - y,
+        _level(lambda y: complex(2.0 / math.cosh(y))), lambda y: math.log(2.0) - y, 1e-12,
         bound=_strip(math.pi / math.cos(1.0), 1.0)
     )
     assert abs(r.value.real - math.pi) <= max(r.err_est * 10.0, 1e-12)
@@ -191,7 +182,7 @@ def test_line_halvings_reuse_every_node():
         seen.append(y)
         return complex(2.0 / math.cosh(y), 0.0)
 
-    r = integrate_line_decaying(_level(g), lambda y: math.log(2.0) - y,
+    r = integrate_line_decaying(_level(g), lambda y: math.log(2.0) - y, 1e-12,
                                 bound=_strip(math.pi / math.cos(1.0), 1.0))
     assert r.converged
     assert r.value == pytest.approx(math.pi, rel=1e-12)
@@ -205,11 +196,11 @@ def test_line_halvings_reuse_every_node():
 
 def test_line_nonfinite_integrand():
     with pytest.raises(NonFiniteIntegrand):
-        integrate_line_decaying(_level(lambda y: complex(math.nan, 0.0)), lambda y: -y,
+        integrate_line_decaying(_level(lambda y: complex(math.nan, 0.0)), lambda y: -y, 1e-12,
                                 bound=_no_bound)
     with pytest.raises(NonFiniteIntegrand):
         integrate_line_decaying(_level(lambda y: complex(0.0, math.inf if y > 2.0 else 0.0)),
-                                lambda y: -y, bound=_no_bound)
+                                lambda y: -y, 1e-12, bound=_no_bound)
 
 
 @pytest.mark.parametrize("w", [10.25, 10.5, 11.0, 11.5, 11.75])
@@ -220,7 +211,7 @@ def test_line_err_est_covers_cancellation(w):
     Im y = b, |cos(w y)| <= cosh(w b), so M = 1e4 sqrt(pi) e^{d^2} cosh(w d)."""
     m = 1e4 * math.sqrt(math.pi) * math.e * math.cosh(w)  # at d = 1
     r = integrate_line_decaying(_level(lambda y: 2e4 * math.cos(w * y) * math.exp(-y * y)),
-                                lambda y: math.log(1e4) + 1.0 - y, bound=_strip(m, 1.0))
+                                lambda y: math.log(1e4) + 1.0 - y, 1e-12, bound=_strip(m, 1.0))
     exact = 1e4 * math.sqrt(math.pi) * math.exp(-w * w / 4.0)
     assert abs(r.value - exact) <= r.err_est
 
@@ -232,8 +223,8 @@ def test_err_est_includes_cut_tails():
                                 lambda y: math.log(2.0) - y, tol,
                                 bound=_strip(math.pi / math.cos(1.0), 1.0))
     assert r.err_est >= 0.1 * tol
-    r = integrate_mellin(KernelTable(lambda t: complex(math.exp(-t))), 0.0, tol,
-                         bound=_mellin_bound(0.0))
+    r = integrate_mellin(KernelTable(lambda t: complex(math.exp(-t))), 0.0, tol, growth=0.0,
+                         origin_coeff=1.0, bound_const=1.0, bound=_mellin_bound(0.0))
     assert r.err_est >= 0.2 * tol
 
 
@@ -250,12 +241,12 @@ def _corrected_sech_bound(h):
 
 @pytest.mark.parametrize("level, b, bound, kwargs", [
     (_level(lambda y: complex(2.0 * _sech(y))), 40.0,
-     _strip(math.pi / math.cos(1.5), 1.5), {}),
+     _strip(math.pi / math.cos(1.5), 1.5), {"step": 0.25}),
     (_level(lambda y: complex(2.0 * _sech(y))), 40.0, _corrected_sech_bound,
      {"step": 0.5, "correction": lambda h: 2.0 * math.pi * _sech(math.pi ** 2 / h)}),
     (_level(lambda y: complex(2e6 * _sech(y))), 40.0,
-     _strip(1e6 * math.pi / math.cos(0.25), 0.25), {}),
-    (lambda h, ks: [1.0] * len(ks), 1.0, lambda h: 0.5 * h, {}),
+     _strip(1e6 * math.pi / math.cos(0.25), 0.25), {"step": 0.25}),
+    (lambda h, ks: [1.0] * len(ks), 1.0, lambda h: 0.5 * h, {"step": 0.25}),
 ], ids=["plain", "corrected", "round-off-floor", "budget"])
 def test_tails_fold_into_bound_and_tol(level, b, bound, kwargs):
     """integrate_interval with tails=t returns, bit for bit, what it returns
@@ -263,16 +254,13 @@ def test_tails_fold_into_bound_and_tol(level, b, bound, kwargs):
     near and above the bound: on 2 sech(y) over [0, 40], without and with
     the correction of its nearest poles, on 1e6 times it, where tol lies
     below the sum's rounding, and on a constant cut at 1, which no level
-    meets.  A negative or non-finite tails is a DomainError."""
+    meets."""
     for tol in (1e-14, 1e-12, 1e-8):
         for t in (0.0, 1e-30, 1e-16, 1e-13, 0.1 * tol, 3e-9, 1e-3):
             folded = integrate_interval(level, 0.0, b, tol, bound=bound, tails=t, **kwargs)
             wrapped = integrate_interval(level, 0.0, b, tol + t,
-                                         bound=lambda h: bound(h) + t, **kwargs)
+                                         bound=lambda h: bound(h) + t, tails=0.0, **kwargs)
             assert repr(folded) == repr(wrapped), (tol, t)
-    for t in (-1e-12, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            integrate_interval(level, 0.0, b, bound=bound, tails=t, **kwargs)
 
 
 def test_line_certified_by_strip_bound():
@@ -287,10 +275,11 @@ def test_line_certified_by_strip_bound():
     m = math.pi / (8.0 * math.cos(8.0 * d))
     level = _level(lambda y: complex(2.0 / math.cosh(8.0 * y)))
     log_tail = lambda y: math.log(0.25) - 8.0 * y  # noqa: E731
-    r = integrate_line_decaying(level, log_tail, bound=_strip(m, d))
+    r = integrate_line_decaying(level, log_tail, 1e-12, bound=_strip(m, d))
     assert r.converged and r.n_evals == 242
     assert abs(r.value - math.pi / 8.0) <= r.err_est <= 1e-12
-    lying = integrate_line_decaying(level, log_tail, bound=lambda h: 1e-13 if h > 0.05 else 1.0)
+    lying = integrate_line_decaying(level, log_tail, 1e-12,
+                                    bound=lambda h: 1e-13 if h > 0.05 else 1.0)
     assert lying.n_evals == 2 * (int(lying.truncation_height * 256.0) + 1) == 1922
     assert lying.err_est > 1.0 and not lying.converged
 
@@ -305,9 +294,10 @@ def test_line_correction_takes_out_the_nearest_poles():
     |Im y| < 3/2 short of the poles, needs more levels."""
     level = _level(lambda y: complex(2.0 * _sech(y)))
     log_tail = lambda y: math.log(2.0) - y  # noqa: E731
-    plain = integrate_line_decaying(level, log_tail, bound=_strip(math.pi / math.cos(1.5), 1.5))
+    plain = integrate_line_decaying(level, log_tail, 1e-12,
+                                    bound=_strip(math.pi / math.cos(1.5), 1.5))
     r = integrate_line_decaying(
-        level, log_tail, correction=lambda h: 2.0 * math.pi * _sech(math.pi ** 2 / h),
+        level, log_tail, 1e-12, correction=lambda h: 2.0 * math.pi * _sech(math.pi ** 2 / h),
         bound=_corrected_sech_bound)
     h = 0.25
     assert r.converged and r.n_evals == 2 * (int(r.truncation_height / h) + 1)
@@ -322,7 +312,7 @@ def _spy_levels(monkeypatch) -> list:
     calls = []
     real = quadrature.integrate_interval
 
-    def spy(level, *args, bound, tails=0.0, **kwargs):
+    def spy(level, *args, bound, tails, **kwargs):
         levels = []
 
         def recorded(h: float, ks: range) -> list[complex]:
@@ -373,7 +363,7 @@ def _floor_exit(calls) -> None:
 def _gamma_integral(alpha: float, tol: float):
     """integrate_mellin on t^alpha e^{-t}, whose integral is Gamma(alpha + 1)."""
     return integrate_mellin(KernelTable(lambda t: math.exp(-t)), alpha, tol, growth=alpha,
-                            bound=_mellin_bound(alpha))
+                            origin_coeff=1.0, bound_const=1.0, bound=_mellin_bound(alpha))
 
 
 @pytest.mark.parametrize("run, n_evals, err_est", [
@@ -419,9 +409,10 @@ def _exit(levels, tol, bound, correction) -> str:
     (lambda: mellin._sinh_sq_integral(3.0, 1e-12), "certified"),
     (lambda: _gamma_integral(9.0, 1e-12), "floor"),
     (lambda: quadrature.integrate_interval(lambda h, ks: [1.0] * len(ks), 0.0, 1.0, 1e-14,
-                                           bound=lambda h: 0.5 * h), "budget"),
+                                           bound=lambda h: 0.5 * h, step=0.25, tails=0.0),
+     "budget"),
     (lambda: integrate_line_decaying(_level(lambda y: complex(2.0 / math.cosh(8.0 * y))),
-                                     lambda y: math.log(0.25) - 8.0 * y,
+                                     lambda y: math.log(0.25) - 8.0 * y, 1e-12,
                                      bound=lambda h: 1e-13 if h > 0.05 else 1.0), "budget"),
 ], ids=["line", "sinh-at-3", "gamma-at-10", "constant", "lying-bound"])
 def test_converged_is_err_est_within_tol(monkeypatch, run, exit):
@@ -445,7 +436,7 @@ def test_interval_budget_exit():
     with err_est its last difference, equal to the bound h/2, plus the
     noise."""
     r = integrate_interval(lambda h, ks: [1.0] * len(ks), 0.0, 1.0, 1e-14,
-                           bound=lambda h: 0.5 * h)
+                           bound=lambda h: 0.5 * h, step=0.25, tails=0.0)
     h = 2.0 ** -8
     assert r.value == 1.0 + h / 2.0
     assert r.n_evals == 1 + 4 + 252
@@ -459,7 +450,10 @@ def test_mellin_gamma_integral():
         r = integrate_mellin(
             KernelTable(lambda t: math.exp(-t)),
             alpha=s - 1.0,
+            tol=1e-12,
             growth=s - 1.0,
+            origin_coeff=1.0,
+            bound_const=1.0,
             bound=_mellin_bound(s - 1.0),
         )
         assert r.converged
@@ -471,6 +465,10 @@ def test_mellin_origin_singularity_integrable():
     r = integrate_mellin(
         KernelTable(lambda t: math.exp(-t)),
         alpha=-0.5,
+        tol=1e-12,
+        growth=0.0,
+        origin_coeff=1.0,
+        bound_const=1.0,
         bound=_mellin_bound(-0.5),
     )
     assert r.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-10)
@@ -483,41 +481,25 @@ def test_mellin_decay_cut_covers_the_exact_tail():
     for g in range(2, 7):
         for k in range(2, 29):
             tol = 10.0 ** (-k / 2)
-            t = integrate_mellin(KernelTable(lambda t: math.exp(-t)), float(g), tol,
-                                 growth=float(g), bound=_mellin_bound(float(g))).truncation_height
+            t = _gamma_integral(float(g), tol).truncation_height
             tail = math.factorial(g) * math.exp(-t) * sum(
                 t ** j / math.factorial(j) for j in range(g + 1))
             assert tail <= 0.1 * tol, (g, tol, t)
 
 
-def test_mellin_rejects_nonintegrable_origin():
-    """Re alpha <= -1, a non-finite alpha, and constants that are not
-    finite and positive are DomainErrors, not a ZeroDivisionError, a plain
-    ValueError or a cut placed from a NaN."""
-    with pytest.raises(DomainError):
-        integrate_mellin(KernelTable(lambda t: complex(1.0 / t)), alpha=-1.0, bound=_no_bound)
-    kernel = KernelTable(lambda t: math.exp(-t))
-    for alpha in (complex(0.5, math.inf), complex(0.5, math.nan), complex(math.nan, 0.0)):
-        with pytest.raises(DomainError):
-            integrate_mellin(kernel, alpha, bound=_mellin_bound(0.5))
-    bad = [{name: v} for name in ("origin_coeff", "bound_const")
-           for v in (0.0, -1.0, math.nan, math.inf)]
-    for kwargs in bad + [{"growth": math.nan}, {"growth": math.inf}]:
-        with pytest.raises(DomainError):
-            integrate_mellin(kernel, 0.5, bound=_mellin_bound(0.5), **kwargs)
-
-
 def test_plan_validation():
-    """Every integrator rejects a tolerance below 1e-14, infinite or NaN."""
+    """Each entry point that takes a tol refuses one below 1e-14, infinite
+    or NaN: the tol is checked where it enters the package (check_tol), and
+    the integrators take the tols derived from it as they are."""
+    entries = [lambda tol: entire_e_line(2.0 + 1.0j, tol),
+               lambda tol: contour.entire_e_axis(-1.5 + 1.0j, tol)]
+    entries += [lambda tol, f=f: f(2.0 + 1.0j, tol)
+                for f in (mellin.bose_integral, mellin.exp_sq_integral, mellin.sinh_integral,
+                          mellin.mellin_check)]
     for tol in (0.0, 1e-15, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            integrate_interval(_level(math.exp), 0.0, 1.0, tol, bound=_no_bound)
-        with pytest.raises(DomainError):
-            integrate_line_decaying(_level(lambda y: complex(math.exp(-y * y))), lambda y: -y,
-                                    tol, bound=_no_bound)
-        with pytest.raises(DomainError):
-            integrate_mellin(KernelTable(lambda t: complex(math.exp(-t))), 0.0, tol,
-                             bound=_no_bound)
+        for entry in entries:
+            with pytest.raises(DomainError, match="tol must be finite"):
+                entry(tol)
 
 
 def _grid_scan_height(log_tail, tail, start=1.0, grid=0.125):

@@ -18,9 +18,11 @@ metric that BENCHMARK.json declares, the summary also gives the two rules a
 change is judged by: the pairs the change won, by the metric's `better`
 with ties counting for neither side, and the parent's interquartile range
 (a claimed gain must win nine pairs of ten, its median ahead by more than
-that range); and whether the change's median is worse than the parent's by
+that range); whether the change's median is worse than the parent's by
 more than the metric's `bound`, a fraction of the parent's median (a
-regression).  Standard library only.
+regression); and whether the metric is unresolved, its spread on either
+side wider than that bound, so that the runs can show neither a
+regression nor its absence.  Standard library only.
 """
 
 from __future__ import annotations
@@ -90,7 +92,10 @@ def judge(runs: list[dict], summary: dict, end_to_end: list[dict]) -> None:
     """Add to summary[workload][metric], for each end-to-end metric of
     BENCHMARK.json that the workload reports: won_pairs (pairs whose change
     run reads better than its parent run), parent_iqr (the distance
-    between the quartiles of the parent's runs) and worse_than_bound."""
+    between the quartiles of the parent's runs), worse_than_bound, and
+    unresolved: the parent's or the change's interquartile range exceeds
+    `bound` times the parent's median, so the bound cannot tell a move from
+    the spread, unless every change run reads better than every parent run."""
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
         for workload, metrics in summary.items():
@@ -104,11 +109,22 @@ def judge(runs: list[dict], summary: dict, end_to_end: list[dict]) -> None:
             won = sum(1 for v in by_pair.values() if len(v) == 2 and v["change"] != v["parent"]
                       and (v["change"] < v["parent"]) == lower)
             parent = [v["parent"] for v in by_pair.values() if "parent" in v]
-            q1, _, q3 = statistics.quantiles(parent, n=4)
+            change = [v["change"] for v in by_pair.values() if "change" in v]
+            parent_iqr, change_iqr = _iqr(parent), _iqr(change)
             was, now = metrics[name]["parent"]["median"], metrics[name]["change"]["median"]
             limit = was * (1.0 + spec["bound"] if lower else 1.0 - spec["bound"])
-            metrics[name].update(won_pairs=won, parent_iqr=q3 - q1,
-                                 worse_than_bound=now > limit if lower else now < limit)
+            all_better = (max(change) < min(parent)) if lower else (min(change) > max(parent))
+            metrics[name].update(
+                won_pairs=won, parent_iqr=parent_iqr,
+                worse_than_bound=now > limit if lower else now < limit,
+                unresolved=(max(parent_iqr, change_iqr) > spec["bound"] * abs(was)
+                            and not all_better))
+
+
+def _iqr(values: list[float]) -> float:
+    """The distance between the quartiles (statistics.quantiles, default method)."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
 
 
 def main(argv: list[str] | None = None) -> int:
