@@ -47,13 +47,15 @@ The line integral runs on the nested trapezoid rule of
 quadrature.integrate_line_decaying, whose nodes y = k h (h = 2^-1 .. 2^-8
 on N >= 1, 2^-2 .. 2^-8 on N = 0) do not depend on s, cut where the log
 envelope of the integrand bounds each tail.  The rule asks for a whole
-trapezoid level at a time.  Each line keeps one record per process
-(_line): the list of ln z and pi^2 sech^2(pi y) at each level's nodes
-y >= 0, and the constants of its bound's envelopes (below), so a level is
+trapezoid level at a time, as the lattice of its nodes.  Each line keeps
+one record per process (_line): a quadrature.KernelTable of ln z and
+pi^2 sech^2(pi y) at the nodes y >= 0, read on the lattice the rule asks
+for, and the constants of its bound's envelopes (below), so a level is
 one pass of two complex exps per node, one for y and one, conjugated,
 for -y.
 J runs on the same trapezoid rule through quadrature.integrate_mellin, a
-level at a time in u = ln t, certified by mellin's strip bound.
+level at a time in u = ln t, its kernel's values read from a KernelTable
+too, certified by mellin's strip bound.
 Both forms and zeta return quadrature.EvalResult, as the integrals do.
 
 The poles at z = N and N + 1 lie at Im y = +-1/2 from the line and cap
@@ -87,13 +89,13 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 from itertools import islice
 
 from .complex_core import cpow_principal, sech_sq_pi, sin_pi_z
 from .errors import DomainError, PoleAtOne, TruncationFailure, check_box, finite_s
-from .quadrature import TOL_MIN, EvalResult, check_tol, integrate_line_decaying
+from .quadrature import TOL_MIN, EvalResult, KernelTable, check_tol, integrate_line_decaying
 
 __all__ = [
     "line_integrand",
@@ -148,27 +150,20 @@ _Table = tuple[float, float, list[tuple[float, ...]], list[tuple[float, ...]],
 
 
 @lru_cache(maxsize=None)
-def _line(n: int) -> tuple[dict[tuple[float, float], list[_Node]], list[_Table]]:
+def _line(n: int) -> tuple[KernelTable, list[_Table]]:
     """The record of the line Re z = n + 1/2 (n = 0 .. 9 in the box), built
-    when the line is first used: its trapezoid levels computed so far, keyed
-    (first node, node spacing), each the list of (ln z, pi^2 sech^2(pi y))
-    at y = first, first + spacing, ... in order; and the envelopes of
-    _strip_m for the line's trapezoid bound (_line_bound): the strip
-    |Im y| < _STRIP about the line for n = 0, the neighbouring lines
+    when the line is first used: the quadrature.KernelTable of
+    (ln z, pi^2 sech^2(pi y)) at the nodes y >= 0 (_line_node); and the
+    envelopes of _strip_m for the line's trapezoid bound (_line_bound): the
+    strip |Im y| < _STRIP about the line for n = 0, the neighbouring lines
     Re z = n - 1/2 and n + 3/2 for n >= 1.  Nothing in it is shared with
-    another line.
-
-    _cached_level fills the levels lazily.  The levels are disjoint, so each
-    node y >= 0 is stored once.  A list is never changed once stored: a
-    level's missing nodes are built in a local list and published with one
-    assignment of the longer list, so a thread only ever sees a complete
-    prefix.  Threads that race to extend the same level store equal values
-    and no result depends on the order of filling.  An envelope's table
-    grows the same way, replaced whole by a longer one.
+    another line.  An envelope's table grows as the node table's lists do,
+    replaced whole by a longer one.
     """
+    table = KernelTable(lambda y: _line_node(n + 0.5, y))
     if n == 0:
-        return {}, [_line_envelope(0.5, _STRIP)]
-    return {}, [_line_envelope(n - 0.5, 0.0), _line_envelope(n + 1.5, 0.0)]
+        return table, [_line_envelope(0.5, _STRIP)]
+    return table, [_line_envelope(n - 0.5, 0.0), _line_envelope(n + 1.5, 0.0)]
 
 
 def _line_node(sigma: float, y: float) -> _Node:
@@ -181,39 +176,34 @@ def _line_node(sigma: float, y: float) -> _Node:
     return complex(math.log(math.hypot(sigma, y)), math.atan2(y, sigma)), _PI_SQ * sech_sq_pi(y)
 
 
-def _cached_level(s: complex, n: int) -> Callable[[float, range], list[complex]]:
+def _cached_level(s: complex, n: int) -> Callable[[float, float, int], list[complex]]:
     """The level evaluator of the fold g(y) = f(y) + f(-y), y >= 0, of
-    f = line_integrand(., s, n): level(h, ks) returns g(k h) for k in ks,
-    read from the line's record _line(n) as
+    f = line_integrand(., s, n): level(first, spacing, count) returns g on
+    the lattice's nodes, read from the line's node table _line(n) as
     (exp((1-s) ln z) + conj(exp(conj(1-s) ln z))) pi^2 sech^2(pi y): the
     second term equals exp((1-s) conj(ln z)) bitwise, so E(conj s) stays
     conj E(s) exactly, and at y = 0, where ln z is real, it equals the
     first.  Where a power overflows, which only far left happens before
     the weight can scale it, the level raises TruncationFailure."""
-    levels = _line(n)[0]
-    sigma = n + 0.5
+    values = _line(n)[0].values
     w = 1.0 - complex(s)
     wc = w.conjugate()
     exp = cmath.exp
 
-    def level(h: float, ks: range) -> list[complex]:
-        key = (ks.start * h, ks.step * h)
-        nodes = levels.get(key, [])
-        if len(nodes) < len(ks):
-            new = [_line_node(sigma, k * h) for k in ks[len(nodes):]]
-            nodes = levels[key] = nodes + new
+    def level(first: float, spacing: float, count: int) -> list[complex]:
         try:
             return [(exp(w * lz) + exp(wc * lz).conjugate()) * weight
-                    for lz, weight in islice(nodes, len(ks))]
+                    for lz, weight in values(first, spacing, count)]
         except OverflowError:
+            y = _overflow_node(w, values(first, spacing, count), first, spacing)
             raise TruncationFailure(
-                f"z^(1-s) overflows double range on the line Re z = {sigma} at "
-                f"y = {_overflow_node(w, nodes, *key)} for s = {s}") from None
+                f"z^(1-s) overflows double range on the line Re z = {n + 0.5} at "
+                f"y = {y} for s = {s}") from None
 
     return level
 
 
-def _overflow_node(w: complex, nodes: list[_Node], first: float, spacing: float) -> float:
+def _overflow_node(w: complex, nodes: Iterable[_Node], first: float, spacing: float) -> float:
     """The first node y where exp(w ln z) or exp(conj(w) ln z) overflows."""
     for i, (lz, _) in enumerate(nodes):
         try:
@@ -403,16 +393,21 @@ def _line_residues(s: complex, n: int) -> tuple[complex, float, complex, complex
 
     Each k^{-s} carries the error of its exponent, up to
     eps (|Re s| + |Im s|) ln k, on top of a few ulps, so the bound is
-    eps |s-1| sum |k^{-s}| (4 + (|Re s| + |Im s|) ln k).
+    eps |s-1| sum |k^{-s}| (4 + (|Re s| + |Im s|) ln k).  TruncationFailure
+    where a power leaves double range, as 10^{-s} does below Re s = -308.25.
     """
-    re, im = _neg_powers(s, range(1, n + 2))
-    size = abs(s.real) + abs(s.imag)
-    # complex abs, not math.hypot, which can differ in the last bit
-    spread = [abs(complex(x, y)) * (4.0 + size * math.log(k))
-              for k, x, y in zip(range(1, n + 1), re, im)]
-    far = complex(re.pop(), im.pop())
-    return ((s - 1.0) * complex(math.fsum(re), math.fsum(im)),
-            _EPS * abs(s - 1.0) * math.fsum(spread), complex(re[-1], im[-1]), far)
+    try:
+        re, im = _neg_powers(s, range(1, n + 2))
+        size = abs(s.real) + abs(s.imag)
+        # complex abs, not math.hypot, which can differ in the last bit
+        spread = [abs(complex(x, y)) * (4.0 + size * math.log(k))
+                  for k, x, y in zip(range(1, n + 1), re, im)]
+        far = complex(re.pop(), im.pop())
+        return ((s - 1.0) * complex(math.fsum(re), math.fsum(im)),
+                _EPS * abs(s - 1.0) * math.fsum(spread), complex(re[-1], im[-1]), far)
+    except OverflowError:
+        raise TruncationFailure(f"the residue power k^(-s), k <= {n + 1}, overflows double "
+                                f"range for the line Re z = {n + 0.5} at s = {s}") from None
 
 
 def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:

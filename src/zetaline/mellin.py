@@ -33,8 +33,8 @@ Re s + 2 > 3 cuts the left tail a few units below u = 0, where without the
 heads the exponent Re s - 2 put it near ln(tol/10) / (Re s - 1), hundreds
 of units out for Re s near 1; the guard Re s > 1.05 (_RE_MIN) now only
 keeps s off the pole at 1 of the chain and of the heads' Gamma(s-1).
-Every s reads the same kernel values, on a
-lattice of u fixed by the step, from one table per kernel (KernelTable).
+Every s reads the same values r(e^u)/e^{4u}, on a lattice of u fixed by
+the step, from one quadrature.KernelTable per kernel.
 
 With x = t/2 and C = x coth x, so that q = x + C, the alternating bounds
 1 + x^2/3 - x^4/45 <= C <= 1 + x^2/3 - x^4/45 + 2x^6/945, C <= 1 + x^2/3
@@ -199,8 +199,8 @@ def _sinh_rem(t: float) -> float:
                       / (t * t * t * t))
 
 
-_BOSE_TABLE = KernelTable(_bose_rem)
-_SINH_TABLE = KernelTable(_sinh_rem)
+_BOSE_TABLE = KernelTable(lambda u: _bose_rem(math.exp(u)))
+_SINH_TABLE = KernelTable(lambda u: _sinh_rem(math.exp(u)))
 
 
 def _log_ms(sigma: float, tau: float, shift: float, log_c: float,
@@ -263,7 +263,8 @@ def _strip_bound(log_m: float) -> Callable[[float], float]:
 
 def _remainder(table: KernelTable, s: complex, tol: float, head: complex, head_err: float,
                log_ms: tuple[float, float], cancel: float, **kwargs) -> EvalResult:
-    """head plus the integral of t^{s+2} table.kernel(t) over (0, inf).
+    """head plus the integral of t^{s+2} k(t) over (0, inf), table holding
+    the values k(e^u) of _bose_rem or _sinh_rem.
 
     err_est adds to the quadrature's the head's rounding head_err, the
     final sum's u (|head| + |integral|), and the rounding of the kernel's

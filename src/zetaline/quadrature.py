@@ -18,9 +18,11 @@ converges like e^{-2 pi d / h} for an integrand analytic in the strip
 the line contour's corrected lines, else 1/4 or below) and halves 6
 times, or down to 2^-8 if that is further (_step_schedule), and each
 halving reuses every earlier node.  The integrand comes as a level
-evaluator, level(h, ks) -> the values at a + k h for k in the range ks, in
-ascending order, so a caller can evaluate a whole level in one pass; the
-first level's ks starts at 0, the node at a, and each halving's at 1.
+evaluator, level(first, spacing, n) -> the values at first + i spacing,
+i in range(n), in ascending order, so a caller can evaluate a whole level
+in one pass: level(a, h, ...) for the first level, from the node at a, and
+level(a + h, 2h, ...) for a halving's odd nodes, the lattice by which both
+front ends read their s-free node values from a KernelTable.
 
 Both front ends that cut a decay tail, integrate_line_decaying and
 integrate_mellin, place the cut with one search (_truncation_height): the
@@ -54,15 +56,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
+from itertools import islice
 
 from .errors import DomainError, NonFiniteIntegrand, TruncationFailure
 from .record import Record
 
 __all__ = ["EvalResult"]
 
-Level = Callable[[float, range], list[complex]]
+Level = Callable[[float, float, int], list[complex]]
 Bound = Callable[[float], float]
 Correction = Callable[[float], complex]
 
@@ -114,7 +117,9 @@ def integrate_interval(
 ) -> EvalResult:
     """Nested trapezoid rule T(h) = h (g(a)/2 + sum_{k >= 1, k h <= b - a} g(a + k h))
     for an integral over [a, inf) whose integrand g is negligible beyond b,
-    read a level at a time: level(h, ks) returns [g(a + k h) for k in ks].
+    read a level at a time: level(first, spacing, n) returns
+    [g(first + i spacing) for i in range(n)], level(a, h, ...) for the
+    first level and level(a + h, 2h, ...) for a halving's odd nodes.
 
     The weight 1/2 at a suits an integrand negligible at a as well, or a
     whole-line integrand folded onto a.  The two front ends pass finite
@@ -135,14 +140,14 @@ def integrate_interval(
     tol += tails
     bound_h = bound(step) + tails
     # level 0 takes the node at a and every node k >= 1, each halving only the new odd k
-    values = level(step, range(int((b - a) / step) + 1))
+    values = level(a, step, int((b - a) / step) + 1)
     acc = complex(0.5 * values[0])
     l1 = 0.5 * abs(values[0])  # ~ integral of |g| / h: sets the round-off floor
     values = values[1:]
     n_evals = 1
     for halving, h in enumerate(_step_schedule(step)):
         if halving:
-            values = level(h, range(1, int((b - a) / h) + 1, 2))
+            values = level(a + h, 2.0 * h, (int((b - a) / h) + 1) // 2)
         for v in values:  # ascending coordinate order
             acc += v
             l1 += abs(v)
@@ -234,9 +239,9 @@ def integrate_line_decaying(
     bound: Bound, correction: Correction | None = None,
 ) -> EvalResult:
     """Integral over the whole real line of f, given the level evaluator of
-    its fold g(y) = f(y) + f(-y) on y >= 0 (level(h, ks) returns
-    [g(k h) for k in ks]) and the caller's bound log_tail(Y) on the log of
-    the integral of |f| over each tail |y| >= Y (Y >= 1).
+    its fold g(y) = f(y) + f(-y) on y >= 0, as integrate_interval reads it
+    with a = 0, and the caller's bound log_tail(Y) on the log of the
+    integral of |f| over each tail |y| >= Y (Y >= 1).
 
     The truncation height Y is the first point of the 1/8 grid from 1 where
     each tail is below tol/20, and integrate_interval runs on g over [0, Y]
@@ -264,62 +269,60 @@ def integrate_line_decaying(
 
 
 class KernelTable:
-    """The values kernel(e^u) of a real kernel on the lattices that
-    integrate_mellin's levels read, kept for the life of the table.
+    """The values node(x) of an s-free function on the lattices that the
+    trapezoid levels read, kept for the life of the table: one per line
+    for its (ln z, pi^2 sech^2(pi y)) (contour._line), one per Mellin
+    kernel for its kernel(e^u) (mellin).
 
-    A level's nodes u_left + k h are exact multiples of h, since u_left
-    lies on the grid of the first step, so a level asks for
-    kernel(e^u) at u = first + i spacing, i = 0 .. n - 1, and those values
-    depend on u alone, whatever alpha and the cuts are.  The table keeps
-    one list per lattice (offset, spacing), offset = first mod spacing
-    (0 for a first level, h for the odd nodes a halving adds), covering
-    the indices lo, lo + 1, ... seen so far; a request outside it extends
-    the list to cover both, and publishes it with one assignment, so a
-    thread only ever reads a complete list.  Threads that race store equal
-    values, each entry computed from its own u, so no result depends on
-    the order of filling.  The package keeps one table per kernel it
-    integrates (mellin).
+    A level's nodes first + i spacing are exact multiples of spacing / 2.
+    The table keeps one list per lattice (offset, spacing), offset = first
+    mod spacing (0 for a first level, h for the odd nodes a halving adds),
+    covering the indices lo, lo + 1, ... seen so far; a request outside it
+    extends the list to cover both and publishes it with one assignment.
+    A list is never changed once stored, only replaced, so a thread only
+    ever reads a complete list and values can return a view of it.
+    Threads that race store equal values, each computed from its own x, so
+    no result depends on the order of filling.
     """
 
-    __slots__ = ("kernel", "_lattices")
+    __slots__ = ("node", "_lattices")
 
-    def __init__(self, kernel: Callable[[float], float]) -> None:
-        self.kernel = kernel
-        self._lattices: dict[tuple[float, float], tuple[int, list[float]]] = {}
+    def __init__(self, node: Callable[[float], object]) -> None:
+        self.node = node
+        self._lattices: dict[tuple[float, float], tuple[int, list]] = {}
 
-    def values(self, first: float, spacing: float, n: int) -> list[float]:
-        """[kernel(e^u) for u = first + i spacing, i in range(n)], first an
-        exact multiple of spacing / 2."""
+    def values(self, first: float, spacing: float, n: int) -> Iterator:
+        """node(x) for x = first + i spacing, i in range(n), first an exact
+        multiple of spacing / 2."""
         offset = first % spacing
         start = int((first - offset) / spacing)
-        lattices = self._lattices
-        lo, vals = lattices.get((offset, spacing), (start, []))
+        lo, vals = self._lattices.get((offset, spacing), (start, []))
         hi = lo + len(vals)
         if start < lo or start + n > hi:
-            f, exp = self.kernel, math.exp
-            new_lo, new_hi = min(lo, start), max(hi, start + n)
-            vals = ([f(exp(offset + i * spacing)) for i in range(new_lo, lo)] + vals
-                    + [f(exp(offset + i * spacing)) for i in range(hi, new_hi)])
-            lo = new_lo
-            lattices[offset, spacing] = (lo, vals)
-        return vals[start - lo:start - lo + n]
+            node = self.node
+            vals = ([node(offset + i * spacing) for i in range(start, lo)] + vals
+                    + [node(offset + i * spacing) for i in range(hi, start + n)])
+            lo = min(lo, start)
+            self._lattices[offset, spacing] = (lo, vals)
+        return islice(vals, start - lo, start - lo + n)
 
 
 def integrate_mellin(
     table: KernelTable, alpha: complex, tol: float, *, growth: float,
     origin_coeff: float, bound_const: float, bound: Bound,
 ) -> EvalResult:
-    """Integral of t^alpha kernel(t) over (0, inf), for the real kernel of a
-    KernelTable with |kernel(t)| <= origin_coeff on (0, 1] and
-    |t^alpha kernel(t)| <= bound_const t^growth e^{-t} on [1, inf)
+    """Integral of t^alpha kernel(t) over (0, inf), table the KernelTable of
+    u -> kernel(e^u) for a real kernel with |kernel(t)| <= origin_coeff on
+    (0, 1] and |t^alpha kernel(t)| <= bound_const t^growth e^{-t} on [1, inf)
     (alpha finite, Re alpha > -1, growth >= 0 and the constants positive,
     as mellin's remainders pass them: alpha = s + 2 with Re s >= 1.05).
 
     Substitutes t = e^u and integrates g(u) = e^{(alpha+1)u} kernel(e^u)
     with integrate_interval, a level at a time.  The level reads
-    kernel(e^u) from the table, which keeps the values for every later
-    call; each value is kernel(math.exp(u)) at the node's own u, so a
-    result does not depend on what the table held before.  A kernel whose
+    kernel(e^u) from the table on the lattice the rule asks for, and the
+    table keeps the values for every later call; each value is computed at
+    the node's own u, so a result does not depend on what the table held
+    before.  A kernel whose
     expansion at the origin the caller has subtracted (as mellin does) has
     a large Re alpha and a short origin tail.
 
@@ -371,11 +374,10 @@ def integrate_mellin(
     ap1c = alpha + 1.0
     exp = cmath.exp
 
-    def level(h: float, ks: range) -> list[complex]:
-        first, spacing = u_left + ks.start * h, ks.step * h
+    def level(first: float, spacing: float, n: int) -> list[complex]:
         try:
             return [exp(ap1c * (first + i * spacing)) * v
-                    for i, v in enumerate(table.values(first, spacing, len(ks)))]
+                    for i, v in enumerate(table.values(first, spacing, n))]
         except OverflowError:
             raise TruncationFailure(
                 f"t^(alpha+1) overflows double range on (0, {math.exp(u_right):.6g}] "

@@ -101,9 +101,10 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(zetaline.__all__) - used) == sorted(UNREFERENCED)
 
 
-def _level(g, a=0.0):
-    """The level evaluator of the per-node integrand g on the grid a + k h."""
-    return lambda h, ks: [g(a + k * h) for k in ks]
+def _level(g):
+    """The level evaluator of the per-node integrand g on the lattice
+    first + i spacing."""
+    return lambda first, spacing, n: [g(first + i * spacing) for i in range(n)]
 
 
 def _gauss_bound(h):
@@ -118,14 +119,14 @@ def test_one_result_type():
     results = [
         zetaline.zeta(2.0),
         zetaline.entire_e_axis(-1.5),
-        quadrature.integrate_interval(_level(lambda x: complex(math.exp(-x * x)), -10.0),
+        quadrature.integrate_interval(_level(lambda x: complex(math.exp(-x * x))),
                                       -10.0, 10.0, 1e-12, bound=_gauss_bound, step=0.25,
                                       tails=0.0),
         quadrature.integrate_line_decaying(_level(lambda y: complex(2.0 * math.exp(-y * y))),
                                            lambda y: 1.0 - y, 1e-12, bound=_gauss_bound),
         # e^{-e^w} along Im w = b integrates to 1 / cos(b) in modulus: M(1) = 1 / cos(1)
         quadrature.integrate_mellin(
-            KernelTable(lambda t: complex(math.exp(-t))), 0.0, 1e-12, growth=0.0,
+            KernelTable(lambda u: complex(math.exp(-math.exp(u)))), 0.0, 1e-12, growth=0.0,
             origin_coeff=1.0, bound_const=1.0,
             bound=lambda h: 2.0 / math.cos(1.0) / math.expm1(2.0 * math.pi / h)),
     ]

@@ -51,3 +51,26 @@ def test_worse_than_bound_and_won_pairs():
     assert m["worse_than_bound"] and m["won_pairs"] == 0 and not m["unresolved"]
     m = _judged(_STEADY, slower, "lower")
     assert not m["worse_than_bound"] and m["won_pairs"] == 10
+
+
+def test_failed_shares_per_side():
+    """Per workload and side the median of the runs' failed shares and the
+    largest distinct_failed; more_failed only where the change's median
+    share exceeds the parent's."""
+    def run(workload, side, failed, distinct):
+        return {"workload": workload, "side": side,
+                "result": {"attempted": 48, "failed": failed},
+                "accuracy_line": {"distinct_failed": distinct}}
+
+    runs = [run("tall", "parent", 19, 19), run("tall", "parent", 19, 19),
+            run("tall", "parent", 38, 19), run("tall", "change", 19, 19),
+            run("tall", "change", 24, 20), run("tall", "change", 24, 22),
+            run("strip", "parent", 0, 0), run("strip", "change", 0, 0),
+            run("strip", "change", 1, 1), run("strip", "change", 0, 0)]
+    out = bench_pair.failures(runs)
+    assert out["tall"]["parent"] == {"failed_share": 19 / 48, "distinct_failed": 19}
+    assert out["tall"]["change"] == {"failed_share": 24 / 48, "distinct_failed": 22}
+    assert out["tall"]["more_failed"] is True
+    # one failing run of three leaves the median at 0, but distinct_failed shows it
+    assert out["strip"]["change"] == {"failed_share": 0.0, "distinct_failed": 1}
+    assert out["strip"]["more_failed"] is False

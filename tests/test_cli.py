@@ -377,6 +377,18 @@ def test_eval_line_overflow_is_named(args, line, y):
     assert line in r.stderr and y in r.stderr and "s = (" in r.stderr
 
 
+def test_eval_residue_overflow_is_named():
+    """At -310+59i, on the line N = 9, the residue power 10^{-s} overflows
+    before any node is read: exit 3 with one error line that names the
+    residue power, the line and s, not a bare "math range error"."""
+    r = run_cli("eval", "--re", "-310", "--im", "59")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and "range error" not in r.stderr
+    assert r.stderr.startswith("error: the residue power k^(-s)")
+    assert "overflows" in r.stderr and "Re z = 9.5" in r.stderr and "s = (" in r.stderr
+
+
 def test_eval_far_right_does_not_overflow():
     """At Re s = 1e308 the line crosses the poles at 1 and 2, so nothing
     overflows: eval prints zeta = 1, and exits 3 only because an absolute

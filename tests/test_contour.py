@@ -361,20 +361,21 @@ def _cached_fold(s: complex, n: int):
 
     def g(y: float) -> complex:
         k = int(y * 256.0)
-        return level(1.0 / 256.0, range(k, k + 1))[0]
+        return level(k / 256.0, 1.0 / 256.0, 1)[0]
 
     return g
 
 
 def _line_tables(ns) -> dict[int, dict]:
-    """The level lists of each line n in ns in the shape of one dict
-    y -> (ln z, weight) per line, each y found in exactly one level."""
+    """The lattice lists of each line n's node table in ns in the shape of
+    one dict y -> (ln z, weight) per line, each y found in exactly one
+    lattice."""
     lines: dict[int, dict] = {}
     for n in ns:
         table = lines[n] = {}
-        for (first, spacing), nodes in contour._line(n)[0].items():
-            for i, node in enumerate(nodes):
-                y = first + i * spacing
+        for (offset, spacing), (lo, nodes) in contour._line(n)[0]._lattices.items():
+            for i, node in enumerate(nodes, lo):
+                y = offset + i * spacing
                 assert y not in table, (n, y)
                 table[y] = node
     return lines
@@ -400,17 +401,22 @@ def test_fold_at_origin_is_twice_the_node():
         for s in (2.0 + 0.0j, 0.5 + 3.0j, 0.5 - 3.0j, -4.5 - 6.0j, 1.0 - 0.7j, 5.5 + 40.0j,
                   -2.0 - 60.0j, 20.0 - 1e-300j):
             v = cmath.exp((1.0 - s) * math.log(n + 0.5))
-            assert contour._cached_level(s, n)(0.25, range(1)) == [(v + v) * math.pi ** 2], (s, n)
+            assert contour._cached_level(s, n)(0.0, 0.25, 1) == [(v + v) * math.pi ** 2], (s, n)
 
 
 def test_far_left_truncation_past_kernel_range():
     """Far left the tails need a truncation height above the kernel's range
     |y| <= 300: a TruncationFailure, as further left, not a DomainError
     about a node the caller never passed; line_integrand still refuses
-    such a y with DomainError."""
+    such a y with DomainError.  Where a residue power k^{-s} leaves double
+    range first, from Re s = -308.25 on the line N = 9, that too is a
+    TruncationFailure naming the power, not a bare OverflowError."""
     for re in (-350.0, -400.0, -450.0):
         with pytest.raises(TruncationFailure, match="range"):
             entire_e_line(complex(re, 0.0))
+    for s in (-310.0 + 59.0j, -400.0 + 40.0j, -1030.0 + 10.0j):
+        with pytest.raises(TruncationFailure, match=r"residue power k\^\(-s\)"):
+            entire_e_line(s)
     with pytest.raises(DomainError):
         line_integrand(300.25, -400.0)
 
@@ -503,6 +509,23 @@ def test_node_table_size_bounded():
         assert all(y >= 0.0 and (y * 256.0).is_integer() for y in table)
         assert len(table) <= 256.0 * heights[n] + 1.0
     assert sum(len(table) for table in lines.values()) < 6000
+
+
+def test_node_table_computes_each_node_once(monkeypatch):
+    """On cold node tables the 48 eval-tall points call _line_node once per
+    node the tables hold: no level recomputes a node another level, or an
+    earlier point, already stored."""
+    contour._line.cache_clear()
+    calls = []
+    real = contour._line_node
+    monkeypatch.setattr(contour, "_line_node",
+                        lambda sigma, y: calls.append((sigma, y)) or real(sigma, y))
+    ns = set()
+    for s in _points("eval-tall.json"):
+        entire_e_line(s)
+        ns.add(int(abs(s.imag) / (2.0 * math.pi)))
+    stored = sum(len(table) for table in _line_tables(ns).values())
+    assert len(calls) == stored > 0
 
 
 def _dense_abs_integral(s: complex, n: int, b: float) -> float:
@@ -620,8 +643,8 @@ def test_corrected_levels_within_the_bound():
             level = contour._cached_level(s, n)
             ref = complex(float(re), float(im))
             for h in (0.25, 0.125):
-                g0, = level(h, range(1))
-                values = level(h, range(1, int(r.truncation_height / h) + 1))
+                g0, = level(0.0, h, 1)
+                values = level(h, h, int(r.truncation_height / h))
                 total = 0.5 * g0 + sum(values)
                 noise = 4.0 * eps * h * (0.5 * abs(g0) + sum(abs(v) for v in values))
                 value = (h * total - correction(h)) / (2.0 * math.pi) + residues
@@ -644,12 +667,12 @@ def _replay_levels(level, tol: float, bound, result, correction=None) -> tuple[b
     check holds, that level is where the call stopped."""
     eps = math.ulp(1.0)
     h = 0.5 if correction else 0.25
-    g0, = level(h, range(1))
+    g0, = level(0.0, h, 1)
     acc, l1, nodes = 0.5 * g0, 0.5 * abs(g0), 1
     bound_prev = bound(h)
     for halving in range(8 if correction else 7):
         ks = range(1, int(result.truncation_height / h) + 1, 2 if halving else 1)
-        for v in level(h, ks):
+        for v in level(h, ks.step * h, len(ks)):
             acc += v
             l1 += abs(v)
         nodes += len(ks)

@@ -102,7 +102,7 @@ def test_termwise_mellin_factors():
     for n in range(1, 51):
         m = 1.0 / (n * math.cos(1.0)) ** 2
         r = integrate_mellin(
-            KernelTable(lambda t, n=n: math.exp(-n * t)),
+            KernelTable(lambda u, n=n: math.exp(-n * math.exp(u))),
             alpha=1.0,
             tol=1e-12,
             growth=1.0,
@@ -347,20 +347,38 @@ def test_kernel_tables_give_the_inline_kernel_bits(monkeypatch):
     then warm) and through a table of their own for each call agree bit
     for bit."""
     pts = [1.06 + 4j, 2.5 - 0.3j, 5.9 + 5j, 3.0, 7.5 - 21.0j]
-    monkeypatch.setattr(mellin, "_BOSE_TABLE", KernelTable(mellin._bose_rem))
-    monkeypatch.setattr(mellin, "_SINH_TABLE", KernelTable(mellin._sinh_rem))
+    monkeypatch.setattr(mellin, "_BOSE_TABLE", KernelTable(mellin._BOSE_TABLE.node))
+    monkeypatch.setattr(mellin, "_SINH_TABLE", KernelTable(mellin._SINH_TABLE.node))
     runs = [[(mellin._bose(s, tol), mellin._sinh_sq_integral(s, tol))
              for s in pts for tol in (1e-12, 1e-6)] for _ in range(2)]
     real = mellin.integrate_mellin
     monkeypatch.setattr(mellin, "integrate_mellin",
-                        lambda table, *a, **k: real(KernelTable(table.kernel), *a, **k))
+                        lambda table, *a, **k: real(KernelTable(table.node), *a, **k))
     inline = [(mellin._bose(s, tol), mellin._sinh_sq_integral(s, tol))
               for s in pts for tol in (1e-12, 1e-6)]
     assert runs[0] == runs[1] == inline
-    table = KernelTable(mellin._bose_rem)
+    table = KernelTable(mellin._BOSE_TABLE.node)
     for first, spacing, n in ((0.25, 0.5, 9), (-7.75, 0.25, 40), (-9.0, 0.25, 3), (2.0, 0.5, 7)):
-        assert table.values(first, spacing, n) == [
+        assert list(table.values(first, spacing, n)) == [
             mellin._bose_rem(math.exp(first + i * spacing)) for i in range(n)]
+
+
+def test_kernel_tables_compute_each_node_once(monkeypatch):
+    """On cold kernel tables verify's 48 Mellin points, seed 1, call each
+    table's node function once per value the table holds."""
+    counts = {}
+    for name in ("_BOSE_TABLE", "_SINH_TABLE"):
+        def counted(u, node=getattr(mellin, name).node, name=name):
+            counts[name] += 1
+            return node(u)
+
+        counts[name] = 0
+        monkeypatch.setattr(mellin, name, KernelTable(counted))
+    for s, _ in _pairs(_verify_refs(), "gamma_zeta"):
+        mellin_check(s)
+    for name, count in counts.items():
+        stored = sum(len(vals) for _, vals in getattr(mellin, name)._lattices.values())
+        assert count == stored > 0, name
 
 
 def test_kernel_tables_eight_cold_threads_bitwise():
@@ -396,8 +414,8 @@ def test_kernel_tables_eight_cold_threads_bitwise():
         "sys.setswitchinterval(1e-6)\n"
         "rounds = []\n"
         "for _ in range(5):\n"
-        "    mellin._BOSE_TABLE = KernelTable(mellin._bose_rem)\n"
-        "    mellin._SINH_TABLE = KernelTable(mellin._sinh_rem)\n"
+        "    mellin._BOSE_TABLE = KernelTable(mellin._BOSE_TABLE.node)\n"
+        "    mellin._SINH_TABLE = KernelTable(mellin._SINH_TABLE.node)\n"
         "    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
         "    for th in threads: th.start()\n"
         "    for th in threads: th.join(120)\n"

@@ -20,9 +20,10 @@ from zetaline.quadrature import (
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
 
-def _level(g, a=0.0):
-    """The level evaluator of the per-node integrand g on the grid a + k h."""
-    return lambda h, ks: [g(a + k * h) for k in ks]
+def _level(g):
+    """The level evaluator of the per-node integrand g on the lattice
+    first + i spacing."""
+    return lambda first, spacing, n: [g(first + i * spacing) for i in range(n)]
 
 
 def _strip(m, d, tails=0.0):
@@ -56,11 +57,11 @@ def _mellin_bound(alpha):
 
 def test_interval_known_integrals():
     # integral over R of sech(x) = pi; of e^{-x^2} = sqrt(pi)
-    r = integrate_interval(_level(lambda x: 1.0 / math.cosh(x), -40.0), -40.0, 40.0, 1e-12,
+    r = integrate_interval(_level(lambda x: 1.0 / math.cosh(x)), -40.0, 40.0, 1e-12,
                            bound=_SECH, step=0.25, tails=0.0)
     assert r.converged
     assert r.value.real == pytest.approx(math.pi, rel=1e-14)
-    r = integrate_interval(_level(lambda x: math.exp(-x * x), -10.0), -10.0, 10.0, 1e-12,
+    r = integrate_interval(_level(lambda x: math.exp(-x * x)), -10.0, 10.0, 1e-12,
                            bound=_GAUSS, step=0.25, tails=0.0)
     assert r.converged
     assert r.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
@@ -68,9 +69,8 @@ def test_interval_known_integrals():
 
 def test_interval_complex_integrand():
     # integral over R of e^{-x^2 + ix} = sqrt(pi) e^{-1/4}
-    r = integrate_interval(_level(lambda x: math.exp(-x * x) * complex(math.cos(x), math.sin(x)),
-                                  -10.0), -10.0, 10.0, 1e-12, bound=_GAUSS_OSC,
-                           step=0.25, tails=0.0)
+    r = integrate_interval(_level(lambda x: math.exp(-x * x) * complex(math.cos(x), math.sin(x))),
+                           -10.0, 10.0, 1e-12, bound=_GAUSS_OSC, step=0.25, tails=0.0)
     assert r.converged
     assert r.value == pytest.approx(math.sqrt(math.pi) * math.exp(-0.25), abs=1e-13)
 
@@ -83,9 +83,9 @@ def test_interval_halves_down_to_the_finest_step():
     [0, 1]."""
     seen = []
 
-    def level(h, ks):
-        seen.append(h)
-        return [1.0] * len(ks)
+    def level(first, spacing, n):
+        seen.append(0.5 * spacing if seen else spacing)  # a halving's spacing is 2h
+        return [1.0] * n
 
     for step, finest in ((0.5, 2.0 ** -8), (0.25, 2.0 ** -8), (0.125, 2.0 ** -9)):
         seen.clear()
@@ -116,11 +116,11 @@ def test_interval_linearity(a, c1, c2):
 
     lo, hi = a - 40.0, a + 40.0
     plan = {"step": 0.25, "tails": 0.0}
-    combined = integrate_interval(_level(lambda x: c1 * f1(x) + c2 * f2(x), lo), lo, hi, 1e-12,
+    combined = integrate_interval(_level(lambda x: c1 * f1(x) + c2 * f2(x)), lo, hi, 1e-12,
                                   bound=lambda h: abs(c1) * _SECH(h) + abs(c2) * _GAUSS_OSC(h),
                                   **plan)
-    separate = (c1 * integrate_interval(_level(f1, lo), lo, hi, 1e-12, bound=_SECH, **plan).value
-                + c2 * integrate_interval(_level(f2, lo), lo, hi, 1e-12, bound=_GAUSS_OSC,
+    separate = (c1 * integrate_interval(_level(f1), lo, hi, 1e-12, bound=_SECH, **plan).value
+                + c2 * integrate_interval(_level(f2), lo, hi, 1e-12, bound=_GAUSS_OSC,
                                           **plan).value)
     assert combined.value == pytest.approx(separate, abs=1e-12)
 
@@ -132,7 +132,7 @@ def test_interval_conjugation_bitwise():
     # |1 + i z sin z| <= 1 + (|x| + d) cosh d at z = x + ib, |b| <= d = 1
     bound = _strip(math.e * (math.sqrt(math.pi) + (1.0 + math.sqrt(math.pi)) * math.cosh(1.0)),
                    1.0, 1e-40)
-    r1, r2 = (integrate_interval(_level(g, -10.0), -10.0, 10.0, 1e-12, bound=bound, step=0.25,
+    r1, r2 = (integrate_interval(_level(g), -10.0, 10.0, 1e-12, bound=bound, step=0.25,
                                  tails=0.0) for g in (lambda x: f(x).conjugate(), f))
     assert r1.value == r2.value.conjugate()
 
@@ -223,8 +223,9 @@ def test_err_est_includes_cut_tails():
                                 lambda y: math.log(2.0) - y, tol,
                                 bound=_strip(math.pi / math.cos(1.0), 1.0))
     assert r.err_est >= 0.1 * tol
-    r = integrate_mellin(KernelTable(lambda t: complex(math.exp(-t))), 0.0, tol, growth=0.0,
-                         origin_coeff=1.0, bound_const=1.0, bound=_mellin_bound(0.0))
+    r = integrate_mellin(KernelTable(lambda u: complex(math.exp(-math.exp(u)))), 0.0, tol,
+                         growth=0.0, origin_coeff=1.0, bound_const=1.0,
+                         bound=_mellin_bound(0.0))
     assert r.err_est >= 0.2 * tol
 
 
@@ -246,7 +247,7 @@ def _corrected_sech_bound(h):
      {"step": 0.5, "correction": lambda h: 2.0 * math.pi * _sech(math.pi ** 2 / h)}),
     (_level(lambda y: complex(2e6 * _sech(y))), 40.0,
      _strip(1e6 * math.pi / math.cos(0.25), 0.25), {"step": 0.25}),
-    (lambda h, ks: [1.0] * len(ks), 1.0, lambda h: 0.5 * h, {"step": 0.25}),
+    (lambda first, spacing, n: [1.0] * n, 1.0, lambda h: 0.5 * h, {"step": 0.25}),
 ], ids=["plain", "corrected", "round-off-floor", "budget"])
 def test_tails_fold_into_bound_and_tol(level, b, bound, kwargs):
     """integrate_interval with tails=t returns, bit for bit, what it returns
@@ -315,8 +316,9 @@ def _spy_levels(monkeypatch) -> list:
     def spy(level, *args, bound, tails, **kwargs):
         levels = []
 
-        def recorded(h: float, ks: range) -> list[complex]:
-            levels.append((h, level(h, ks)))
+        def recorded(first: float, spacing: float, n: int) -> list[complex]:
+            h = 0.5 * spacing if levels else spacing  # a halving's spacing is 2h
+            levels.append((h, level(first, spacing, n)))
             return levels[-1][1]
 
         r = real(recorded, *args, bound=bound, tails=tails, **kwargs)
@@ -362,7 +364,7 @@ def _floor_exit(calls) -> None:
 
 def _gamma_integral(alpha: float, tol: float):
     """integrate_mellin on t^alpha e^{-t}, whose integral is Gamma(alpha + 1)."""
-    return integrate_mellin(KernelTable(lambda t: math.exp(-t)), alpha, tol, growth=alpha,
+    return integrate_mellin(KernelTable(lambda u: math.exp(-math.exp(u))), alpha, tol, growth=alpha,
                             origin_coeff=1.0, bound_const=1.0, bound=_mellin_bound(alpha))
 
 
@@ -408,7 +410,7 @@ def _exit(levels, tol, bound, correction) -> str:
     (lambda: entire_e_line(2.0 + 3.0j), "certified"),
     (lambda: mellin._sinh_sq_integral(3.0, 1e-12), "certified"),
     (lambda: _gamma_integral(9.0, 1e-12), "floor"),
-    (lambda: quadrature.integrate_interval(lambda h, ks: [1.0] * len(ks), 0.0, 1.0, 1e-14,
+    (lambda: quadrature.integrate_interval(lambda first, spacing, n: [1.0] * n, 0.0, 1.0, 1e-14,
                                            bound=lambda h: 0.5 * h, step=0.25, tails=0.0),
      "budget"),
     (lambda: integrate_line_decaying(_level(lambda y: complex(2.0 / math.cosh(8.0 * y))),
@@ -435,7 +437,7 @@ def test_interval_budget_exit():
     runs out of halvings and returns the finest level, converged=False,
     with err_est its last difference, equal to the bound h/2, plus the
     noise."""
-    r = integrate_interval(lambda h, ks: [1.0] * len(ks), 0.0, 1.0, 1e-14,
+    r = integrate_interval(lambda first, spacing, n: [1.0] * n, 0.0, 1.0, 1e-14,
                            bound=lambda h: 0.5 * h, step=0.25, tails=0.0)
     h = 2.0 ** -8
     assert r.value == 1.0 + h / 2.0
@@ -448,7 +450,7 @@ def test_mellin_gamma_integral():
     # integral of t^{s-1} e^{-t} = Gamma(s): kernel e^{-t}, alpha = s - 1
     for s, want in ((2.0, 1.0), (3.5, 3.32335097044784255)):
         r = integrate_mellin(
-            KernelTable(lambda t: math.exp(-t)),
+            KernelTable(lambda u: math.exp(-math.exp(u))),
             alpha=s - 1.0,
             tol=1e-12,
             growth=s - 1.0,
@@ -463,7 +465,7 @@ def test_mellin_gamma_integral():
 def test_mellin_origin_singularity_integrable():
     # integral of t^{-1/2} e^{-t} = Gamma(1/2) = sqrt(pi): kernel e^{-t}
     r = integrate_mellin(
-        KernelTable(lambda t: math.exp(-t)),
+        KernelTable(lambda u: math.exp(-math.exp(u))),
         alpha=-0.5,
         tol=1e-12,
         growth=0.0,

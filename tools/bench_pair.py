@@ -22,7 +22,10 @@ that range); whether the change's median is worse than the parent's by
 more than the metric's `bound`, a fraction of the parent's median (a
 regression); and whether the metric is unresolved, its spread on either
 side wider than that bound, so that the runs can show neither a
-regression nor its absence.  Standard library only.
+regression nor its absence.  Per workload and side it also gives the
+median failed share, failed / attempted of each run's result line, and the
+largest distinct_failed of its accuracy line, with more_failed where the
+change's share exceeds the parent's.  Standard library only.
 """
 
 from __future__ import annotations
@@ -121,6 +124,25 @@ def judge(runs: list[dict], summary: dict, end_to_end: list[dict]) -> None:
                             and not all_better))
 
 
+def failures(runs: list[dict]) -> dict:
+    """Per workload: on each side the median failed share (failed / attempted
+    of a run's result line) and the largest distinct_failed of its accuracy
+    line, and more_failed, whether the change's share exceeds the parent's."""
+    seen: dict = {}
+    for run in runs:
+        shares, distinct = seen.setdefault(run["workload"], {}).setdefault(run["side"], ([], []))
+        shares.append(run["result"]["failed"] / run["result"]["attempted"])
+        distinct.append(run["accuracy_line"]["distinct_failed"])
+    out: dict = {}
+    for workload, sides in seen.items():
+        out[workload] = {side: {"failed_share": statistics.median(shares),
+                                "distinct_failed": max(distinct)}
+                         for side, (shares, distinct) in sides.items()}
+        out[workload]["more_failed"] = (out[workload]["change"]["failed_share"]
+                                        > out[workload]["parent"]["failed_share"])
+    return out
+
+
 def _iqr(values: list[float]) -> float:
     """The distance between the quartiles (statistics.quantiles, default method)."""
     q1, _, q3 = statistics.quantiles(values, n=4)
@@ -159,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {"python": platform.python_version(), "system": platform.platform(),
                     "cpus": os.cpu_count()},
         "summary": summary,
+        "failures": failures(runs),
         "runs": runs,
     }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
