@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from functools import lru_cache
 
@@ -64,6 +65,9 @@ from .record import Record
 __all__ = ["ScanGrid", "main"]
 
 _MAX_POINTS = 1_000_000  # largest scan grid and largest --n-max
+# argparse alone takes a negative float in exponent form, as scan writes
+# -1e-05, for a flag: main reads `--flag -1e-05` as `--flag=-1e-05`
+_FLAG, _NEGATIVE_EXPONENT = re.compile(r"--\w[\w-]*"), re.compile(r"-[\d.]+[eE][-+]?\d+")
 
 
 class ScanGrid(Record):
@@ -122,7 +126,7 @@ def _scan_cell(s: complex, tol: float) -> tuple[str, EvalResult]:
     return f"{s.real!r},{s.imag!r},{e.value.real!r},{e.value.imag!r},{z_txt},{e.err_est!r}", e
 
 
-def scan_csv_lines(grid: ScanGrid, tol: float = 1e-12) -> tuple[list[str], list[float]]:
+def scan_csv_lines(grid: ScanGrid, tol: float) -> tuple[list[str], list[float]]:
     """Header plus one line per grid point, E(s) at tolerance tol, and the
     err_est of every cell that did not converge."""
     lines, missed = [_SCAN_HEADER], []
@@ -163,12 +167,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("feq", help="check zeta(s) = chi(s) zeta(1-s)")
     _add_point_flags(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="absolute tolerance on E at s and at 1 - s (default 1e-12)")
     p.set_defaults(func=_cmd_feq)
 
     p = sub.add_parser("lemma", help="check the Mellin chain against Gamma(s) zeta(s)")
     _add_point_flags(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="absolute tolerance on the bose integral and on J, whose printed "
+                        "sinh value is J/4s (default 1e-12)")
     p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser("residues", help="residue partial-sum table (doubling N)")
@@ -184,7 +191,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps-re", type=int, required=True)
     p.add_argument("--steps-im", type=int, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="absolute tolerance on each cell's E(s) (default 1e-12)")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for old scripts: must be >= 1 and changes nothing")
     p.set_defaults(func=_cmd_scan)
@@ -278,6 +286,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if _FLAG.fullmatch(argv[i - 1]) and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -236,5 +236,8 @@ def _lanczos(z: complex) -> tuple[complex, float]:
 
 
 def gamma(z: complex) -> complex:
-    """Gamma(z) = exp(log_gamma(z)); OverflowError when the value leaves doubles."""
-    return cmath.exp(log_gamma(z))
+    """Gamma(z) = exp(log_gamma(z)); OverflowError naming z where it leaves doubles."""
+    try:
+        return cmath.exp(log_gamma(z))
+    except OverflowError:
+        raise OverflowError(f"Gamma({z}) overflows double range") from None

@@ -27,8 +27,9 @@ front ends read their s-free node values from a KernelTable.
 Both front ends that cut a decay tail, integrate_line_decaying and
 integrate_mellin, place the cut with one search (_truncation_height): the
 first point of a 1/8 or 1/4 grid where the caller's bound on the log of
-the tail meets its target, found by secant steps in a few calls of the
-bound, at the point an exhaustive scan of the grid would find.
+the tail meets its target, found by doubling steps out from the start and
+bisecting the last one, at the point an exhaustive scan of the grid would
+find.
 
 A caller that knows the poles nearest the real axis can pass their exact
 contribution C(h) to the error T(h) - I, and each level becomes
@@ -180,58 +181,33 @@ def _truncation_height(
     is 1/8 or 1/4.
 
     log_tail may return inf where it has no bound; once it meets the target
-    it must keep meeting it further out, so Y is where the grid crosses the
-    target and the search only has to find a point that meets it with the
-    point one step below failing.  Outward from start, each probe is the
-    secant through the last two finite values, rounded up onto the grid,
-    or a step of 2 where there is no such pair; once a probe meets the
-    target, the secant through the bracket's ends, strictly inside it,
-    shrinks it, with a bisection after two secant probes in a row that did
-    not halve it.  A log_tail close to linear, as the line's and the Mellin
-    tail are, takes about four calls.  The search looks no further than
-    the last point start + 2j <= _MAX_HEIGHT, j an integer, and gives up if
-    that point fails.  Evaluated in log space so extreme bound constants
-    cannot overflow.
+    it must keep meeting it further out.  The search steps out from start
+    by 2, 4, 8, ... until a point meets the target, then bisects the last
+    step down to one grid step; every probe lies on the grid.  It looks no
+    further than the last point start + 2j <= _MAX_HEIGHT, j an integer,
+    and gives up if that point fails.  Evaluated in log space so extreme
+    bound constants cannot overflow.
     """
     target = math.log(tail)
-    lo, f_lo = start, log_tail(start)  # lo fails the target; hi, once found, meets it
-    if f_lo <= target:
+    if log_tail(start) <= target:
         return start
     last = start + 2.0 * ((_MAX_HEIGHT - start) // 2.0) if start < _MAX_HEIGHT else start
-    inf, ceil = math.inf, math.ceil
-    x = start + 2.0 if start + 2.0 < last else last
-    f = log_tail(x)
-    while f > target:  # out from start until a point meets the target
-        if x >= last:
+    lo, step = start, 2.0  # lo fails the target; hi, once found, meets it
+    while True:
+        hi = min(lo + step, last)
+        if log_tail(hi) <= target:
+            break
+        if hi >= last:
             raise TruncationFailure(
                 f"no truncation height <= {_MAX_HEIGHT} puts the tail below {tail}")
-        if f < f_lo < inf:  # the secant through lo and x, at least one step on
-            ahead = x + grid * ceil((f - target) * (x - lo) / ((f_lo - f) * grid))
+        lo, step = hi, 2.0 * step
+    while hi - lo > grid:
+        mid = lo + grid * ((hi - lo) // (2.0 * grid))
+        if log_tail(mid) <= target:
+            hi = mid
         else:
-            ahead = x + 2.0
-        lo, f_lo = x, f
-        x = ahead if ahead < last else last
-        f = log_tail(x)
-    hi, f_hi = x, f
-    slow = 0  # secant probes in a row that did not halve the bracket
-    while True:  # shrink the bracket (lo, hi] to one step
-        steps = (hi - lo) / grid
-        if steps <= 1.0:
-            return hi
-        bisect = slow == 2 or not (f_lo < inf and -inf < f_hi)
-        if bisect:
-            k = ceil(0.5 * steps)
-        else:  # the secant through lo and hi, strictly inside
-            k = ceil((f_lo - target) / (f_lo - f_hi) * steps)
-            if k >= steps:
-                k = steps - 1.0
-        x = lo + grid * k
-        f = log_tail(x)
-        if f <= target:
-            hi, f_hi = x, f
-        else:
-            lo, f_lo, k = x, f, steps - k  # k: the steps left in the bracket
-        slow = 0 if bisect or 2 * k <= steps else slow + 1
+            lo = mid
+    return hi
 
 
 def integrate_line_decaying(

@@ -389,6 +389,36 @@ def test_eval_residue_overflow_is_named():
     assert "overflows" in r.stderr and "Re z = 9.5" in r.stderr and "s = (" in r.stderr
 
 
+@pytest.mark.parametrize("cmd, z", [
+    ("lemma --re 200", "Gamma((200+0j))"),  # the reference Gamma(s) zeta(s)
+    ("feq --re 300", "Gamma((300+0j))"),    # gamma through chi
+])
+def test_gamma_overflow_is_named(cmd, z):
+    """Gamma(s) leaves double range above Re s = 171.6: exit 3 with one
+    error line that names Gamma and its argument, not a bare "math range
+    error"."""
+    r = run_cli(*cmd.split())
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and "range error" not in r.stderr
+    assert r.stderr == f"error: {z} overflows double range\n"
+
+
+def test_negative_exponent_form_flag_values(tmp_path):
+    """A negative float in exponent form, as scan writes -1e-05 into re_s,
+    is a flag's value whether it follows the flag as its own token or after
+    '=': argparse alone would take it for an unknown flag."""
+    joined, split = run_cli("eval", "--re=-1e-05"), run_cli("eval", "--re", "-1e-05")
+    assert split.returncode == joined.returncode == 0
+    assert split.stdout == joined.stdout and split.stderr == ""
+    out = tmp_path / "scan.csv"
+    r = run_cli("scan", "--re-min", "-1e-05", "--re-max", "1", "--im-min", "-2.5e-3",
+                "--im-max", "1", "--steps-re", "2", "--steps-im", "2", "--tol", "1e-8",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert out.read_text().splitlines()[1].startswith("-1e-05,-0.0025,")
+
+
 def test_eval_far_right_does_not_overflow():
     """At Re s = 1e308 the line crosses the poles at 1 and 2, so nothing
     overflows: eval prints zeta = 1, and exits 3 only because an absolute
