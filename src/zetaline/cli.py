@@ -65,9 +65,10 @@ from .record import Record
 __all__ = ["ScanGrid", "main"]
 
 _MAX_POINTS = 1_000_000  # largest scan grid and largest --n-max
-# argparse alone takes a negative float in exponent form, as scan writes
-# -1e-05, for a flag: main reads `--flag -1e-05` as `--flag=-1e-05`
-_FLAG, _NEGATIVE_EXPONENT = re.compile(r"--\w[\w-]*"), re.compile(r"-[\d.]+[eE][-+]?\d+")
+# argparse takes a negative float such as -1e-05 (as scan writes it) or -inf
+# for an unknown flag: main reads `--flag -1e-05` as `--flag=-1e-05` for every
+# token that starts with '-' and that float() reads
+_FLAG = re.compile(r"--\w[\w-]*")
 
 
 class ScanGrid(Record):
@@ -241,11 +242,7 @@ def _cmd_residues(args: argparse.Namespace) -> int:
     if not 1 <= args.n_max <= _MAX_POINTS:
         raise DomainError(f"--n-max must be in [1, {_MAX_POINTS}], got {args.n_max}")
     s = _point(args)
-    sizes = []
-    n = 1
-    while n <= args.n_max:
-        sizes.append(n)
-        n *= 2
+    sizes = [1 << k for k in range(args.n_max.bit_length())]
     if sizes[-1] != args.n_max:
         sizes.append(args.n_max)
     for size, (value, tail) in zip(sizes, residue_partial_sums(s, sizes)):
@@ -288,7 +285,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if _FLAG.fullmatch(argv[i - 1]) and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
+        if _FLAG.fullmatch(argv[i - 1]) and argv[i].startswith("-"):
+            try:
+                float(argv[i])
+            except ValueError:
+                continue
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:

@@ -70,10 +70,6 @@ Level = Callable[[float, float, int], list[complex]]
 Bound = Callable[[float], float]
 Correction = Callable[[float], complex]
 
-# exp() underflows to 0.0 below ~-745; keep the substitution variable above
-# that so f is never handed an argument that collapsed to t = 0.0 exactly
-_MELLIN_U_MIN = -740.0
-
 _EPS = math.ulp(1.0)
 
 _FIRST_STEP = 0.25   # first trapezoid step without a correction
@@ -290,8 +286,9 @@ def integrate_mellin(
     """Integral of t^alpha kernel(t) over (0, inf), table the KernelTable of
     u -> kernel(e^u) for a real kernel with |kernel(t)| <= origin_coeff on
     (0, 1] and |t^alpha kernel(t)| <= bound_const t^growth e^{-t} on [1, inf)
-    (alpha finite, Re alpha > -1, growth >= 0 and the constants positive,
-    as mellin's remainders pass them: alpha = s + 2 with Re s >= 1.05).
+    (growth >= 0 and the constants positive), as mellin's remainders pass
+    them: alpha = s + 2 with Re s >= 1.05, origin_coeff <= 1/60 and
+    tol >= TOL_MIN, which put the origin cut u_left in [-7.6, -2].
 
     Substitutes t = e^u and integrates g(u) = e^{(alpha+1)u} kernel(e^u)
     with integrate_interval, a level at a time.  The level reads
@@ -330,14 +327,6 @@ def integrate_mellin(
     # h (1/2 + 1/(e^{ap1 h} - 1)) grows with h: the first step is the worst
     log_left = math.log(origin_coeff * step * (0.5 + 1.0 / math.expm1(ap1 * step)))
     u_left = min(-2.0, (math.log(target) - log_left) / ap1)
-    if u_left < _MELLIN_U_MIN:
-        # the nodes left out at the representable floor
-        if log_left + ap1 * _MELLIN_U_MIN > math.log(target):
-            raise TruncationFailure(
-                f"origin tail with alpha={alpha} cannot reach tol {tol} "
-                f"within the representable range"
-            )
-        u_left = _MELLIN_U_MIN
     u_left = math.floor(u_left / step) * step
     log_c = math.log(bound_const)
     # the integral of C t^g e^{-t} beyond T > g is below C T^g e^{-T} T/(T - g);

@@ -406,11 +406,17 @@ def test_gamma_overflow_is_named(cmd, z):
 
 def test_negative_exponent_form_flag_values(tmp_path):
     """A negative float in exponent form, as scan writes -1e-05 into re_s,
-    is a flag's value whether it follows the flag as its own token or after
-    '=': argparse alone would take it for an unknown flag."""
+    or a non-finite one such as -inf, is a flag's value whether it follows
+    the flag as its own token or after '=': argparse alone would take it
+    for an unknown flag."""
     joined, split = run_cli("eval", "--re=-1e-05"), run_cli("eval", "--re", "-1e-05")
     assert split.returncode == joined.returncode == 0
     assert split.stdout == joined.stdout and split.stderr == ""
+    for value in ("-inf", "-nan", "-Infinity"):
+        joined, split = run_cli("eval", f"--re={value}"), run_cli("eval", "--re", value)
+        assert split.returncode == joined.returncode == 2, value
+        assert (split.stdout, split.stderr) == (joined.stdout, joined.stderr), value
+        assert split.stderr.startswith("error: s must be finite"), value
     out = tmp_path / "scan.csv"
     r = run_cli("scan", "--re-min", "-1e-05", "--re-max", "1", "--im-min", "-2.5e-3",
                 "--im-max", "1", "--steps-re", "2", "--steps-im", "2", "--tol", "1e-8",

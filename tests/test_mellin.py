@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from zetaline import mellin
+from zetaline import mellin, quadrature
 from zetaline.complex_core import _lanczos, gamma
 from zetaline.contour import entire_e_axis
-from zetaline.errors import ContractViolation, DomainError, TruncationFailure
+from zetaline.errors import IM_BOX, ContractViolation, DomainError, TruncationFailure
 from zetaline.mellin import bose_integral, exp_sq_integral, mellin_check, sinh_integral
 from zetaline.oracle import zeta_euler_maclaurin
 from zetaline.quadrature import KernelTable, integrate_mellin
@@ -339,6 +340,41 @@ def test_past_double_range_is_a_truncation_failure():
             if s != -170.0:  # a trivial zero, returned exactly
                 with pytest.raises(TruncationFailure):
                     entire_e_axis(s)
+
+
+def test_origin_cut_lands_in_its_range(monkeypatch):
+    """The origin cut u_left that integrate_mellin hands integrate_interval
+    as a lies in [-7.6, -2] on the grid of its first step for what mellin
+    passes: alpha = s + 2 with Re s >= 1.05 and tol >= 1e-14, far above
+    where e^u underflows.  Seeded: the two integrals at Re s in [1.06, 171]
+    (log-uniform, as the cut lies furthest out at small Re s), |Im s| up to
+    1000 and tol in [1e-14, 1e3], the axis form in its box, and the corners
+    Re s = 1.06 at tol 1e-14; the spy stops each integral at its cut."""
+    class Cut(Exception):
+        pass
+
+    cuts = []
+
+    def spy(level, a, b, tol, *, step, **kwargs):
+        cuts.append((a, step))
+        raise Cut
+
+    monkeypatch.setattr(quadrature, "integrate_interval", spy)
+    forms = ((mellin._bose, 1000.0), (mellin._sinh_sq_integral, 1000.0),
+             (lambda sigma, tol: entire_e_axis(1.0 - sigma, tol), IM_BOX))
+    rng = random.Random(1)
+    cases = [(run, complex(1.06, im), 1e-14) for run, im_max in forms for im in (0.0, im_max)]
+    for _ in range(132):
+        for run, im_max in forms:
+            sigma = math.exp(rng.uniform(math.log(1.06), math.log(171.0)))
+            cases.append((run, complex(sigma, rng.uniform(-im_max, im_max)),
+                          10.0 ** rng.uniform(-14.0, 3.0)))
+    for run, sigma, tol in cases:
+        with pytest.raises(Cut):
+            run(sigma, tol)
+    assert len(cuts) == len(cases) == 402
+    for a, step in cuts:
+        assert -7.6 <= a <= -2.0 and (a / step).is_integer(), (a, step)
 
 
 def test_kernel_tables_give_the_inline_kernel_bits(monkeypatch):
