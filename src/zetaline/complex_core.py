@@ -18,6 +18,11 @@ Lanczos sum and pair of logs that log_gamma runs on Re z >= 1/2
 (_lanczos_sum), so exp of its log is gamma(z) bitwise, and log_gamma
 itself forms no bound.
 
+Each kernel refuses only what a caller can send it: sin_pi_z, cos_pi_z and
+log_gamma, which take z from other modules, raise DomainError at a
+non-finite z, and nothing else is checked.  Each docstring states what the
+package passes and what comes out beyond that.
+
 Only `math`, `cmath` and `itertools` are used; no state, no configuration.
 """
 
@@ -27,7 +32,7 @@ import cmath
 import math
 from itertools import accumulate
 
-from .errors import DomainError, PoleError, finite_s
+from .errors import finite_s
 
 __all__: list[str] = []  # the kernels serve the package; none is the paper's object
 
@@ -59,24 +64,18 @@ _LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C[1:]))  # (k - 1, c_k), k = 1 .. 14
 
 
 def cpow_principal(z: complex, w: complex) -> complex:
-    """z**w on the closed right half-plane, arg z restricted to [-pi/2, pi/2].
+    """z**w = exp(w * (ln|z| + i*arg z)) for Re z > 0, where the atan2
+    argument lies in (-pi/2, pi/2) and no branch folding is needed.
 
-    Defined as exp(w * (ln|z| + i*arg z)).  With Re z >= 0 the atan2 argument
-    already lies in [-pi/2, pi/2], so no branch folding is needed.  0**w is 0
-    when Re w > 0 and undefined otherwise.
-
-    Raises DomainError off the half-plane and lets OverflowError propagate
-    when exp(Re(w log z)) leaves double range.  Unchecked per node: z = nan
-    gives nan+nanj, inf the limit for real w and ValueError for complex w.
+    The package passes z = 2 pi (chi and the axis form) or z = n + 1/2 + iy
+    with n >= 0 (the line kernel), so nothing is checked.  OverflowError
+    propagates when exp(Re(w log z)) leaves double range.  Elsewhere (w = 0
+    gives 1 for any z): another finite z != 0 gives the principal power,
+    z = 0 ValueError from the log, z = nan or -inf nan+nanj, and z = +inf
+    the limit for real w and ValueError for complex w.
     """
     z = complex(z)
     w = complex(w)
-    if z.real == 0.0 and z.imag == 0.0:
-        if w.real > 0.0:
-            return complex(0.0, 0.0)
-        raise DomainError(f"0**w undefined for Re w <= 0 (w={w})")
-    if z.real < 0.0:
-        raise DomainError(f"cpow_principal needs Re z >= 0, got z={z}")
     if w.real == 0.0 and w.imag == 0.0:
         return complex(1.0, 0.0)
     if z.imag == 0.0 and w.imag == 0.0 and z.real > 0.0:
@@ -118,22 +117,23 @@ def _cos_pi(x: float) -> float:
 def sin_pi_z(z: complex) -> complex:
     """sin(pi z) via the split form sin(pi x)cosh(pi y) + i cos(pi x)sinh(pi y).
 
-    Exactly zero at real integers.  Supports |Im z| <= 300; cosh raises
-    OverflowError before the cap (|Im z| > ~225.9) since the true value
-    itself leaves double range there.
+    Exactly zero at real integers.  The package passes z = s/2 from chi and
+    Re z < 1/2 from log_gamma's reflection.  Past |Im z| ~ 226.15 the true
+    value leaves double range and cosh raises OverflowError; DomainError at
+    a non-finite z.
     """
     z = finite_s(z)
-    if abs(z.imag) > 300.0:
-        raise DomainError(f"sin_pi_z supports |Im z| <= 300, got {z.imag}")
     py = math.pi * z.imag
     return complex(_sin_pi(z.real) * math.cosh(py), _cos_pi(z.real) * math.sinh(py))
 
 
 def cos_pi_z(z: complex) -> complex:
-    """cos(pi z) in the same split style; exactly zero at real half-integers."""
+    """cos(pi z) in the same split style; exactly zero at real half-integers.
+
+    The package passes z = s/2 from chi.  OverflowError past
+    |Im z| ~ 226.15, as for sin_pi_z, and DomainError at a non-finite z.
+    """
     z = finite_s(z)
-    if abs(z.imag) > 300.0:
-        raise DomainError(f"cos_pi_z supports |Im z| <= 300, got {z.imag}")
     py = math.pi * z.imag
     return complex(_cos_pi(z.real) * math.cosh(py), -_sin_pi(z.real) * math.sinh(py))
 
@@ -154,6 +154,7 @@ def sech_sq_pi(y: float) -> float:
     return 4.0 * q / ((1.0 + q) * (1.0 + q))
 
 
+# kept only because perfbench/tracing.py looks it up; no package code calls it
 def sinhc_half(t: float) -> float:
     """sinh(t/2)/(t/2), even in t, >= 1 everywhere, exactly 1 at t = 0.
 
@@ -175,14 +176,14 @@ def log_gamma(z: complex) -> complex:
     on the left half-plane (principal logs; the imaginary part may fold by
     2 pi there, which callers using exp() never see).
 
-    Raises PoleError within 1e-12 of the poles 0, -1, -2, ..., DomainError at
-    a non-finite z.
+    The package never passes z within 1e-6 of a pole 0, -1, -2, ...: chi
+    refuses first where its Gamma argument could get that close, _theta
+    passes 1/4 + it/2 and mellin_check Re z > 1.05.  Nearer a pole the
+    value grows like -log|z - pole|, and at a pole itself the log of
+    sin(pi z) = 0 raises ValueError.  DomainError at a non-finite z.
     """
     z = finite_s(z)
     if z.real < 0.5:
-        n = round(z.real)
-        if n <= 0 and math.hypot(z.real - n, z.imag) <= 1e-12:
-            raise PoleError(f"log_gamma pole at z={z}")
         s = sin_pi_z(z)
         return cmath.log(math.pi) - cmath.log(s) - log_gamma(1.0 - z)
     return _lanczos_sum(z)[0]

@@ -123,18 +123,14 @@ _ENV_CELLS_MAX = 200  # no X past 100: there cosh^2(pi x) nears overflow, and M 
 _CHUNK = 1 << 14      # residue_partial_sums forms its terms this many at a time
 
 
-def _check_line(n: int) -> None:
-    if not (type(n) is int and n >= 0):  # bool is not a line
-        raise DomainError(f"the line Re z = n + 1/2 needs an integer n >= 0, got {n!r}")
-
-
 def line_integrand(y: float, s: complex, n: int = 0) -> complex:
     """Kernel pi^2 z^{1-s} / sin^2(pi z) at z = n + 1/2 + iy.
 
     On every half-integer line sin^2(pi z) = cosh^2(pi y), so the quotient
     is computed as cpow * sech_sq_pi without complex division.
     """
-    _check_line(n)
+    if not (type(n) is int and n >= 0):  # bool is not a line
+        raise DomainError(f"the line Re z = n + 1/2 needs an integer n >= 0, got {n!r}")
     if not abs(y) <= _Y_MAX:
         raise DomainError(f"line kernel is specified for |y| <= {_Y_MAX:g}, got y = {y}")
     s = finite_s(s)
@@ -445,7 +441,8 @@ def entire_e_line(s: complex, tol: float = 1e-12) -> EvalResult:
 
 
 def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
-    """E(s) on the line Re z = n + 1/2, any integer n >= 0.
+    """E(s) on the line Re z = n + 1/2, n the integer >= 0 that entire_e_line
+    picks from s.
 
     The residue of the kernel at z = k is (1-s) k^{-s}, so moving the line
     from Re z = 1/2 to n + 1/2 subtracts (s-1) sum_{k<=n} k^{-s} from the
@@ -453,7 +450,7 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     trapezoid rule starts at h = 1/2 and subtracts _pole_correction from
     each level, so that h = 1/4 can already be certified; the residues and
     the correction share one pass over k^{-s}, k = 1 .. n + 1
-    (_line_residues).  s and tol are the caller's to check, as
+    (_line_residues).  s, tol and n are the caller's to check, as
     entire_e_line does.
 
     err_est, on the scale of the integral of 2 pi E, adds the rounding of
@@ -467,7 +464,6 @@ def _entire_e_line(s: complex, tol: float, n: int) -> EvalResult:
     the point cannot converge, and the quadrature runs at that rounding
     instead.
     """
-    _check_line(n)
     budget = _TWO_PI * tol
     if n:
         residues, rounding, near, far = _line_residues(s, n)

@@ -94,7 +94,13 @@ def _chi_cosine(s: complex) -> complex:
 
 def chi(s: complex) -> complex:
     """The multiplier chi(s) with zeta(s) = chi(s) zeta(1-s), in the form
-    select_form picks; PoleError at the positive odd integers."""
+    select_form picks; PoleError at the positive odd integers.
+
+    OverflowError where a factor leaves double range, though chi itself
+    may not: sin(pi s/2) or cos(pi s/2) past |Im s| ~ 452.3, and Gamma far
+    right, where its argument (s in the cosine form, 1 - s in the sine
+    form) has real part past ~171.6.
+    """
     s = finite_s(s)
     d_odd = _dist_odd(s)
     if d_odd < _POLE_GUARD and s.real > 0.0:

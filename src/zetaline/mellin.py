@@ -364,10 +364,11 @@ def sinh_integral(s: complex, tol: float = 1e-12) -> complex:
 def mellin_check(s: complex, tol: float = 1e-12) -> MellinReport:
     """Evaluate bose and J and compare each against Gamma(s) zeta(s); J
     fills both exp_sq and sinh_form, one integral (see the module).  The
-    reference comes first, so a point the oracle refuses (|Im s| > 60)
-    raises its ContractViolation before any integral runs."""
+    oracle comes first, so a point it refuses (|Im s| > 60) raises its
+    ContractViolation before Gamma(s) or any integral runs."""
     s = _require_domain(s, "mellin_check")
-    reference = gamma(s) * zeta_euler_maclaurin(s)[0]
+    zeta_ref = zeta_euler_maclaurin(s)[0]
+    reference = gamma(s) * zeta_ref
     bose = bose_integral(s, tol)
     sinh_form = sinh_integral(s, tol)
     deviation = max(abs(bose - reference), abs(sinh_form - reference))

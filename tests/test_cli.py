@@ -404,6 +404,17 @@ def test_gamma_overflow_is_named(cmd, z):
     assert r.stderr == f"error: {z} overflows double range\n"
 
 
+@pytest.mark.parametrize("re", ["2", "200"])
+def test_lemma_box_before_gamma(re):
+    """Outside the oracle's box |Im s| <= 60 lemma exits 2 with the oracle's
+    message, also at Re s = 200 where Gamma(s) would overflow: the box is
+    checked before Gamma runs."""
+    r = run_cli("lemma", "--re", re, "--im", "100")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: oracle contract box is |Im s| <= 60.0, got 100.0\n"
+
+
 def test_negative_exponent_form_flag_values(tmp_path):
     """A negative float in exponent form, as scan writes -1e-05 into re_s,
     or a non-finite one such as -inf, is a flag's value whether it follows

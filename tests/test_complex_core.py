@@ -18,7 +18,6 @@ from zetaline.complex_core import (
     sin_pi_z,
     sinhc_half,
 )
-from zetaline.errors import DomainError, PoleError
 
 # strategies kept away from overflow edges so properties test algebra, not caps
 _MOD = st.floats(min_value=1e-3, max_value=1e3)
@@ -41,19 +40,6 @@ def test_cpow_positive_real_is_exact():
     assert cpow_principal(4.0, 0.5) == 2.0
     assert cpow_principal(2.0, 10.0) == 1024.0
     assert cpow_principal(9.0, -0.5) == complex(1.0 / 3.0, 0.0)
-
-
-def test_cpow_zero_base():
-    assert cpow_principal(0.0, 2.5 + 1j) == 0.0
-    with pytest.raises(DomainError):
-        cpow_principal(0.0, -1.0)
-    with pytest.raises(DomainError):
-        cpow_principal(0.0, 1j)
-
-
-def test_cpow_rejects_left_half_plane():
-    with pytest.raises(DomainError):
-        cpow_principal(-1.0 + 0.5j, 2.0)
 
 
 @given(r=_MOD, th=_ARG, a=_W_PART, b=_W_PART, c=_W_PART, d=_W_PART)
@@ -119,7 +105,7 @@ def test_sin_pi_z_matches_cmath_off_axis():
 
 
 def test_sin_pi_z_imag_cap():
-    with pytest.raises(DomainError):
+    with pytest.raises(OverflowError):
         sin_pi_z(301j)
 
 
@@ -140,8 +126,8 @@ def test_node_kernels_nonfinite_argument(x):
         with pytest.raises(ValueError):
             cpow_principal(x, 1.5 + 2.0j)
     elif x == -math.inf:
-        with pytest.raises(DomainError):
-            cpow_principal(x, 2.0)
+        got = cpow_principal(x, 2.0)
+        assert math.isnan(got.real) and math.isnan(got.imag)
 
 
 def test_sech_sq_pi_known_value():
@@ -216,15 +202,6 @@ def test_gamma_reflection(x, y):
 def test_log_gamma_real_on_positive_axis():
     for x in (0.5, 1.0, 3.7, 15.0):
         assert log_gamma(complex(x, 0.0)).imag == 0.0
-
-
-def test_log_gamma_pole_guard():
-    with pytest.raises(PoleError):
-        log_gamma(0.0)
-    with pytest.raises(PoleError):
-        log_gamma(-3.0)
-    with pytest.raises(PoleError):
-        log_gamma(complex(-2.0, 1e-13))
 
 
 def _gamma_rel_err(z: complex) -> float:

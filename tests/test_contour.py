@@ -111,11 +111,6 @@ def test_nonfinite_s_is_a_domain_error():
 
 
 def test_spec_validation():
-    # the line is Re z = n + 1/2 for an integer n >= 0, chosen from s
-    with pytest.raises(DomainError):
-        contour._entire_e_line(2.0 + 0.0j, 1e-12, -1)
-    with pytest.raises(DomainError):
-        contour._entire_e_line(2.0 + 0.0j, 1e-12, 0.5)
     with pytest.raises(DomainError):
         entire_e_line(2.0 + 0.0j, tol=0.0)
     with pytest.raises(DomainError):

@@ -1,10 +1,14 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaline import acceptance, complex_core, contour, functional_equation
 from zetaline.acceptance import FEQ_GRID, STRIP_POINTS
+from zetaline.contour import entire_e_axis
 from zetaline.errors import DomainError, PoleError
 from zetaline.functional_equation import (
     PASS_REL,
@@ -15,8 +19,10 @@ from zetaline.functional_equation import (
     feq_check,
     select_form,
 )
+from zetaline.mellin import mellin_check
 from zetaline.oracle import zeta_euler_maclaurin
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CHI_HALF_5I = complex(0.80444518280051772243, 0.59402689153694180677)
 CHI_4_1I = complex(50.17262302424900875, 32.068617117575933822)
 
@@ -155,3 +161,59 @@ def test_feq_report_passes_at_the_bound():
     assert report(PASS_REL).passes
     assert not report(math.nextafter(PASS_REL, 1.0)).passes
     assert not report(math.nan).passes
+
+
+def test_chi_leaves_double_range_with_overflow():
+    """Past |Im s| ~ 452.3 sin(pi s/2) leaves double range: chi raises
+    OverflowError there, however far out."""
+    for s in (0.3 + 460j, 0.3 + 700j):
+        with pytest.raises(OverflowError):
+            chi(s)
+
+
+def test_kernels_receive_only_their_domain(monkeypatch):
+    """cpow_principal and log_gamma refuse nothing, so the package must not
+    send them what they once refused: every cpow_principal base has
+    Re z > 0 and every log_gamma argument lies at least 1e-6 from a pole
+    0, -1, -2, ....  Driven through verify seed 1's feq, axis and Mellin
+    points, feq_check and chi over FEQ_GRID and at k + d for k in -9 .. 9
+    and d in {0, +-1.1e-6, +-2e-6, 1e-3} (where chi's forms and its 1e-6
+    pole guard switch) at Im s 0, 1e-7 and -3, and run_criteria()."""
+    bases, args = [], []
+    cpow, log_gamma = complex_core.cpow_principal, complex_core.log_gamma
+
+    def cpow_spy(z, w):
+        bases.append(complex(z))
+        return cpow(z, w)
+
+    def log_gamma_spy(z):
+        args.append(complex(z))
+        return log_gamma(z)
+
+    for module in (contour, functional_equation):
+        monkeypatch.setattr(module, "cpow_principal", cpow_spy)
+    for module in (complex_core, acceptance):
+        monkeypatch.setattr(module, "log_gamma", log_gamma_spy)
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    points = workloads.verify_points(1)
+    for s in points["feq"]:
+        feq_check(s)
+    for s in points["axis"]:
+        entire_e_axis(s)
+    for s in points["mellin"]:
+        mellin_check(s)
+    near = [complex(k + d, im) for k in range(-9, 10)
+            for d in (0.0, 1.1e-6, -1.1e-6, 2e-6, -2e-6, 1e-3) for im in (0.0, 1e-7, -3.0)]
+    for s in (*FEQ_GRID, *near):
+        for check in (feq_check, chi):
+            try:
+                check(s)
+            except (DomainError, PoleError):
+                pass
+    acceptance.run_criteria()
+    assert bases and args
+    assert all(z.real > 0.0 for z in bases), min(bases, key=lambda z: z.real)
+    gaps = [abs(z - min(0, round(z.real))) for z in args]
+    assert min(gaps) >= 1e-6, min(gaps)
